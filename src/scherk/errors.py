@@ -18,7 +18,8 @@ class NoSignChange(Exception):
 
 
 class NonConvergence(Exception):
-    """An iterative solve failed to reach tolerance within its budget."""
+    """A solve found no answer within tolerance (for the zero point: r >= 1,
+    or its harmonic measures miss their targets by more than tol)."""
 
 
 class DegenerateError(Exception):

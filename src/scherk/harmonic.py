@@ -20,6 +20,10 @@ for every z.  The distinguished point z0 is the one whose measures realize
 the (U, V, T) data of the scalar zero; at z0 the slope-normalized curvature
 follows from D0 = 1 + r^2 - 2*sqrt(1-mu^2)*r*cos(t0-delta), where delta is
 the phase of the Gauss-map parameter a.
+
+z0 is found in closed form from the circular level sets of Omega1 and
+Omega2 (see solve_zero_point), and refused only when it lies outside the
+open disk or misses its four measures by more than the tolerance.
 """
 
 from __future__ import annotations
@@ -35,10 +39,6 @@ from . import weierstrass
 if TYPE_CHECKING:
     from .scalar import ScalarZero
     from .params import ScherkParams
-
-_MAX_R = 0.995
-_NEWTON_BUDGET = 50
-
 
 @dataclass(frozen=True)
 class DiskPoint:
@@ -158,8 +158,6 @@ def phase_param(params: "ScherkParams") -> PhaseParam:
     A, B = params.A, params.B
     if A * B >= 1.0:
         raise DegenerateError("a = 0 at A*B = 1; the phase is undefined")
-    if not params.has_angles:
-        raise DomainError("phase_param needs angle data on the parameters")
     c_p, d_q, mu, h = params.c_p, params.d_q, params.mu, params.h
     a = complex(A * d_q - B * c_p, -mu * (c_p + d_q)) / ((1.0 + mu) * (A + B))
     delta = cmath.phase(a)
@@ -173,29 +171,6 @@ def phase_param(params: "ScherkParams") -> PhaseParam:
     )
 
 
-def _arc_endpoints(alpha: float):
-    """Endpoints (a, b) of the four arcs, counterclockwise."""
-    pts = (0.0, alpha, math.pi, math.pi + alpha, 2.0 * math.pi)
-    return [(cmath.exp(1j * pts[k]), cmath.exp(1j * pts[k + 1]))
-            for k in range(4)]
-
-
-def _measure_gradient(zc: complex, a: complex, b: complex):
-    """Gradient of the arc's harmonic measure at zc (analytic completion).
-
-    The measure is Re W with W' = -(i/pi)(b-a)/((a-z)(b-z)); hence
-    d/dx = Re W', d/dy = -Im W'.
-    """
-    wp = (-1j / math.pi) * (b - a) / ((a - zc) * (b - zc))
-    return wp.real, -wp.imag
-
-
-def _measures_xy(x: float, y: float, alpha: float) -> FourMeasures:
-    r = math.hypot(x, y)
-    t = math.atan2(y, x)
-    return measures4(DiskPoint(r=r, t=t), alpha)
-
-
 def solve_zero_point(params: "ScherkParams", scalar_zero: "ScalarZero",
                      tol: float = 1e-12) -> ZeroSolution:
     """Locate z0 whose four harmonic measures realize the scalar-zero data.
@@ -204,17 +179,20 @@ def solve_zero_point(params: "ScherkParams", scalar_zero: "ScalarZero",
     zero; matching those two pins the remaining measures through the sum
     and cross-ratio constraints (checked and reported as `residual`).
 
-    Damped Newton on (x, y) = (r cos t, r sin t) with the analytic
-    Poisson-kernel gradient, starting from the origin, step-clamped to
-    r <= 0.995; after a stall, one restart from the best point of a coarse
-    polar grid.  Near-boundary answers (r > 0.995) are rejected as
-    NonConvergence rather than returned at low accuracy.
+    Closed form: by the inscribed-angle theorem the level set Omega = t of
+    an arc (a, b) of half-length s is the circular arc through a and b on
+    which arg((b-z)/(a-z)) = pi*t + s.  I1 = (1, c) and I2 = (c, -1) share
+    c = e^{i alpha}, so under u = 1/(c-z) the two level sets are the lines
+        arg(1 + (1-c) u) = -(pi*Omega1 + alpha/2),
+        arg(1 - (1+c) u) = pi*Omega2 + (pi-alpha)/2,
+    and z0 = c - 1/u is one 2x2 real solve.  Raises NonConvergence when
+    r >= 1 or when the four measures miss their targets by more than tol.
     """
     A, B = params.A, params.B
     if A * B >= 1.0:
         # Full symmetry: z0 is the origin, mu = 1 removes the phase term.
         z = DiskPoint(r=0.0, t=0.0)
-        m = measures4(z, params.alpha if params.has_angles else 0.5 * math.pi)
+        m = measures4(z, params.alpha)
         wk = weierstrass.wk_geometric(z, params, 1.0)
         return ZeroSolution(z=z, measures=m, D0=1.0, delta=0.0, a_mod=0.0,
                             WK=wk.value, master_lhs=1.0,
@@ -226,75 +204,31 @@ def solve_zero_point(params: "ScherkParams", scalar_zero: "ScalarZero",
     targets = (t1, t2,
                0.5 * (scalar_zero.U - scalar_zero.V),
                0.5 * (1.0 - scalar_zero.U + scalar_zero.T))
-    arcs = _arc_endpoints(alpha)
 
-    def residual_at(x: float, y: float):
-        m = _measures_xy(x, y, alpha)
-        return m.Omega1 - t1, m.Omega2 - t2
-
-    def norm(f):
-        return max(abs(f[0]), abs(f[1]))
-
-    def newton(x: float, y: float):
-        f = residual_at(x, y)
-        for _ in range(_NEWTON_BUDGET):
-            if norm(f) <= tol:
-                return x, y, f
-            zc = complex(x, y)
-            g1x, g1y = _measure_gradient(zc, *arcs[0])
-            g2x, g2y = _measure_gradient(zc, *arcs[1])
-            det = g1x * g2y - g1y * g2x
-            if det == 0.0 or not math.isfinite(det):
-                break
-            dx = (-f[0] * g2y + f[1] * g1y) / det
-            dy = (-f[1] * g1x + f[0] * g2x) / det
-            lam = 1.0
-            improved = False
-            for _ in range(40):
-                xn, yn = x + lam * dx, y + lam * dy
-                rn = math.hypot(xn, yn)
-                if rn > _MAX_R:
-                    shrink = _MAX_R / rn
-                    xn, yn = xn * shrink, yn * shrink
-                fn = residual_at(xn, yn)
-                if norm(fn) < norm(f):
-                    x, y, f = xn, yn, fn
-                    improved = True
-                    break
-                lam *= 0.5
-            if not improved:
-                break
-        return x, y, f
-
-    x, y, f = newton(0.0, 0.0)
-    if norm(f) > tol:
-        # Restart from the best point of a coarse polar grid.
-        best = (norm(f), x, y)
-        for ir in range(1, 20):
-            r = 0.05 * ir
-            if r > _MAX_R:
-                break
-            for it in range(64):
-                t = 2.0 * math.pi * it / 64
-                xg, yg = r * math.cos(t), r * math.sin(t)
-                fg = residual_at(xg, yg)
-                if norm(fg) < best[0]:
-                    best = (norm(fg), xg, yg)
-        x, y, f = newton(best[1], best[2])
-    if norm(f) > tol:
+    # Each line is Im(e*(1 + w*u)) = 0 with e = e^{-i*arg}; with
+    # e*w = p + iq and u = x + iy that reads q*x + p*y = -Im(e).
+    c = cmath.exp(1j * alpha)
+    e1 = cmath.exp(1j * (math.pi * t1 + 0.5 * alpha))
+    e2 = cmath.exp(-1j * (math.pi * t2 + 0.5 * (math.pi - alpha)))
+    g1 = e1 * (1.0 - c)
+    g2 = -e2 * (1.0 + c)
+    det = g1.imag * g2.real - g1.real * g2.imag
+    num = complex(g1.real * e2.imag - g2.real * e1.imag,
+                  g2.imag * e1.imag - g1.imag * e2.imag)
+    z0 = c - det / num    # u = num / det
+    r = abs(z0)
+    if r >= 1.0:
         raise NonConvergence(
-            f"zero-point solve stalled at residual {norm(f)} for "
-            f"A={A}, B={B} (target tol {tol})")
-
-    r = math.hypot(x, y)
-    if r > _MAX_R:
-        raise NonConvergence(
-            f"zero point at r={r} > {_MAX_R}; too close to the boundary "
-            f"for reliable evaluation (A={A}, B={B})")
-    z = DiskPoint(r=r, t=math.atan2(y, x) % (2.0 * math.pi))
+            f"zero point at r={r} lies outside the open unit disk "
+            f"(A={A}, B={B})")
+    z = DiskPoint(r=r, t=cmath.phase(z0) % (2.0 * math.pi))
     m = measures4(z, alpha)
     resid = max(abs(m.Omega1 - targets[0]), abs(m.Omega2 - targets[1]),
                 abs(m.Omega3 - targets[2]), abs(m.Omega4 - targets[3]))
+    if resid > tol:
+        raise NonConvergence(
+            f"zero point misses its measures by {resid} > tol {tol} "
+            f"(A={A}, B={B})")
 
     ph = phase_param(params)
     mu = params.mu

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import DomainError
 
@@ -41,7 +40,7 @@ class ScherkParams:
     A, B in (0, 1]; kappa, epsilon are the complementary cosines; mu, P as
     in the module docstring.  The angle fields hold the restricted-angle
     data (p <= pi/2, q - p <= pi/2, so c_p = kappa >= 0 and d_q = epsilon
-    >= 0); they are populated by both constructors.
+    >= 0); both constructors fill them.
     """
 
     A: float
@@ -50,16 +49,12 @@ class ScherkParams:
     epsilon: float
     mu: float
     P: float
-    p: Optional[float] = None
-    q: Optional[float] = None
-    c_p: Optional[float] = None
-    d_q: Optional[float] = None
-    alpha: Optional[float] = None
-    h: Optional[float] = None
-
-    @property
-    def has_angles(self) -> bool:
-        return self.alpha is not None
+    p: float
+    q: float
+    c_p: float
+    d_q: float
+    alpha: float
+    h: float
 
 
 @dataclass(frozen=True)
@@ -105,7 +100,7 @@ def p_minus_r_closed_form(A, B, kappa, epsilon):
     return epsilon * (A * epsilon + A + B) / (A * B * (A + B) * (1 + epsilon))
 
 
-def threshold_b0(A: float, kappa: Optional[float] = None) -> float:
+def threshold_b0(A: float, kappa: float | None = None) -> float:
     """Positive root of (1+kappa)*B^2 + A*(1-kappa)*B - 2*kappa in B."""
     if kappa is None:
         kappa = math.sqrt(max(0.0, 1.0 - A * A))

@@ -97,10 +97,9 @@ def s_eval(params: ScherkParams, U: float) -> float:
 
 def _make_zero(params: ScherkParams, U: float, residual: float) -> ScalarZero:
     M, N = _mn(params, U)
-    c_p = params.c_p if params.c_p is not None else params.kappa
-    d_q = params.d_q if params.d_q is not None else params.epsilon
-    V = c_p * (params.P - U)
-    T = -d_q * (U + params.kappa ** 2 / (params.A * (params.A + params.B)))
+    V = params.c_p * (params.P - U)
+    T = -params.d_q * (U + params.kappa ** 2
+                       / (params.A * (params.A + params.B)))
     return ScalarZero(U=U, M=M, N=N, V=V, T=T,
                       S=s_eval(params, U), residual=residual)
 

@@ -76,11 +76,14 @@ def test_criterion_3_two_sided_band(tmp_path):
     elapsed = time.perf_counter() - start
     assert code == 0
     ok_rows = 0
+    admissible_rows = 0
     in_band = True
     gaps_ok = True
     wk_max, arg_max = -1.0, None
+    wk_min, arg_min = math.inf, None
     for line in out.read_text().splitlines()[1:]:
         cells = line.split(",")
+        admissible_rows += cells[4] == "true"
         if cells[-1] != "ok":
             continue
         ok_rows += 1
@@ -89,11 +92,15 @@ def test_criterion_3_two_sided_band(tmp_path):
         gaps_ok = gaps_ok and float(cells[10]) < 1e-8
         if wk > wk_max:
             wk_max, arg_max = wk, (float(cells[2]), float(cells[3]))
-    ok = (ok_rows > 1000 and in_band and gaps_ok
-          and abs(wk_max - PI2_2) < 1e-9 and arg_max == (1.0, 1.0)
-          and elapsed < 30.0)
-    report(3, ok, f"{ok_rows} ok rows all in band, max {wk_max:.12f} at "
-                  f"{arg_max} ({elapsed:.1f} s)")
+        if wk < wk_min:
+            wk_min, arg_min = wk, (float(cells[2]), float(cells[3]))
+    # The lower band is sharp: pairs next to B = B0(A) approach pi^2/4.
+    ok = (ok_rows > 1000 and ok_rows == admissible_rows and in_band
+          and gaps_ok and abs(wk_max - PI2_2) < 1e-9 and arg_max == (1.0, 1.0)
+          and wk_min - PI2_4 < 1e-6 and elapsed < 30.0)
+    report(3, ok, f"{ok_rows}/{admissible_rows} admissible rows ok, all in "
+                  f"band, max {wk_max:.12f} at {arg_max}, min {wk_min:.12f} "
+                  f"at {arg_min} ({elapsed:.1f} s)")
 
 
 def test_criterion_4_route_equivalence(rng):

@@ -12,6 +12,7 @@ from scherk.harmonic import (ArcSpec, DiskPoint, arc_measure,
                              solve_zero_point)
 from scherk.params import from_ab, threshold_b0
 from scherk.scalar import solve_zero
+from scherk.weierstrass import wk_scalar
 
 
 def test_disk_point_rejects_boundary():
@@ -214,6 +215,25 @@ def test_zero_point_random_pipeline(rng):
         assert abs(sol.master_lhs * (params.A + params.B) - zero.S) < 1e-8
         lhs, rhs, holds = master_inequality_check(sol, params)
         assert holds
+
+
+@pytest.mark.parametrize("A, B", [(0.52, 0.94), (0.94, 0.52)])
+def test_zero_point_close_to_threshold_is_solved(A, B):
+    # Grid-50 sweep pairs just above B0(A), where z0 sits at r ~ 0.9969.
+    params = from_ab(A, B)
+    zero = solve_zero(params)
+    sol = solve_zero_point(params, zero)
+    assert sol.z.r > 0.996
+    assert sol.residual <= 1e-12
+    assert abs(sol.WK - wk_scalar(params, zero.S).value) < 1e-10
+    assert master_inequality_check(sol, params)[2]
+    h = 0.5 * params.alpha
+    arcs = [(h, h), (h + math.pi / 2, math.pi / 2 - h),
+            (h + math.pi, h), (h + 1.5 * math.pi, math.pi / 2 - h)]
+    m = sol.measures
+    for om, (phi, s) in zip((m.Omega1, m.Omega2, m.Omega3, m.Omega4), arcs):
+        assert om == pytest.approx(
+            poisson_arc_measure(sol.z.r, sol.z.t, phi, s), abs=1e-9)
 
 
 def test_zero_point_near_threshold_reports_nonconvergence():
