@@ -1,13 +1,15 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they check: harmonic measures are
-integrated with adaptive quadrature of the Poisson kernel, and scalar roots
-are isolated with 50-digit bisection in mpmath.
+integrated with adaptive quadrature of the Poisson kernel, scalar roots
+are isolated with 50-digit bisection in mpmath, and odd-lift quantities are
+direct sums over the full sample grid.
 """
 
 import math
 
 import mpmath
+import numpy as np
 from scipy.integrate import quad
 
 mpmath.mp.dps = 50
@@ -60,3 +62,48 @@ def mp_scalar_root(A: float, B: float):
          + B * k * mpmath.sin(mpmath.pi * k * (P - u))
          + A * e * mpmath.sin(mpmath.pi * e * (u + shift)))
     return float(u), float(s)
+
+
+def direct_autocorrelation(samples, m: int) -> float:
+    """mean_s cos(theta(s+m) - theta(s-m)) over the full grid.
+
+    Indices past either end wrap around, and theta is unwrapped there by
+    theta(t + 2 pi) = theta(t) + 2 pi.
+    """
+    samples = np.asarray(samples, dtype=float)
+    n = samples.size
+    idx = np.arange(n)
+
+    def theta(j):
+        return samples[j % n] + 2.0 * math.pi * (j // n)
+
+    return float(np.mean(np.cos(theta(idx + m) - theta(idx - m))))
+
+
+def full_grid_fourier_mode(samples, k: int) -> tuple:
+    """(c_k, c_-k) of exp(i theta) as plain means over the full grid."""
+    samples = np.asarray(samples, dtype=float)
+    t = 2.0 * math.pi * np.arange(samples.size) / samples.size
+    f = np.exp(1j * samples)
+    return (complex(np.mean(f * np.exp(-1j * k * t))),
+            complex(np.mean(f * np.exp(1j * k * t))))
+
+
+def direct_random_odd_lift(seed: int, modes: int, amplitude: float,
+                           n: int) -> np.ndarray:
+    """Samples of t + sum_k a_k sin(2k t + phi_k) over the full grid.
+
+    Draws a_k and phi_k from `default_rng(seed)` in the order the package
+    documents, applies the same rescaling to min theta' >= 0.05, and sums
+    the sines at every grid node rather than mirroring a half-period.
+    """
+    rng = np.random.default_rng(seed)
+    ks = np.arange(1, modes + 1)
+    amps = amplitude * rng.uniform(0.2, 1.0, modes) / ks
+    phases = rng.uniform(0.0, 2.0 * math.pi, modes)
+    deriv_bound = float(np.sum(2.0 * ks * amps))
+    if deriv_bound > 0.95:
+        amps = amps * (0.95 / deriv_bound)
+    t = 2.0 * math.pi * np.arange(n) / n
+    return t + sum(a * np.sin(2.0 * k * t + ph)
+                   for k, a, ph in zip(ks, amps, phases))

@@ -3,14 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (direct_autocorrelation, direct_random_odd_lift,
+                     full_grid_fourier_mode)
 from scherk.errors import PreconditionError
-from scherk.oddmap import (OddLift, autocorrelation, central_chain_check,
-                           extremal_sequence, folding_max, fourier_S1,
-                           fourier_mode, fourier_spectrum,
-                           hall_inequality_check, identity_lift,
-                           random_odd_lift, snap_shift)
+from scherk.oddmap import (OddLift, _c_at_shifts, autocorrelation,
+                           central_chain_check, extremal_sequence,
+                           folding_max, fourier_S1, fourier_mode,
+                           fourier_spectrum, hall_inequality_check,
+                           identity_lift, random_odd_lift, snap_shift)
 
 SHARP = 8.0 / math.pi ** 2
+
+
+def small_lifts(n=1024):
+    return (identity_lift(n), random_odd_lift(4, modes=5, amplitude=0.3, n=n),
+            extremal_sequence(0.01, n=n))
 
 
 def test_lift_validation():
@@ -119,6 +126,53 @@ def test_folding_levels():
         lift = random_odd_lift(seed, modes=modes, amplitude=0.3)
         for level in (1, 2, 3):
             assert folding_max(lift, level) <= 1e-10
+
+
+def test_c_at_shifts_matches_direct_sum():
+    for lift in small_lifts():
+        ms = np.arange(lift.n // 4 + 1)
+        direct = np.array([direct_autocorrelation(lift.samples, m)
+                           for m in ms])
+        assert np.abs(_c_at_shifts(lift, ms) - direct).max() < 1e-13
+
+
+def test_hall_and_folding_match_direct_sums():
+    for lift in small_lifts():
+        step = lift.step
+        n4, n8 = lift.n // 4, lift.n // 8
+        js = np.array([0.5 * (1.0 - direct_autocorrelation(lift.samples, m))
+                       for m in range(n4 + 1)])
+        taus = np.arange(n4 + 1) * step
+        g = np.cos(2.0 * taus[:n8 + 1]) * js[:n8 + 1]
+        lhs = step * (g.sum() - 0.5 * (g[0] + g[-1]))
+        rep = hall_inequality_check(lift)
+        assert abs(rep.lhs - lhs) < 1e-13
+        assert abs(rep.max_j_minus_tau - (js - taus).max()) < 1e-13
+        for level in (1, 2, 3):
+            nb = lift.n // 2 ** (level + 2)
+            ls = [js[m] + js[nb - m] - 2.0 * nb * step / math.pi
+                  for m in range(nb // 2 + 1)]
+            assert abs(folding_max(lift, level) - max(ls)) < 1e-13
+
+
+def test_fourier_mode_matches_full_grid_mean():
+    for lift in (random_odd_lift(13, modes=6, amplitude=0.3),
+                 random_odd_lift(40, modes=2, amplitude=0.3),
+                 extremal_sequence(0.01), extremal_sequence(1e-3)):
+        for k in (1, 3, 5):
+            got = fourier_mode(lift, k)
+            want = full_grid_fourier_mode(lift.samples, k)
+            assert abs(got[0] - want[0]) < 1e-14
+            assert abs(got[1] - want[1]) < 1e-14
+        assert fourier_mode(lift, 2) == (0j, 0j)
+
+
+def test_random_lift_matches_direct_definition():
+    for seed in range(50):
+        modes = 1 + seed % 8
+        lift = random_odd_lift(seed, modes=modes, amplitude=0.3)
+        want = direct_random_odd_lift(seed, modes, 0.3, lift.n)
+        assert np.abs(lift.samples - want).max() < 1e-13
 
 
 def test_extremal_sequence_invariants_and_convergence():
