@@ -22,8 +22,16 @@ Lifts are sampled on a uniform grid of N = 2^14 points (power of two,
 divisible by 8 so that pi/4-aligned quadrature nodes are exact grid
 multiples); the second half of every sample array is the first half plus
 pi, which makes the odd periodicity exact by construction.  The odd Fourier
-modes and the generated lifts are sums over the first half-period against
-twiddles exp(i k t), cached per grid size and mode on first use.
+modes are sums over the first half-period against twiddles exp(i k t),
+cached per grid size and mode on first use.  A generated lift is its row of
+coefficients times one cached table of sin(2kt) and cos(2kt).
+
+`random_odd_S1` gives S1 of many generated lifts without building an
+`OddLift` for each.  It forms them in blocks of four by one matrix product
+against the table, applies the `OddLift` monotonicity rule to every row, and
+reduces each block to S1 from cos and sin of theta (512 KiB at N = 2^14) by
+one product against the mode-1 twiddle.  `random_odd_lift` and `fourier_S1`
+run the same helpers on a single lift.
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ from .errors import PreconditionError
 DEFAULT_GRID = 2 ** 14
 _MONOTONE_TOL = 1e-12
 _ODD_TOL = 1e-12
+_BLOCK = 4          # lifts per block: cos and sin fill 512 KiB at N = 2^14
+_TABLE_MODES = 8    # the even-mode table covers modes 1..8 at least
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,8 +60,7 @@ class OddLift:
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
         n = s.size
-        if n < 8 or n & (n - 1):
-            raise ValueError(f"grid size must be a power of two >= 8, got {n}")
+        _check_grid(n)
         object.__setattr__(self, "samples", s)
         diffs = np.diff(s)
         if diffs.min(initial=0.0) < -_MONOTONE_TOL:
@@ -77,6 +86,11 @@ class OddLift:
         return self.samples[idx % self.n] + 2.0 * math.pi * (idx // self.n)
 
 
+def _check_grid(n: int) -> None:
+    if n < 8 or n & (n - 1):
+        raise ValueError(f"grid size must be a power of two >= 8, got {n}")
+
+
 def _mirror(first_half: np.ndarray) -> np.ndarray:
     return np.concatenate([first_half, first_half + math.pi])
 
@@ -89,13 +103,23 @@ def _twiddle(n: int, k: int) -> np.ndarray:
     return tw
 
 
-def random_odd_lift(seed: int, modes: int, amplitude: float,
-                    n: int = DEFAULT_GRID) -> OddLift:
-    """theta(t) = t + sum_k a_k sin(2k t + phi_k), k = 1..modes.
+@lru_cache(maxsize=8)
+def _even_table(n: int, modes: int) -> np.ndarray:
+    """Rows sin(2k t_j), cos(2k t_j), k = 1..modes, on the first half-period."""
+    t_half = np.arange(n // 2) * (2.0 * math.pi / n)
+    table = np.empty((2 * modes, n // 2))
+    for k in range(1, modes + 1):   # row by row: no (modes, n/2) temporaries
+        np.sin(2 * k * t_half, out=table[2 * k - 2])
+        np.cos(2 * k * t_half, out=table[2 * k - 1])
+    table.flags.writeable = False
+    return table
 
-    Even frequencies keep theta(t+pi) = theta(t) + pi; the amplitudes are
-    rescaled if needed so that min theta' >= 0.05, which keeps every
-    generated lift strictly increasing.
+
+def _lift_coefficients(seed: int, modes: int, amplitude: float) -> np.ndarray:
+    """(a_k cos phi_k, a_k sin phi_k), k = 1..modes, in `_even_table` row order.
+
+    a sin(2k t + phi) = a cos(phi) sin(2k t) + a sin(phi) cos(2k t).  The
+    amplitudes are rescaled if needed so that min theta' >= 0.05.
     """
     if modes < 1:
         raise ValueError(f"modes must be >= 1, got {modes}")
@@ -108,12 +132,92 @@ def random_odd_lift(seed: int, modes: int, amplitude: float,
     deriv_bound = float(np.sum(2.0 * ks * amps))
     if deriv_bound > 0.95:
         amps *= 0.95 / deriv_bound
-    # a sin(2k t + phi) = Im(a e^{i phi} e^{2ikt})
-    pert = np.zeros(n // 2, dtype=complex)
-    for k, coef in zip(ks, amps * np.exp(1j * phases)):
-        pert += coef * _twiddle(n, 2 * int(k))
-    t_half = np.arange(n // 2) * (2.0 * math.pi / n)
-    return OddLift(_mirror(t_half + pert.imag))
+    coefs = np.empty(2 * modes)
+    coefs[0::2] = amps * np.cos(phases)
+    coefs[1::2] = amps * np.sin(phases)
+    return coefs
+
+
+def _theta_half(coefs: np.ndarray, n: int, out=None) -> np.ndarray:
+    """theta on the first half-period, one row per row of coefficients.
+
+    Every mode count up to `_TABLE_MODES` reads the first rows of one table.
+    """
+    width = coefs.shape[1]
+    table = _even_table(n, max(width // 2, _TABLE_MODES))[:width]
+    theta = np.matmul(coefs, table, out=out)
+    theta += np.arange(n // 2) * (2.0 * math.pi / n)
+    return theta
+
+
+def _check_monotone(theta: np.ndarray, work: np.ndarray) -> None:
+    """OddLift's step rule for rows of first-half samples.
+
+    The mirrored lift's steps are the steps within the first half plus
+    theta(0) + pi - theta(pi - step), at the seam and at the wrap.
+    """
+    steps = np.subtract(theta[:, 1:], theta[:, :-1], out=work[:, :-1])
+    min_step = min(steps.min(), (theta[:, 0] + math.pi - theta[:, -1]).min())
+    if min_step < -_MONOTONE_TOL:
+        raise ValueError(f"lift not nondecreasing: min step {min_step}")
+
+
+def _s1_rows(theta: np.ndarray, trig=None) -> np.ndarray:
+    """S1 of each row of first-half samples, from cos and sin of theta.
+
+    With C = cos theta, S = sin theta and h = n/2 samples, c_1 and c_-1 are
+    (C.cos t +- S.sin t + i (S.cos t -+ C.sin t)) / h, so
+    S1 = 2 (|C.e^{it}|^2 + |S.e^{it}|^2) / h^2.  C and S of b rows are
+    stacked in `trig` (2b rows) for one product against the mode-1 twiddle
+    read as a (h, 2) real matrix.  Stacked, one lift is a matrix product
+    too and sums like a block; as a (1, h) row it took a matrix-vector path
+    that differed from the block by up to 7e-15.  cos is taken before sin,
+    so `theta` may be the second half of `trig`.
+    """
+    b, half = theta.shape
+    if trig is None:
+        trig = np.empty((2 * b, half))
+    np.cos(theta, out=trig[:b])
+    np.sin(theta, out=trig[b:])
+    sums = trig @ _twiddle(2 * half, 1).view(float).reshape(half, 2)
+    sq = (sums * sums).sum(axis=1)
+    return 2.0 * (sq[:b] + sq[b:]) / half ** 2
+
+
+def random_odd_lift(seed: int, modes: int, amplitude: float,
+                    n: int = DEFAULT_GRID) -> OddLift:
+    """theta(t) = t + sum_k a_k sin(2k t + phi_k), k = 1..modes.
+
+    Even frequencies keep theta(t+pi) = theta(t) + pi; the amplitudes are
+    rescaled if needed so that min theta' >= 0.05, which keeps every
+    generated lift strictly increasing.
+    """
+    coefs = _lift_coefficients(seed, modes, amplitude)
+    return OddLift(_mirror(_theta_half(coefs[None, :], n)[0]))
+
+
+def random_odd_S1(seeds, modes, amplitude: float,
+                  n: int = DEFAULT_GRID) -> np.ndarray:
+    """fourier_S1(random_odd_lift(seed, m, amplitude, n)) for each pair.
+
+    `seeds` and `modes` are equal-length sequences of ints.  The lifts are
+    formed in blocks of a few rows, each by one matrix product against the
+    even-mode table, and each block passes the same monotonicity rule as
+    `OddLift` (ValueError otherwise) before its S1 is taken.
+    """
+    _check_grid(n)
+    coefs = np.zeros((len(seeds), 2 * max(modes, default=1)))
+    for i, (seed, m) in enumerate(zip(seeds, modes, strict=True)):
+        coefs[i, :2 * m] = _lift_coefficients(seed, m, amplitude)
+    trig_buf = np.empty((2 * _BLOCK, n // 2))
+    s1 = np.empty(len(seeds))
+    for lo in range(0, len(seeds), _BLOCK):
+        b = min(_BLOCK, len(seeds) - lo)
+        trig = trig_buf[:2 * b]
+        theta = _theta_half(coefs[lo:lo + b], n, out=trig[b:])
+        _check_monotone(theta, trig[:b])
+        s1[lo:lo + b] = _s1_rows(theta, trig)
+    return s1
 
 
 def identity_lift(n: int = DEFAULT_GRID) -> OddLift:
@@ -166,8 +270,7 @@ def fourier_mode(lift: OddLift, n: int) -> tuple[complex, complex]:
 
 def fourier_S1(lift: OddLift) -> float:
     """First-mode energy S1 = |c_1|^2 + |c_-1|^2, bounded below by 8/pi^2."""
-    c1, cm1 = fourier_mode(lift, 1)
-    return abs(c1) ** 2 + abs(cm1) ** 2
+    return float(_s1_rows(lift.samples[None, :lift.n // 2])[0])
 
 
 def fourier_spectrum(lift: OddLift) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from scherk.cli import CSV_HEADER, main
+from scherk.oddmap import fourier_S1, random_odd_lift
 
 
 def run(capsys, *argv):
@@ -146,6 +147,21 @@ def test_odd_command(capsys):
     code, out, _ = run(capsys, "odd", "--trials", "10", "--seed", "7")
     assert code == 0
     assert "min S1" in out and "PASS" in out
+
+
+def test_odd_deterministic_and_first_minimum(capsys):
+    argv = ("odd", "--trials", "50", "--seed", "7", "--extremal")
+    code, first, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv)[1] == first
+    min_s1, min_seed = math.inf, None
+    for seed in range(7, 57):
+        s1 = fourier_S1(random_odd_lift(seed, 1 + seed % 8, 0.3))
+        if s1 < min_s1:
+            min_s1, min_seed = s1, seed
+    assert first.splitlines()[0] == (
+        f"min S1 over 50 lifts: {min_s1:.12f} (seed {min_seed}); "
+        f"sharp constant {8.0 / math.pi ** 2:.12f}")
 
 
 def test_odd_rejects_zero_trials(capsys):

@@ -5,12 +5,15 @@ import pytest
 
 from oracles import (direct_autocorrelation, direct_random_odd_lift,
                      full_grid_fourier_mode)
+from scherk import oddmap
 from scherk.errors import PreconditionError
-from scherk.oddmap import (OddLift, _c_at_shifts, autocorrelation,
+from scherk.oddmap import (OddLift, _c_at_shifts, _check_monotone,
+                           _mirror, _theta_half, autocorrelation,
                            central_chain_check, extremal_sequence,
                            folding_max, fourier_S1, fourier_mode,
                            fourier_spectrum, hall_inequality_check,
-                           identity_lift, random_odd_lift, snap_shift)
+                           identity_lift, random_odd_lift, random_odd_S1,
+                           snap_shift)
 
 SHARP = 8.0 / math.pi ** 2
 
@@ -173,6 +176,75 @@ def test_random_lift_matches_direct_definition():
         lift = random_odd_lift(seed, modes=modes, amplitude=0.3)
         want = direct_random_odd_lift(seed, modes, 0.3, lift.n)
         assert np.abs(lift.samples - want).max() < 1e-13
+
+
+def oracle_S1(seed, modes, amplitude, n):
+    c1, cm1 = full_grid_fourier_mode(
+        direct_random_odd_lift(seed, modes, amplitude, n), 1)
+    return abs(c1) ** 2 + abs(cm1) ** 2
+
+
+def test_random_odd_S1_matches_single_lifts_and_oracle():
+    seeds = range(200)
+    modes = [1 + seed % 8 for seed in seeds]
+    batch = random_odd_S1(seeds, modes, 0.3)
+    assert batch.shape == (200,)
+    for seed, m, s1 in zip(seeds, modes, batch):
+        assert abs(s1 - fourier_S1(random_odd_lift(seed, m, 0.3))) < 1e-14
+        assert abs(s1 - oracle_S1(seed, m, 0.3, oddmap.DEFAULT_GRID)) < 1e-14
+
+
+@pytest.mark.parametrize("trials", [1, 7, 8, 9, 17])
+def test_random_odd_S1_block_edges(trials):
+    # Lifts go in blocks of four: partial, exact and spill-over last blocks.
+    seeds = range(300, 300 + trials)
+    modes = [1 + seed % 8 for seed in seeds]
+    batch = random_odd_S1(seeds, modes, 0.3)
+    assert batch.shape == (trials,)
+    for seed, m, s1 in zip(seeds, modes, batch):
+        assert abs(s1 - fourier_S1(random_odd_lift(seed, m, 0.3))) < 1e-14
+    small = random_odd_S1(seeds, modes, 0.3, n=1024)
+    for seed, m, s1 in zip(seeds, modes, small):
+        assert abs(s1 - oracle_S1(seed, m, 0.3, 1024)) < 1e-14
+
+
+def test_random_odd_S1_rejects_decreasing_lift(monkeypatch):
+    # theta = t + 2 sin(2t) has theta' = 1 + 4 cos(2t) < 0 near t = pi/2.
+    bad = np.array([2.0, 0.0])
+    with pytest.raises(ValueError, match="nondecreasing"):
+        OddLift(_mirror(_theta_half(bad[None, :], 1024)[0]))
+    draw = oddmap._lift_coefficients
+
+    def rigged(seed, modes, amplitude):
+        return bad if seed == 12 else draw(seed, modes, amplitude)
+
+    monkeypatch.setattr(oddmap, "_lift_coefficients", rigged)
+    random_odd_S1(range(12), [1] * 12, 0.3, n=1024)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        random_odd_S1(range(20), [1] * 20, 0.3, n=1024)  # a later block
+
+
+def test_check_monotone_seam():
+    # Increasing within the half-period, but theta(pi - step) > theta(0) + pi.
+    theta = np.linspace(0.0, 3.5, 8)[None, :]
+    with pytest.raises(ValueError, match="nondecreasing"):
+        _check_monotone(theta, np.empty_like(theta))
+    with pytest.raises(ValueError):
+        OddLift(_mirror(theta[0]))
+    ok = np.linspace(0.0, 3.0, 8)[None, :]
+    _check_monotone(ok, np.empty_like(ok))
+
+
+def test_random_odd_S1_input_errors():
+    for call in (lambda: random_odd_S1([0, 1], [1, 0], 0.3),
+                 lambda: random_odd_S1([0], [2], -0.1),
+                 lambda: random_odd_S1([0, 1], [2], 0.3),
+                 lambda: random_odd_S1([0], [2], 0.3, n=1000),
+                 lambda: random_odd_lift(0, 0, 0.3),
+                 lambda: random_odd_lift(0, 2, -0.1)):
+        with pytest.raises(ValueError):
+            call()
+    assert random_odd_S1([], [], 0.3).shape == (0,)
 
 
 def test_extremal_sequence_invariants_and_convergence():
