@@ -9,15 +9,14 @@ the two Bernstein positivity certificates in exact rational arithmetic.
 from .params import (AdmissibleInterval, ScherkParams, admissible_interval,
                      domain_lemma_checks, from_ab, from_angles, threshold_b0)
 from .scalar import (BarrierChainReport, ScalarZero, barrier_chain_check,
-                     derivative_inequality, g_eval, s_eval, solve_zero)
+                     g_eval, s_eval, solve_zero)
 from .harmonic import (ArcSpec, DiskPoint, FourMeasures, ZeroSolution,
                        arc_measure, cross_ratio_residual,
                        master_inequality_check, measures4, phase_param,
                        sinU_identity_residual, solve_zero_point)
 from .weierstrass import (GaussAutomorphism, NormalizedCurvature,
                           log_subharmonicity_check, lower_identity_residual,
-                          two_sided_check, wk_geometric, wk_scalar,
-                          zero_control_check)
+                          wk_geometric, wk_scalar, zero_control_check)
 from .bernstein import (BernsteinForm, BiPoly, Certificate, Inconclusive,
                         certify_nonneg, from_bernstein, to_bernstein,
                         verify_appendix_certificates)
@@ -32,13 +31,13 @@ __all__ = [
     "AdmissibleInterval", "ScherkParams", "admissible_interval",
     "domain_lemma_checks", "from_ab", "from_angles", "threshold_b0",
     "BarrierChainReport", "ScalarZero", "barrier_chain_check",
-    "derivative_inequality", "g_eval", "s_eval", "solve_zero",
+    "g_eval", "s_eval", "solve_zero",
     "ArcSpec", "DiskPoint", "FourMeasures", "ZeroSolution", "arc_measure",
     "cross_ratio_residual", "master_inequality_check", "measures4",
     "phase_param", "sinU_identity_residual", "solve_zero_point",
     "GaussAutomorphism", "NormalizedCurvature", "log_subharmonicity_check",
-    "lower_identity_residual", "two_sided_check", "wk_geometric",
-    "wk_scalar", "zero_control_check",
+    "lower_identity_residual", "wk_geometric", "wk_scalar",
+    "zero_control_check",
     "BernsteinForm", "BiPoly", "Certificate", "Inconclusive",
     "certify_nonneg", "from_bernstein", "to_bernstein",
     "verify_appendix_certificates",

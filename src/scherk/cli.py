@@ -10,6 +10,13 @@ Commands
     odd      Monte-Carlo and extremal runs for the first-coefficient bound
     logsub   finite-difference checks of the two log-Laplacian identities
 
+`check`, `zero` and `sweep` render the `PairRecord` that `evaluate_pair`
+builds for each pair.  A refusal ends the pipeline and becomes the status
+(`not_admissible`, `no_sign_change`, `non_convergence`), with `detail` for
+a solver refusal.  `sweep` streams its rows into a temporary file that
+replaces `--out` only when the sweep is complete.  `--tol` must be finite
+and > 0, `--slack` finite and >= 0.
+
 Exit codes: 0 ok, 1 malformed input, 2 not admissible, 3 solver failure,
 4 verification failure.
 """
@@ -24,13 +31,14 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import bernstein, harmonic, oddmap, weierstrass
 from .errors import (CertificateMismatch, DomainError, NoSignChange,
-                     NonConvergence, NotAdmissible)
-from .params import ScherkParams, admissible_interval, from_ab, from_angles
-from .scalar import solve_zero
+                     NonConvergence)
+from .params import (AdmissibleInterval, ScherkParams, admissible_interval,
+                     from_ab, from_angles)
+from .scalar import ScalarZero, solve_zero
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -38,8 +46,15 @@ EXIT_NOT_ADMISSIBLE = 2
 EXIT_SOLVER_FAILURE = 3
 EXIT_CHECK_FAILED = 4
 
+_STATUS_EXIT = {"ok": EXIT_OK, "not_admissible": EXIT_NOT_ADMISSIBLE,
+                "no_sign_change": EXIT_SOLVER_FAILURE,
+                "non_convergence": EXIT_SOLVER_FAILURE}
+
 # Largest |wk_scalar - wk_geometric| that `check` accepts as route agreement.
 ROUTE_GAP_BOUND = 1e-8
+
+# The two-sided band pi^2/4 <= W^2|K| <= pi^2/2 on both routes.
+BAND = (math.pi ** 2 / 4.0, math.pi ** 2 / 2.0)
 
 CSV_HEADER = ("p,q,A,B,admissible,U,S,margin,"
               "wk_scalar,wk_geometric,route_gap,status")
@@ -53,56 +68,89 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-@dataclass
-class SweepRow:
-    p: float
-    q: float
-    A: float
-    B: float
-    admissible: bool
-    U: Optional[float]
-    S: Optional[float]
-    margin: Optional[float]
-    wk_scalar: Optional[float]
-    wk_geometric: Optional[float]
-    route_gap: Optional[float]
+class Check(NamedTuple):
+    name: str
+    value: float
+    bound: float | tuple[float, float]   # (low, high) for a band
+    ok: bool
+
+
+def _band_check(name: str, value: float, slack: float) -> Check:
+    return Check(name, value, BAND,
+                 BAND[0] - slack <= value <= BAND[1] + slack)
+
+
+@dataclass(slots=True)
+class PairRecord:
+    """What the pipeline produced for one pair, up to its first refusal.
+
+    `zero` and `wk_scalar` are set once the scalar zero is solved,
+    `solution` once the zero point is; `detail` explains a solver refusal.
+    """
+
+    params: ScherkParams
+    interval: AdmissibleInterval
     status: str
+    detail: Optional[str] = None
+    zero: Optional[ScalarZero] = None
+    wk_scalar: Optional[float] = None
+    solution: Optional[harmonic.ZeroSolution] = None
+
+    @property
+    def sigma(self) -> float:
+        return math.sqrt(2.0 * (1.0 + self.params.A * self.params.B))
+
+    @property
+    def margin(self) -> float:
+        """Sharp derivative margin S - sqrt(2(1+AB)); 0 at A = B = 1."""
+        return self.zero.S - self.sigma
+
+    @property
+    def route_gap(self) -> float:
+        return abs(self.wk_scalar - self.solution.WK)
+
+    def checks(self, slack: float) -> list[Check]:
+        """The named checks on every stage the pipeline reached."""
+        if self.zero is None:
+            return []
+        out = [Check("derivative_margin", self.margin, 0.0,
+                     self.margin >= -slack),
+               _band_check("band_scalar", self.wk_scalar, slack)]
+        if self.solution is not None:
+            lhs, rhs, master_ok = harmonic.master_inequality_check(
+                self.solution, self.params, slack)
+            out += [_band_check("band_geometric", self.solution.WK, slack),
+                    Check("route_gap", self.route_gap, ROUTE_GAP_BOUND,
+                          self.route_gap <= ROUTE_GAP_BOUND),
+                    Check("master_inequality", lhs, rhs, master_ok)]
+        return out
 
     def csv(self) -> str:
-        return ",".join([
-            _fmt(self.p), _fmt(self.q), _fmt(self.A), _fmt(self.B),
-            "true" if self.admissible else "false",
-            _fmt(self.U), _fmt(self.S), _fmt(self.margin),
-            _fmt(self.wk_scalar), _fmt(self.wk_geometric),
-            _fmt(self.route_gap), self.status,
-        ])
+        p, zero, sol = self.params, self.zero, self.solution
+        solved = ((None,) * 4 if zero is None else
+                  (zero.U, zero.S, self.margin, self.wk_scalar))
+        routes = (None, None) if sol is None else (sol.WK, self.route_gap)
+        return ",".join([_fmt(p.p), _fmt(p.q), _fmt(p.A), _fmt(p.B),
+                         "true" if self.interval.nonempty else "false",
+                         *map(_fmt, solved + routes), self.status])
 
 
-def evaluate_pair(params: ScherkParams, tol: float = 1e-12) -> SweepRow:
-    """One full pipeline evaluation, errors folded into the row status."""
-    base = dict(p=params.p, q=params.q, A=params.A, B=params.B)
+def evaluate_pair(params: ScherkParams, tol: float = 1e-12) -> PairRecord:
+    """The one per-pair pipeline; a refusal ends it and names the status."""
     interval = admissible_interval(params)
     if not interval.nonempty:
-        return SweepRow(**base, admissible=False, U=None, S=None, margin=None,
-                        wk_scalar=None, wk_geometric=None, route_gap=None,
-                        status="not_admissible")
+        return PairRecord(params, interval, "not_admissible")
     try:
         zero = solve_zero(params, tol)
-    except NoSignChange:
-        return SweepRow(**base, admissible=True, U=None, S=None, margin=None,
-                        wk_scalar=None, wk_geometric=None, route_gap=None,
-                        status="no_sign_change")
-    margin = zero.S - math.sqrt(2.0 * (1.0 + params.A * params.B))
+    except NoSignChange as exc:
+        return PairRecord(params, interval, "no_sign_change", str(exc))
     wks = weierstrass.wk_scalar(params, zero.S).value
     try:
         sol = harmonic.solve_zero_point(params, zero, tol)
-    except NonConvergence:
-        return SweepRow(**base, admissible=True, U=zero.U, S=zero.S,
-                        margin=margin, wk_scalar=wks, wk_geometric=None,
-                        route_gap=None, status="non_convergence")
-    return SweepRow(**base, admissible=True, U=zero.U, S=zero.S,
-                    margin=margin, wk_scalar=wks, wk_geometric=sol.WK,
-                    route_gap=abs(wks - sol.WK), status="ok")
+    except NonConvergence as exc:
+        return PairRecord(params, interval, "non_convergence", str(exc),
+                          zero, wks)
+    return PairRecord(params, interval, "ok", None, zero, wks, sol)
 
 
 def _params_from_args(args) -> ScherkParams:
@@ -120,136 +168,96 @@ def _params_from_args(args) -> ScherkParams:
 
 
 def cmd_check(args) -> int:
-    try:
-        params = _params_from_args(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-    interval = admissible_interval(params)
-    record = {
+    rec = evaluate_pair(_params_from_args(args), args.tol)
+    params, interval = rec.params, rec.interval
+    zero, sol = rec.zero, rec.solution
+    out = {
         "A": params.A, "B": params.B, "p": params.p, "q": params.q,
         "alpha": params.alpha, "L": interval.L, "R": interval.R,
         "B0": interval.B0, "admissible": interval.nonempty,
+        "status": rec.status,
     }
-    if not interval.nonempty:
-        record["status"] = "not_admissible"
-        _emit_json(record)
-        return EXIT_NOT_ADMISSIBLE
-    try:
-        zero = solve_zero(params, args.tol)
-    except NoSignChange as exc:
-        record["status"] = "no_sign_change"
-        record["detail"] = str(exc)
-        _emit_json(record)
-        return EXIT_SOLVER_FAILURE
-
-    sigma = math.sqrt(2.0 * (1.0 + params.A * params.B))
-    margin = zero.S - sigma
-    wks = weierstrass.wk_scalar(params, zero.S).value
-    record.update({
-        "U": zero.U, "M": zero.M, "N": zero.N, "V": zero.V, "T": zero.T,
-        "S": zero.S, "residual": zero.residual,
-        "sigma": sigma, "margin": margin,
-        "wk_scalar": wks,
-    })
-    status = "ok"
-    try:
-        sol = harmonic.solve_zero_point(params, zero, args.tol)
-        lhs, rhs, master_ok = harmonic.master_inequality_check(
-            sol, params, args.slack)
-        record.update({
-            "r": sol.z.r, "t0": sol.z.t, "D0": sol.D0, "delta": sol.delta,
-            "a_mod": sol.a_mod, "wk_geometric": sol.WK,
-            "route_gap": abs(wks - sol.WK),
-            "master_lhs": lhs, "master_rhs": rhs, "master_ok": master_ok,
-            "modulus_residual": harmonic.modulus_consistency_residual(
-                params, sol.measures),
+    if rec.detail is not None:
+        out["detail"] = rec.detail
+    if zero is not None:
+        out.update({
+            "U": zero.U, "M": zero.M, "N": zero.N, "V": zero.V, "T": zero.T,
+            "S": zero.S, "residual": zero.residual,
+            "sigma": rec.sigma, "margin": rec.margin,
+            "wk_scalar": rec.wk_scalar,
         })
-    except NonConvergence as exc:
-        status = "non_convergence"
-        record["detail"] = str(exc)
-        record["status"] = status
-        _emit_json(record)
-        return EXIT_SOLVER_FAILURE
-
-    lo = math.pi ** 2 / 4.0 - args.slack
-    hi = math.pi ** 2 / 2.0 + args.slack
-    in_band = lo <= wks <= hi and lo <= sol.WK <= hi
-    checks_ok = (margin >= -args.slack and master_ok and in_band
-                 and record["route_gap"] <= ROUTE_GAP_BOUND)
-    record.update({"in_band": in_band, "derivative_ok": margin >= -args.slack,
-                   "status": status})
-    _emit_json(record)
-    return EXIT_OK if checks_ok else EXIT_CHECK_FAILED
+    if sol is None:
+        _emit_json(out)
+        return _STATUS_EXIT[rec.status]
+    checks = {c.name: c for c in rec.checks(args.slack)}
+    master = checks["master_inequality"]
+    out.update({
+        "r": sol.z.r, "t0": sol.z.t, "D0": sol.D0, "delta": sol.delta,
+        "a_mod": sol.a_mod, "wk_geometric": sol.WK,
+        "route_gap": rec.route_gap,
+        "master_lhs": master.value, "master_rhs": master.bound,
+        "master_ok": master.ok,
+        "modulus_residual": harmonic.modulus_consistency_residual(
+            params, sol.measures),
+        "in_band": checks["band_scalar"].ok and checks["band_geometric"].ok,
+        "derivative_ok": checks["derivative_margin"].ok,
+    })
+    _emit_json(out)
+    ok = all(c.ok for c in checks.values())
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_zero(args) -> int:
-    try:
-        params = _params_from_args(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    interval = admissible_interval(params)
-    if not interval.nonempty:
-        _emit_json({"A": params.A, "B": params.B, "status": "not_admissible"})
-        return EXIT_NOT_ADMISSIBLE
-    try:
-        zero = solve_zero(params, args.tol)
-        sol = harmonic.solve_zero_point(params, zero, args.tol)
-    except (NoSignChange, NonConvergence) as exc:
-        _emit_json({"A": params.A, "B": params.B, "status": "solver_failure",
-                    "detail": str(exc)})
-        return EXIT_SOLVER_FAILURE
-    m = sol.measures
-    _emit_json({
-        "A": params.A, "B": params.B, "status": "ok",
-        "r": sol.z.r, "t0": sol.z.t,
-        "Omega1": m.Omega1, "Omega2": m.Omega2,
-        "Omega3": m.Omega3, "Omega4": m.Omega4,
-        "U": m.U, "V": m.V, "T": m.T,
-        "D0": sol.D0, "delta": sol.delta, "a_mod": sol.a_mod,
-        "WK": sol.WK, "master_lhs": sol.master_lhs,
-        "residual": sol.residual,
-    })
-    return EXIT_OK
+    rec = evaluate_pair(_params_from_args(args), args.tol)
+    out = {"A": rec.params.A, "B": rec.params.B, "status": rec.status}
+    if rec.detail is not None:
+        out["detail"] = rec.detail
+    sol = rec.solution
+    if sol is not None:
+        m = sol.measures
+        out.update({
+            "r": sol.z.r, "t0": sol.z.t,
+            "Omega1": m.Omega1, "Omega2": m.Omega2,
+            "Omega3": m.Omega3, "Omega4": m.Omega4,
+            "U": m.U, "V": m.V, "T": m.T,
+            "D0": sol.D0, "delta": sol.delta, "a_mod": sol.a_mod,
+            "WK": sol.WK, "master_lhs": sol.master_lhs,
+            "residual": sol.residual,
+        })
+    _emit_json(out)
+    return _STATUS_EXIT[rec.status]
 
 
-def _sweep_values(grid: int):
-    return [i / grid for i in range(1, grid + 1)]
+def _sweep_params(grid: int, mode: str):
+    if mode == "AB":
+        values = [i / grid for i in range(1, grid + 1)]
+        return (from_ab(a, b) for a in values for b in values)
+    angles = [0.5 * math.pi * i / grid for i in range(1, grid + 1)]
+    return (from_angles(p, p + s) for p in angles for s in angles)
 
 
 def cmd_sweep(args) -> int:
     if args.grid < 2:
         print("error: --grid must be >= 2", file=sys.stderr)
         return EXIT_BAD_INPUT
-    rows = []
-    if args.mode == "AB":
-        values = _sweep_values(args.grid)
-        for a in values:
-            for b in values:
-                rows.append(evaluate_pair(from_ab(a, b), args.tol))
-    else:
-        angles = [0.5 * math.pi * i / args.grid for i in range(1, args.grid + 1)]
-        for p in angles:
-            for s in angles:
-                rows.append(evaluate_pair(from_angles(p, p + s), args.tol))
-
     counts: dict[str, int] = {}
     wk_values = []
-    for row in rows:
-        counts[row.status] = counts.get(row.status, 0) + 1
-        if row.status == "ok":
-            wk_values.append(row.wk_scalar)
-
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     try:
         fd, tmp_path = tempfile.mkstemp(dir=out_dir, suffix=".csv.tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for row in rows:
-                fh.write(row.csv() + "\n")
-        os.replace(tmp_path, args.out)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(CSV_HEADER + "\n")
+                for params in _sweep_params(args.grid, args.mode):
+                    rec = evaluate_pair(params, args.tol)
+                    fh.write(rec.csv() + "\n")
+                    counts[rec.status] = counts.get(rec.status, 0) + 1
+                    if rec.status == "ok":
+                        wk_values.append(rec.wk_scalar)
+            os.replace(tmp_path, args.out)
+        except BaseException:
+            os.unlink(tmp_path)
+            raise
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -375,6 +383,18 @@ def cmd_logsub(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _finite_float(strict: bool):
+    """argparse type: a finite float, > 0 if `strict` and >= 0 otherwise."""
+    def finite_float(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value) or value < 0.0 or (strict and value == 0):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'> 0' if strict else '>= 0'}, "
+                f"got {text!r}")
+        return value
+    return finite_float
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scherk",
@@ -387,11 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--B", type=float, default=None)
         p.add_argument("--p", type=float, default=None)
         p.add_argument("--q", type=float, default=None)
-        p.add_argument("--tol", type=float, default=1e-12)
-        p.add_argument("--slack", type=float, default=1e-9)
+        p.add_argument("--tol", type=_finite_float(True), default=1e-12)
 
     p_check = sub.add_parser("check", help="full check for one pair")
     add_pair_flags(p_check)
+    p_check.add_argument("--slack", type=_finite_float(False), default=1e-9)
     p_check.set_defaults(func=cmd_check)
 
     p_zero = sub.add_parser("zero", help="zero-point record for one pair")
@@ -402,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", type=int, default=100)
     p_sweep.add_argument("--out", type=str, required=True)
     p_sweep.add_argument("--mode", choices=("AB", "pq"), default="AB")
-    p_sweep.add_argument("--tol", type=float, default=1e-12)
+    p_sweep.add_argument("--tol", type=_finite_float(True), default=1e-12)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cert = sub.add_parser("certify", help="verify the two certificates")
@@ -415,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_odd = sub.add_parser("odd", help="odd-lift coefficient experiments")
     p_odd.add_argument("--trials", type=int, default=100)
     p_odd.add_argument("--seed", type=int, default=0)
-    p_odd.add_argument("--slack", type=float, default=1e-9)
+    p_odd.add_argument("--slack", type=_finite_float(False), default=1e-9)
     p_odd.add_argument("--extremal", action="store_true")
     p_odd.set_defaults(func=cmd_odd)
 
@@ -440,12 +460,6 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except NotAdmissible as exc:
-        print(f"not admissible: {exc}", file=sys.stderr)
-        return EXIT_NOT_ADMISSIBLE
-    except (NoSignChange, NonConvergence) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
 
 
 if __name__ == "__main__":

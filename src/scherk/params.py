@@ -164,6 +164,11 @@ def admissible_interval(params: ScherkParams) -> AdmissibleInterval:
 
     Non-admissible pairs are data, not errors: sweeps classify the whole
     square, so an empty interval returns nonempty=False.
+
+    `L <= R` is the one admissibility predicate; B >= B0(A) and L <= 1/2
+    are equivalent to it in exact arithmetic only.  Within a few ulps of
+    B0(A) rounding decides it: at B = B0(0.2) exactly, L = 0.5000000000000001
+    and R = 0.4999999999999956, so that pair is not admissible.
     """
     A, B = params.A, params.B
     L = interval_L(A, B, params.kappa, params.epsilon)

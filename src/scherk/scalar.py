@@ -177,19 +177,6 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12) -> ScalarZero:
     return _make_zero(params, u, abs(g))
 
 
-def derivative_inequality(params: ScherkParams,
-                          tol: float = 1e-12,
-                          slack: float = 1e-9) -> tuple[float, bool]:
-    """Margin S(U) - sqrt(2*(1+A*B)) at the admissible zero.
-
-    Nonnegative (up to slack) is the sharp derivative bound; equality holds
-    at A = B = 1.  Propagates solver errors.
-    """
-    zero = solve_zero(params, tol)
-    margin = zero.S - math.sqrt(2.0 * (1.0 + params.A * params.B))
-    return margin, margin >= -slack
-
-
 def hr_identity_residual(A, B, kappa, epsilon, U):
     """H_R - B*(2+A*B-A^2)*(P-U); identically zero.
 

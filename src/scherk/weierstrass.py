@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .scalar import solve_zero
 
 if TYPE_CHECKING:
     from .harmonic import DiskPoint
@@ -101,16 +100,6 @@ def wk_scalar(params: "ScherkParams", S: float) -> NormalizedCurvature:
     value = math.pi ** 2 * (1.0 + params.A * params.B) / (S * S)
     return NormalizedCurvature(value=value, route="scalar",
                                components={"S": S})
-
-
-def two_sided_check(params: "ScherkParams", tol: float = 1e-12,
-                    slack: float = 1e-9) -> tuple[float, bool]:
-    """Scalar-route value with the band test pi^2/4 <= W^2|K| <= pi^2/2."""
-    zero = solve_zero(params, tol)
-    value = wk_scalar(params, zero.S).value
-    lo = math.pi ** 2 / 4.0 - slack
-    hi = math.pi ** 2 / 2.0 + slack
-    return value, lo <= value <= hi
 
 
 def lower_identity_residual(A, B, kappa=None, epsilon=None):

@@ -23,3 +23,12 @@ def random_admissible(rng, count, margin=0.0, b_floor=0.0):
         if b >= threshold_b0(a) + margin and b <= 1.0:
             out.append(from_ab(a, b))
     return out
+
+
+def named_check(params, name, slack=1e-9):
+    """The check `name` of the pipeline record of one pair."""
+    from scherk.cli import evaluate_pair
+    for check in evaluate_pair(params).checks(slack):
+        if check.name == name:
+            return check
+    raise AssertionError(f"no {name} check at A={params.A}, B={params.B}")

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from scherk.cli import CSV_HEADER, main
+from scherk import cli
+from scherk.cli import CSV_HEADER, ROUTE_GAP_BOUND, evaluate_pair, main
 from scherk.oddmap import fourier_S1, random_odd_lift
+from scherk.params import from_ab, threshold_b0
 
 
 def run(capsys, *argv):
@@ -55,8 +58,18 @@ def test_check_bad_inputs(capsys):
     assert code == 1
 
 
+def test_check_on_the_threshold_curve_is_decided_by_rounding(capsys):
+    # At B = B0(0.2) exactly, L lands one ulp above 1/2 and R below it.
+    b = threshold_b0(0.2)
+    code, out, _ = run(capsys, "check", "--A", "0.2", "--B", repr(b))
+    assert code == 2
+    rec = json.loads(out)
+    assert rec["status"] == "not_admissible" and rec["admissible"] is False
+    assert rec["B0"] == b
+    assert rec["L"] == 0.5000000000000001 and rec["R"] == 0.4999999999999956
+
+
 def test_check_solver_failure_near_threshold(capsys):
-    from scherk.params import threshold_b0
     b = threshold_b0(0.5) + 1e-6
     code, out, _ = run(capsys, "check", "--A", "0.5", "--B", repr(b))
     assert code == 3
@@ -71,6 +84,100 @@ def test_zero_command(capsys):
     assert rec["Omega1"] + rec["Omega2"] + rec["Omega3"] + rec["Omega4"] == \
         pytest.approx(1.0, abs=1e-12)
     assert rec["residual"] < 1e-11
+
+
+def test_zero_reports_the_solver_status(capsys):
+    b = threshold_b0(0.5) + 1e-6
+    code, out, _ = run(capsys, "zero", "--A", "0.5", "--B", repr(b))
+    assert code == 3
+    rec = json.loads(out)
+    assert rec["status"] == "non_convergence"
+    assert "misses its measures" in rec["detail"]
+
+
+def test_zero_has_no_slack_flag(capsys):
+    assert run(capsys, "zero", "--A", "0.6", "--B", "0.95",
+               "--slack", "1e-9")[0] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--A", "0.6", "--B", "0.95", "--tol", "0"),
+    ("check", "--A", "0.6", "--B", "0.95", "--tol", "-1e-12"),
+    ("check", "--A", "0.6", "--B", "0.95", "--tol", "nan"),
+    ("check", "--A", "0.6", "--B", "0.95", "--tol", "inf"),
+    ("check", "--A", "0.6", "--B", "0.95", "--tol", "abc"),
+    ("check", "--A", "0.6", "--B", "0.95", "--slack", "inf"),
+    ("check", "--A", "0.6", "--B", "0.95", "--slack", "nan"),
+    ("check", "--A", "0.6", "--B", "0.95", "--slack", "-1e-9"),
+    ("zero", "--A", "0.6", "--B", "0.95", "--tol", "0"),
+    ("zero", "--A", "0.6", "--B", "0.95", "--tol", "nan"),
+    ("sweep", "--grid", "2", "--tol", "0"),
+    ("sweep", "--grid", "2", "--tol", "nan"),
+    ("odd", "--trials", "2", "--slack", "inf"),
+    ("odd", "--trials", "2", "--slack", "-1"),
+])
+def test_bad_tol_and_slack_are_input_errors(tmp_path, capsys, argv):
+    if argv[0] == "sweep":
+        argv += ("--out", str(tmp_path / "s.csv"))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "error: argument --" in err and "Traceback" not in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []   # no temp file, no CSV
+
+
+def test_slack_of_zero_is_accepted(capsys):
+    assert run(capsys, "check", "--A", "1", "--B", "1", "--slack", "0")[0] == 0
+    assert run(capsys, "odd", "--trials", "2", "--slack", "0")[0] == 0
+
+
+def test_record_checks_follow_the_pipeline():
+    rec = evaluate_pair(from_ab(0.6, 0.95))
+    assert rec.status == "ok" and rec.detail is None
+    checks = {c.name: c for c in rec.checks(1e-9)}
+    assert list(checks) == ["derivative_margin", "band_scalar",
+                            "band_geometric", "route_gap",
+                            "master_inequality"]
+    assert all(c.ok for c in checks.values())
+    assert checks["route_gap"].bound == ROUTE_GAP_BOUND
+    assert checks["route_gap"].value == abs(rec.wk_scalar - rec.solution.WK)
+    assert checks["master_inequality"].value == rec.solution.master_lhs
+
+    refused = evaluate_pair(from_ab(0.5, threshold_b0(0.5) + 1e-6))
+    assert refused.status == "non_convergence" and refused.solution is None
+    assert [c.name for c in refused.checks(1e-9)] == ["derivative_margin",
+                                                       "band_scalar"]
+    assert evaluate_pair(from_ab(0.5, 0.5)).checks(1e-9) == []
+
+
+def test_band_checks_allow_slack_and_no_more():
+    rec = evaluate_pair(from_ab(0.6, 0.95))
+    for outside in (math.pi ** 2 / 2 + 5e-10, math.pi ** 2 / 4 - 5e-10):
+        off = dataclasses.replace(rec, wk_scalar=outside)
+        band = {c.name: c.ok for c in off.checks(1e-9)}
+        assert band["band_scalar"] and band["band_geometric"]
+        band = {c.name: c.ok for c in off.checks(1e-10)}
+        assert not band["band_scalar"] and band["band_geometric"]
+
+
+def test_sweep_failure_leaves_no_temp_file_and_keeps_the_old_csv(
+        tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "s.csv"
+    out_file.write_bytes(b"previous sweep\n")
+    calls = []
+
+    def failing(params, tol):
+        calls.append(params)
+        if len(calls) == 3:
+            raise RuntimeError("evaluation failed")
+        return evaluate_pair(params, tol)
+
+    monkeypatch.setattr(cli, "evaluate_pair", failing)
+    with pytest.raises(RuntimeError):
+        main(["sweep", "--grid", "3", "--out", str(out_file)])
+    assert len(calls) == 3
+    assert list(tmp_path.glob("*.csv.tmp")) == []
+    assert out_file.read_bytes() == b"previous sweep\n"
 
 
 def test_sweep_grid2(tmp_path, capsys):

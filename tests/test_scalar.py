@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_admissible
+from conftest import named_check, random_admissible
 from oracles import mp_scalar_root
 from scherk.errors import NotAdmissible
 from scherk.params import admissible_interval, from_ab
-from scherk.scalar import (barrier_chain_check, derivative_inequality,
-                           g_eval, hr_identity_residual, s_eval, solve_zero)
+from scherk.scalar import (barrier_chain_check, g_eval, hr_identity_residual,
+                           s_eval, solve_zero)
 
 PYTH = [(Fraction(3, 5), Fraction(4, 5)),
         (Fraction(5, 13), Fraction(12, 13)),
@@ -152,16 +152,16 @@ def test_swap_relation_between_roots(rng):
 
 
 def test_derivative_inequality_examples():
-    margin, holds = derivative_inequality(from_ab(1.0, 1.0))
-    assert margin == 0.0 and holds
+    check = named_check(from_ab(1.0, 1.0), "derivative_margin")
+    assert check.value == 0.0 and check.bound == 0.0 and check.ok
 
-    margin, holds = derivative_inequality(from_ab(0.95, 0.95))
-    assert margin == pytest.approx(0.25614652394668535395, abs=1e-12)
-    assert holds
+    check = named_check(from_ab(0.95, 0.95), "derivative_margin")
+    assert check.value == pytest.approx(0.25614652394668535395, abs=1e-12)
+    assert check.ok
 
-    margin, holds = derivative_inequality(from_ab(0.6, 0.95))
-    assert margin == pytest.approx(0.69772651164370431196, abs=1e-12)
-    assert holds
+    check = named_check(from_ab(0.6, 0.95), "derivative_margin")
+    assert check.value == pytest.approx(0.69772651164370431196, abs=1e-12)
+    assert check.ok
 
 
 def test_barrier_chain_generic_pair():
@@ -198,8 +198,8 @@ def test_sharp_margin_on_grid():
             params = from_ab(i / n, j / n)
             if not admissible_interval(params).nonempty:
                 continue
-            margin, holds = derivative_inequality(params)
-            assert holds, (params.A, params.B, margin)
-            if margin < 1e-6:
+            check = named_check(params, "derivative_margin")
+            assert check.ok, (params.A, params.B, check.value)
+            if check.value < 1e-6:
                 seen_near_zero = True
     assert seen_near_zero  # margin -> 0 toward (1, 1)

@@ -4,14 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_admissible
+from conftest import named_check, random_admissible
 from scherk.errors import DomainError
 from scherk.harmonic import DiskPoint, solve_zero_point
 from scherk.params import from_ab
 from scherk.scalar import solve_zero
 from scherk.weierstrass import (GaussAutomorphism, log_subharmonicity_check,
-                                lower_identity_residual, two_sided_check,
-                                wk_geometric, wk_scalar, zero_control_check)
+                                lower_identity_residual, wk_geometric,
+                                wk_scalar, zero_control_check)
 
 PYTH = [(Fraction(3, 5), Fraction(4, 5)),
         (Fraction(5, 13), Fraction(12, 13)),
@@ -59,23 +59,24 @@ def test_route_equivalence_specific_pairs():
 
 
 def test_two_sided_band():
-    value, in_band = two_sided_check(from_ab(1.0, 1.0))
-    assert value == pytest.approx(math.pi ** 2 / 2, abs=1e-12)
-    assert in_band
+    check = named_check(from_ab(1.0, 1.0), "band_scalar")
+    assert check.value == pytest.approx(math.pi ** 2 / 2, abs=1e-12)
+    assert check.bound == (math.pi ** 2 / 4, math.pi ** 2 / 2)
+    assert check.ok
 
-    value, in_band = two_sided_check(from_ab(0.6, 0.95))
-    assert in_band
-    assert value > math.pi ** 2 / 4
-    assert value == pytest.approx(2.5403881748537801088, abs=1e-11)
+    check = named_check(from_ab(0.6, 0.95), "band_scalar")
+    assert check.ok
+    assert check.value > math.pi ** 2 / 4
+    assert check.value == pytest.approx(2.5403881748537801088, abs=1e-11)
 
 
 def test_two_sided_band_random(rng):
     lo = math.pi ** 2 / 4 - 1e-9
     hi = math.pi ** 2 / 2 + 1e-9
     for params in random_admissible(rng, 400):
-        value, in_band = two_sided_check(params)
-        assert in_band, (params.A, params.B, value)
-        assert lo <= value <= hi
+        check = named_check(params, "band_scalar")
+        assert check.ok, (params.A, params.B, check.value)
+        assert lo <= check.value <= hi
 
 
 def test_lower_identity_corners_and_random(rng):
