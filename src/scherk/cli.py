@@ -10,12 +10,14 @@ Commands
     odd      Monte-Carlo and extremal runs for the first-coefficient bound
     logsub   finite-difference checks of the two log-Laplacian identities
 
-`check`, `zero` and `sweep` render the `PairRecord` that `evaluate_pair`
-builds for each pair.  A refusal ends the pipeline and becomes the status
-(`not_admissible`, `no_sign_change`, `non_convergence`), with `detail` for
-a solver refusal.  `sweep` streams its rows into a temporary file that
-replaces `--out` only when the sweep is complete.  `--tol` must be finite
-and > 0, `--slack` finite and >= 0.
+`check` and `zero` render the `PairRecord` that `evaluate_pair` builds for
+their one pair, through the scalar library path.  A refusal ends the
+pipeline and becomes the status (`not_admissible`, `no_sign_change`,
+`non_convergence`), with `detail` for a solver refusal.  `sweep` evaluates
+the flattened grid in blocks of SWEEP_BLOCK pairs with `evaluate_block`,
+the same pipeline on numpy arrays, and writes each block's rows into a
+temporary file that replaces `--out` only when the sweep is complete.
+`--tol` must be finite and > 0, `--slack` finite and >= 0.
 
 Exit codes: 0 ok, 1 malformed input, 2 not admissible, 3 solver failure,
 4 verification failure.
@@ -33,12 +35,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from . import bernstein, harmonic, oddmap, weierstrass
 from .errors import (CertificateMismatch, DomainError, NoSignChange,
                      NonConvergence)
 from .params import (AdmissibleInterval, ScherkParams, admissible_interval,
-                     from_ab, from_angles)
-from .scalar import ScalarZero, solve_zero
+                     from_ab, from_angles, interval_L, interval_R)
+from .scalar import (BISECT_WIDTH, DEGENERATE_WIDTH, NEWTON_POLISH,
+                     ScalarZero, solve_zero)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -59,9 +64,16 @@ BAND = (math.pi ** 2 / 4.0, math.pi ** 2 / 2.0)
 CSV_HEADER = ("p,q,A,B,admissible,U,S,margin,"
               "wk_scalar,wk_geometric,route_gap,status")
 
+# Sweep statuses are stored as codes into STATUSES.
+STATUSES = ("ok", "not_admissible", "no_sign_change", "non_convergence")
+OK, NOT_ADMISSIBLE, NO_SIGN_CHANGE, NON_CONVERGENCE = range(len(STATUSES))
 
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else format(x, ".17g")
+# Pairs per sweep block.  Each block is evaluated with numpy and its rows
+# are written before the next block starts, so memory does not grow with
+# the grid.
+SWEEP_BLOCK = 1024
+
+_PI2 = math.pi ** 2
 
 
 def _emit_json(obj) -> None:
@@ -125,15 +137,6 @@ class PairRecord:
                     Check("master_inequality", lhs, rhs, master_ok)]
         return out
 
-    def csv(self) -> str:
-        p, zero, sol = self.params, self.zero, self.solution
-        solved = ((None,) * 4 if zero is None else
-                  (zero.U, zero.S, self.margin, self.wk_scalar))
-        routes = (None, None) if sol is None else (sol.WK, self.route_gap)
-        return ",".join([_fmt(p.p), _fmt(p.q), _fmt(p.A), _fmt(p.B),
-                         "true" if self.interval.nonempty else "false",
-                         *map(_fmt, solved + routes), self.status])
-
 
 def evaluate_pair(params: ScherkParams, tol: float = 1e-12) -> PairRecord:
     """The one per-pair pipeline; a refusal ends it and names the status."""
@@ -151,6 +154,234 @@ def evaluate_pair(params: ScherkParams, tol: float = 1e-12) -> PairRecord:
         return PairRecord(params, interval, "non_convergence", str(exc),
                           zero, wks)
     return PairRecord(params, interval, "ok", None, zero, wks, sol)
+
+
+class ParamBlock(NamedTuple):
+    """A block of pairs as columns of the `ScherkParams` fields that
+    `evaluate_block` reads; both constructors set c_p = kappa, d_q = epsilon.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    kappa: np.ndarray
+    epsilon: np.ndarray
+
+
+class BlockRecord(NamedTuple):
+    """What `evaluate_block` produced for a block: per pair a status code
+    into STATUSES and the sweep's columns, NaN where the pipeline stopped.
+    """
+
+    status: np.ndarray
+    U: np.ndarray
+    S: np.ndarray
+    margin: np.ndarray
+    wk_scalar: np.ndarray
+    wk_geometric: np.ndarray
+    route_gap: np.ndarray
+
+
+def _block_g_s(A, B, kappa, epsilon):
+    """G(U) and S(U) of `scalar.g_eval` and `s_eval` on arrays of pairs."""
+    P = (1 + A * B) / (B * (A + B))
+    shift = kappa * kappa / (A * (A + B))
+
+    def g(U):
+        return (B * np.cos(math.pi * (kappa * (P - U)))
+                - A * np.cos(math.pi * (epsilon * (U + shift)))
+                - (A + B) * np.cos(math.pi * U))
+
+    def s(U):
+        return ((A + B) * np.sin(math.pi * U)
+                + B * kappa * np.sin(math.pi * (kappa * (P - U)))
+                + A * epsilon * np.sin(math.pi * (epsilon * (U + shift))))
+    return g, s
+
+
+def _bisect_and_polish(g, s, a, b, tol: float):
+    """The bisection and guarded Newton polish of `solve_zero`, per pair."""
+    lo, hi = a, b
+    active = hi - lo > BISECT_WIDTH
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        active &= (mid > lo) & (mid < hi)
+        below = g(mid) < 0.0
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+        active &= hi - lo > BISECT_WIDTH
+    u = 0.5 * (lo + hi)
+    gu = g(u)
+    active = np.ones(u.size, bool)
+    for _ in range(NEWTON_POLISH):
+        su = s(u)
+        u_next = u - gu / (math.pi * su)
+        g_next = g(u_next)
+        active &= ((su > 0.0) & (a <= u_next) & (u_next <= b)
+                   & (np.abs(g_next) < np.abs(gu)))
+        u = np.where(active, u_next, u)
+        gu = np.where(active, g_next, gu)
+        active &= ~(np.abs(gu) <= 0.25 * tol)
+    return u
+
+
+def _block_zero(A, B, kappa, epsilon, L, R, tol: float):
+    """`scalar.solve_zero` on admissible pairs: (U, S, found).
+
+    Each pair takes the first branch of `solve_zero` that applies to it;
+    `found` is False where `solve_zero` raises NoSignChange.
+    """
+    g, s = _block_g_s(A, B, kappa, epsilon)
+    corner = (A == 1.0) & (B == 1.0)
+    ga, gb = g(L), g(R)
+    mid = 0.5 * (L + R)
+    degenerate = (L == R) | (R - L < DEGENERATE_WIDTH)
+    refused = ~corner & np.where(degenerate, np.abs(g(mid)) > tol,
+                                 (ga > tol) | (gb < -tol))
+    U = np.select([corner, degenerate, ga > 0.0, gb < 0.0], [0.5, mid, L, R])
+    bisect = np.flatnonzero(~(corner | degenerate | (ga > 0.0) | (gb < 0.0)))
+    gi, si = _block_g_s(A[bisect], B[bisect], kappa[bisect], epsilon[bisect])
+    U[bisect] = _bisect_and_polish(gi, si, L[bisect], R[bisect], tol)
+    return U, np.where(corner, 2.0, s(U)), ~refused
+
+
+def _libm(fn, *arrays) -> np.ndarray:
+    """`fn` from `math` elementwise.  numpy's own atan and atan2 differ from
+    libm's by an ulp on some inputs; its cos, sin, hypot and sqrt matched
+    libm on every input tried."""
+    return np.array(list(map(fn, *(a.tolist() for a in arrays))))
+
+
+def _block_zero_point(A, B, kappa, epsilon, U, tol: float):
+    """`harmonic.solve_zero_point` and `weierstrass.wk_geometric` on pairs
+    with a scalar zero U: (WK, D0, solved).
+
+    `solved` is False where `solve_zero_point` raises NonConvergence.  The
+    complex arithmetic is spelled out in reals as CPython does it (Smith's
+    division included), and `**`, atan and atan2 are libm's as on a Python
+    float: near B0(A) the measure residual amplifies an ulp of z0 or alpha
+    by about 1/(1 - r), which could move a pair across `tol`.
+    """
+    pi = math.pi
+    corner = A * B >= 1.0
+    mu = np.sqrt(A * B)
+    alpha = 2.0 * _libm(math.atan, np.sqrt(A / B))
+    # V and T of the scalar zero (scalar._make_zero), then the targets.
+    V = kappa * ((1 + A * B) / (B * (A + B)) - U)
+    T = -epsilon * (U + np.float_power(kappa, 2) / (A * (A + B)))
+    t1 = 0.5 * (U + V)
+    t2 = 0.5 * (1.0 - U - T)
+    targets = (t1, t2, 0.5 * (U - V), 0.5 * (1.0 - U + T))
+
+    # z0 = c - det/num from the two level-set lines, c = e^{i alpha}.
+    cr, ci = np.cos(alpha), np.sin(alpha)
+    th1 = pi * t1 + 0.5 * alpha
+    th2 = -(pi * t2 + 0.5 * (pi - alpha))
+    e1r, e1i = np.cos(th1), np.sin(th1)
+    e2r, e2i = np.cos(th2), np.sin(th2)
+    g1r = e1r * (1.0 - cr) - e1i * -ci           # e1 (1 - c)
+    g1i = e1r * -ci + e1i * (1.0 - cr)
+    g2r = -e2r * (1.0 + cr) - -e2i * ci          # -e2 (1 + c)
+    g2i = -e2r * ci + -e2i * (1.0 + cr)
+    det = g1i * g2r - g1r * g2i
+    nr = g1r * e2i - g2r * e1i
+    ni = g2i * e1i - g1i * e2i
+    by_real = np.abs(nr) >= np.abs(ni)
+    ratio = np.where(by_real, ni / nr, nr / ni)
+    denom = np.where(by_real, nr + ni * ratio, nr * ratio + ni)
+    zr = cr - np.where(by_real, det, det * ratio) / denom
+    zi = ci - np.where(by_real, -(det * ratio), -det) / denom
+    r = np.where(corner, 0.0, np.hypot(zr, zi))
+    t = np.where(corner, 0.0, _libm(math.atan2, zi, zr) % (2.0 * pi))
+
+    # The four harmonic measures at z0 (harmonic.measures4).
+    h = 0.5 * alpha
+    half_large = 0.5 * (pi - alpha)
+    resid = np.zeros(A.size)
+    for (phi, half), target in zip(((h, h), (h + 0.5 * pi, half_large),
+                                    (h + pi, h), (h + 1.5 * pi, half_large)),
+                                   targets):
+        num = (1.0 + r * r) * np.cos(half) - 2.0 * r * np.cos(t - phi)
+        den = (1.0 - r * r) * np.sin(half)
+        resid = np.maximum(resid,
+                           np.abs(_libm(math.atan2, den, num) / pi - target))
+    solved = corner | ((r < 1.0) & (resid <= tol))
+
+    # D0 from the phase of the Gauss-map parameter (harmonic.phase_param).
+    den = (1.0 + mu) * (A + B)
+    delta = _libm(math.atan2, -mu * (kappa + epsilon) / den,
+                  (A * epsilon - B * kappa) / den)
+    root1m2 = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
+    D0 = np.where(corner, 1.0,
+                  1.0 + r * r - 2.0 * root1m2 * r * np.cos(t - delta))
+
+    # The geometric route (weierstrass.wk_geometric).
+    mu2 = mu * mu
+    xr, xi = r * np.cos(t), r * np.sin(t)
+    wr, wi = xr * xr - xi * xi, xr * xi + xi * xr
+    num1 = np.hypot(1.0 - wr, -wi)
+    num2 = np.hypot(wr - np.cos(2.0 * alpha), wi - np.sin(2.0 * alpha))
+    WK = ((_PI2 / 4.0) * ((1.0 + mu2) / mu2)
+          * np.float_power(num1 * num2, 2)
+          / (np.float_power(1.0 - r * r, 2) * D0 * D0))
+    return WK, D0, solved
+
+
+def evaluate_block(pairs: ParamBlock, tol: float = 1e-12) -> BlockRecord:
+    """`evaluate_pair` on a block of pairs, with numpy: the sweep's pipeline.
+
+    Every branch of `evaluate_pair`, `solve_zero`, `wk_scalar`,
+    `solve_zero_point` and `wk_geometric` has its array counterpart, with
+    the same operations in the same order, so each pair gets the status
+    and, to rounding, the values `evaluate_pair` gives it.  Raises
+    DomainError as the scalar routes do, for the first pair in the block
+    with S <= 0 or D0 <= 0.  Single pairs stay on the scalar path: for one
+    pair this pipeline is over ten times slower.
+    """
+    A, B, kappa, epsilon = pairs.A, pairs.B, pairs.kappa, pairs.epsilon
+    status = np.full(A.size, NOT_ADMISSIBLE, np.int8)
+    columns = np.full((6, A.size), np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L = interval_L(A, B, kappa, epsilon)
+        R = interval_R(A, B, kappa, epsilon)
+        idx = np.flatnonzero(L <= R)
+        A, B, kappa, epsilon = A[idx], B[idx], kappa[idx], epsilon[idx]
+        U, S, found = _block_zero(A, B, kappa, epsilon, L[idx], R[idx], tol)
+        status[idx[~found]] = NO_SIGN_CHANGE
+        idx, A, B, kappa, epsilon, U, S = (
+            x[found] for x in (idx, A, B, kappa, epsilon, U, S))
+        wks = _PI2 * (1 + A * B) / (S * S)
+        WK, D0, solved = _block_zero_point(A, B, kappa, epsilon, U, tol)
+    bad = np.flatnonzero((S <= 0.0) | (solved & (D0 <= 0.0)))
+    if bad.size:
+        i = bad[0]
+        raise DomainError(f"require S > 0, got {float(S[i])}" if S[i] <= 0.0
+                          else f"require D0 > 0, got {float(D0[i])}")
+    status[idx] = np.where(solved, OK, NON_CONVERGENCE)
+    WK[~solved] = np.nan
+    columns[:, idx] = (U, S, S - np.sqrt(2.0 * (1.0 + A * B)), wks, WK,
+                       np.abs(wks - WK))
+    return BlockRecord(status, *columns)
+
+
+_ROW_TAILS = {NOT_ADMISSIBLE: ",false,,,,,,,not_admissible\n",
+              NO_SIGN_CHANGE: ",true,,,,,,,no_sign_change\n"}
+
+
+def _block_rows(heads: list[str], rec: BlockRecord) -> str:
+    """The block's CSV rows after their "p,q,A,B" heads; floats with 17
+    significant digits."""
+    rows = []
+    for head, status, U, S, margin, wks, wkg, gap in zip(
+            heads, *(col.tolist() for col in rec)):
+        if status == OK:
+            rows.append(f"{head},true,{U:.17g},{S:.17g},{margin:.17g},"
+                        f"{wks:.17g},{wkg:.17g},{gap:.17g},ok\n")
+        elif status == NON_CONVERGENCE:
+            rows.append(f"{head},true,{U:.17g},{S:.17g},{margin:.17g},"
+                        f"{wks:.17g},,,non_convergence\n")
+        else:
+            rows.append(head + _ROW_TAILS[status])
+    return "".join(rows)
 
 
 def _params_from_args(args) -> ScherkParams:
@@ -228,32 +459,77 @@ def cmd_zero(args) -> int:
     return _STATUS_EXIT[rec.status]
 
 
-def _sweep_params(grid: int, mode: str):
+def _sweep_blocks(grid: int, mode: str):
+    """The grid x grid pairs, row-major, in blocks of SWEEP_BLOCK pairs.
+
+    Yields each block's ParamBlock and the start "p,q,A,B" of each of its
+    CSV rows.  The values are computed with `math` as `from_ab` (mode AB)
+    and `from_angles` (mode pq) compute them, so every field is the float
+    those constructors give: on the axis values, and in pq mode on q - p,
+    which is not an axis value.  Axis values are formatted once.  The grid
+    lies inside both constructors' domains.
+    """
+    steps = range(1, grid + 1)
     if mode == "AB":
-        values = [i / grid for i in range(1, grid + 1)]
-        return (from_ab(a, b) for a in values for b in values)
-    angles = [0.5 * math.pi * i / grid for i in range(1, grid + 1)]
-    return (from_angles(p, p + s) for p in angles for s in angles)
+        values = [i / grid for i in steps]                 # A and B
+        asin = [math.asin(v) for v in values]
+        cos = np.array([math.sqrt(max(0.0, 1.0 - v * v)) for v in values])
+        v_text, p_text = _texts(values), _texts(asin)
+        values, asin = np.array(values), np.array(asin)
+
+        def block(i, j):
+            p = asin[i]
+            q = p + asin[j]
+            heads = [f"{p_text[a]},{y:.17g},{v_text[a]},{v_text[b]}"
+                     for a, b, y in zip(i.tolist(), j.tolist(), q.tolist())]
+            return ParamBlock(values[i], values[j], cos[i], cos[j]), heads
+    else:
+        angles = [0.5 * math.pi * i / grid for i in steps]   # p and q - p
+        sin = [math.sin(x) for x in angles]
+        cos = np.array([max(0.0, math.cos(x)) for x in angles])
+        p_text, a_text = _texts(angles), _texts(sin)
+        angles, sin = np.array(angles), np.array(sin)
+
+        def block(i, j):
+            p = angles[i]
+            q = p + angles[j]
+            gap = (q - p).tolist()
+            B = [math.sin(x) for x in gap]
+            heads = [f"{p_text[a]},{y:.17g},{a_text[a]},{b:.17g}"
+                     for a, y, b in zip(i.tolist(), q.tolist(), B)]
+            epsilon = [max(0.0, math.cos(x)) for x in gap]
+            return ParamBlock(sin[i], np.array(B), cos[i],
+                              np.array(epsilon)), heads
+
+    for start in range(0, grid * grid, SWEEP_BLOCK):
+        flat = np.arange(start, min(start + SWEEP_BLOCK, grid * grid))
+        yield block(*np.divmod(flat, grid))
+
+
+def _texts(values: list[float]) -> list[str]:
+    return [f"{x:.17g}" for x in values]
 
 
 def cmd_sweep(args) -> int:
     if args.grid < 2:
         print("error: --grid must be >= 2", file=sys.stderr)
         return EXIT_BAD_INPUT
-    counts: dict[str, int] = {}
-    wk_values = []
+    counts = np.zeros(len(STATUSES), int)
+    wk_min, wk_max = math.inf, -math.inf
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     try:
         fd, tmp_path = tempfile.mkstemp(dir=out_dir, suffix=".csv.tmp")
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(CSV_HEADER + "\n")
-                for params in _sweep_params(args.grid, args.mode):
-                    rec = evaluate_pair(params, args.tol)
-                    fh.write(rec.csv() + "\n")
-                    counts[rec.status] = counts.get(rec.status, 0) + 1
-                    if rec.status == "ok":
-                        wk_values.append(rec.wk_scalar)
+                for pairs, heads in _sweep_blocks(args.grid, args.mode):
+                    rec = evaluate_block(pairs, args.tol)
+                    fh.write(_block_rows(heads, rec))
+                    counts += np.bincount(rec.status, minlength=len(STATUSES))
+                    ok = rec.wk_scalar[rec.status == OK]
+                    if ok.size:
+                        wk_min = min(wk_min, float(ok.min()))
+                        wk_max = max(wk_max, float(ok.max()))
             os.replace(tmp_path, args.out)
         except BaseException:
             os.unlink(tmp_path)
@@ -262,10 +538,10 @@ def cmd_sweep(args) -> int:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    if wk_values:
-        summary += (f"; wk min={min(wk_values):.12g}"
-                    f" max={max(wk_values):.12g}")
+    summary = ", ".join(f"{name}={n}" for name, n in
+                        sorted(zip(STATUSES, counts.tolist())) if n)
+    if counts[OK]:
+        summary += f"; wk min={wk_min:.12g} max={wk_max:.12g}"
     print(f"sweep {args.grid}x{args.grid} mode={args.mode}: {summary}",
           file=sys.stderr)
     return EXIT_OK
@@ -395,6 +671,18 @@ def _finite_float(strict: bool):
     return finite_float
 
 
+def _seed(text: str) -> int:
+    """argparse type: an integer >= 0, as numpy's generators need."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scherk",
@@ -434,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_odd = sub.add_parser("odd", help="odd-lift coefficient experiments")
     p_odd.add_argument("--trials", type=int, default=100)
-    p_odd.add_argument("--seed", type=int, default=0)
+    p_odd.add_argument("--seed", type=_seed, default=0)
     p_odd.add_argument("--slack", type=_finite_float(False), default=1e-9)
     p_odd.add_argument("--extremal", action="store_true")
     p_odd.set_defaults(func=cmd_odd)
@@ -442,7 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_log = sub.add_parser("logsub", help="log-Laplacian FD checks")
     p_log.add_argument("--samples", type=int, default=20)
     p_log.add_argument("--seed", type=int, default=0)
-    p_log.add_argument("--h", type=float, action="append", default=None)
+    p_log.add_argument("--h", type=_finite_float(True), action="append",
+                       default=None)
     p_log.set_defaults(func=cmd_logsub)
 
     return parser

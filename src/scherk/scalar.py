@@ -27,8 +27,10 @@ from typing import Optional
 from .errors import NoSignChange, NotAdmissible
 from .params import ScherkParams, admissible_interval, from_ab
 
-_BISECT_WIDTH = 1e-12
-_NEWTON_POLISH = 5
+# Shared with the sweep's block solver (`cli.evaluate_block`).
+BISECT_WIDTH = 1e-12
+DEGENERATE_WIDTH = 1e-15   # a narrower interval is solved at its midpoint
+NEWTON_POLISH = 5
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12) -> ScalarZero:
     ga = g_eval(params, a)[0]
     gb = g_eval(params, b)[0]
 
-    if a == b or b - a < 1e-15:
+    if a == b or b - a < DEGENERATE_WIDTH:
         mid = 0.5 * (a + b)
         gm = g_eval(params, mid)[0]
         if abs(gm) <= tol:
@@ -148,7 +150,7 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12) -> ScalarZero:
         return _make_zero(params, b, abs(gb))
 
     lo, hi = a, b
-    while hi - lo > _BISECT_WIDTH:
+    while hi - lo > BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -160,7 +162,7 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12) -> ScalarZero:
 
     u = 0.5 * (lo + hi)
     g = g_eval(params, u)[0]
-    for _ in range(_NEWTON_POLISH):
+    for _ in range(NEWTON_POLISH):
         s = s_eval(params, u)
         if s <= 0.0:
             break

@@ -2,12 +2,13 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from scherk import cli
 from scherk.cli import CSV_HEADER, ROUTE_GAP_BOUND, evaluate_pair, main
 from scherk.oddmap import fourier_S1, random_odd_lift
-from scherk.params import from_ab, threshold_b0
+from scherk.params import from_ab, from_angles, threshold_b0
 
 
 def run(capsys, *argv):
@@ -166,18 +167,102 @@ def test_sweep_failure_leaves_no_temp_file_and_keeps_the_old_csv(
     out_file.write_bytes(b"previous sweep\n")
     calls = []
 
-    def failing(params, tol):
-        calls.append(params)
-        if len(calls) == 3:
+    def failing(pairs, tol):
+        calls.append(pairs)
+        if len(calls) == 2:
             raise RuntimeError("evaluation failed")
-        return evaluate_pair(params, tol)
+        return cli.evaluate_block(pairs, tol)
 
-    monkeypatch.setattr(cli, "evaluate_pair", failing)
+    grid = 40   # 1600 pairs: the first block is written, the second fails
+    assert grid * grid > cli.SWEEP_BLOCK
+    monkeypatch.setattr(cli, "evaluate_block", failing)
     with pytest.raises(RuntimeError):
-        main(["sweep", "--grid", "3", "--out", str(out_file)])
-    assert len(calls) == 3
+        main(["sweep", "--grid", str(grid), "--out", str(out_file)])
+    assert len(calls) == 2
     assert list(tmp_path.glob("*.csv.tmp")) == []
     assert out_file.read_bytes() == b"previous sweep\n"
+
+
+def _sweep_pairs(grid, mode):
+    """The grid's ScherkParams in sweep order, built by the constructors."""
+    if mode == "AB":
+        values = [i / grid for i in range(1, grid + 1)]
+        return [from_ab(a, b) for a in values for b in values]
+    angles = [0.5 * math.pi * i / grid for i in range(1, grid + 1)]
+    return [from_angles(p, p + s) for p in angles for s in angles]
+
+
+def _assert_block_matches_scalar(pairs, rec, params):
+    for field in cli.ParamBlock._fields:
+        assert getattr(pairs, field).tolist() == [
+            getattr(x, field) for x in params], field
+    assert rec.status.size == len(params)
+    for k, x in enumerate(params):
+        ref = evaluate_pair(x)
+        where = f"A={x.A!r}, B={x.B!r}"
+        assert cli.STATUSES[rec.status[k]] == ref.status, where
+        got = [float(col[k]) for col in rec[1:]]
+        if ref.zero is None:
+            assert all(math.isnan(v) for v in got), where
+            continue
+        for value, expect in zip(got, (ref.zero.U, ref.zero.S, ref.margin,
+                                       ref.wk_scalar)):
+            assert abs(value - expect) <= 1e-14, where
+        if ref.solution is None:
+            assert math.isnan(got[4]) and math.isnan(got[5]), where
+            continue
+        assert abs(got[4] - ref.solution.WK) <= 1e-11, where
+        assert abs(got[5] - ref.route_gap) <= 1e-11, where
+
+
+@pytest.mark.parametrize("grid, mode", [(40, "AB"), (12, "pq")])
+def test_block_evaluator_matches_evaluate_pair_on_grids(grid, mode):
+    params = _sweep_pairs(grid, mode)
+    start = 0
+    blocks = list(cli._sweep_blocks(grid, mode))
+    assert [pairs.A.size for pairs, _ in blocks[:-1]] == [cli.SWEEP_BLOCK] * (
+        len(blocks) - 1)
+    for pairs, heads in blocks:
+        stop = start + pairs.A.size
+        assert heads == [f"{x.p:.17g},{x.q:.17g},{x.A:.17g},{x.B:.17g}"
+                         for x in params[start:stop]]
+        _assert_block_matches_scalar(pairs, cli.evaluate_block(pairs),
+                                     params[start:stop])
+        start = stop
+    assert start == grid * grid
+
+
+def test_block_evaluator_matches_evaluate_pair_on_edge_pairs():
+    # The corner, a pair on B0(A) that rounding makes not admissible, a
+    # refused zero point and two solved ones near B0(A), then pairs whose
+    # scalar zero comes from the G(L) > 0 end, the degenerate-interval
+    # midpoint and the G(R) < 0 end of `solve_zero`.
+    params = [from_ab(a, b) for a, b in [
+        (1.0, 1.0), (0.2, threshold_b0(0.2)),
+        (0.5, threshold_b0(0.5) + 1e-6), (0.52, 0.94), (0.94, 0.52),
+        (0.08603685184259213, 0.9989909331760518),
+        (0.09, 0.9988913694662622),
+        (1.0, 1.1102230246251565e-16)]]
+    pairs = cli.ParamBlock(*(np.array([getattr(x, field) for x in params])
+                             for field in cli.ParamBlock._fields))
+    rec = cli.evaluate_block(pairs)
+    assert [cli.STATUSES[s] for s in rec.status] == [
+        "ok", "not_admissible", "non_convergence", "ok", "ok",
+        "non_convergence", "non_convergence", "non_convergence"]
+    _assert_block_matches_scalar(pairs, rec, params)
+    # Those three branches return L, the midpoint of [L, R] and R itself.
+    # Bisection and polish would land within an ulp or two of them, inside
+    # the tolerances above, so U is compared exactly.
+    refs = [evaluate_pair(x) for x in params[5:]]
+    ends = [refs[0].interval.L,
+            0.5 * (refs[1].interval.L + refs[1].interval.R),
+            refs[2].interval.R]
+    assert [ref.zero.U for ref in refs] == ends == rec.U[5:].tolist()
+
+    # A block with no admissible pair runs every stage on empty arrays.
+    alone = cli.ParamBlock(*(np.array([getattr(params[1], field)])
+                             for field in cli.ParamBlock._fields))
+    assert cli.evaluate_block(alone).status.tolist() == [cli.NOT_ADMISSIBLE]
 
 
 def test_sweep_grid2(tmp_path, capsys):
@@ -194,11 +279,14 @@ def test_sweep_grid2(tmp_path, capsys):
 
 
 def test_sweep_deterministic(tmp_path, capsys):
-    f1 = tmp_path / "a.csv"
-    f2 = tmp_path / "b.csv"
-    assert run(capsys, "sweep", "--grid", "7", "--out", str(f1))[0] == 0
-    assert run(capsys, "sweep", "--grid", "7", "--out", str(f2))[0] == 0
-    assert f1.read_bytes() == f2.read_bytes()
+    # Grid 50 spans three blocks, so block boundaries are crossed too.
+    for flags in (("--grid", "7"), ("--grid", "50"),
+                  ("--grid", "50", "--mode", "pq")):
+        f1 = tmp_path / "a.csv"
+        f2 = tmp_path / "b.csv"
+        assert run(capsys, "sweep", *flags, "--out", str(f1))[0] == 0
+        assert run(capsys, "sweep", *flags, "--out", str(f2))[0] == 0
+        assert f1.read_bytes() == f2.read_bytes(), flags
 
 
 def test_sweep_pq_mode(tmp_path, capsys):
@@ -275,6 +363,14 @@ def test_odd_rejects_zero_trials(capsys):
     assert run(capsys, "odd", "--trials", "0")[0] == 1
 
 
+@pytest.mark.parametrize("seed", ["-1", "-5", "x"])
+def test_odd_rejects_a_negative_seed(capsys, seed):
+    code, out, err = run(capsys, "odd", "--trials", "2", f"--seed={seed}")
+    assert code == 1
+    assert "error: argument --seed: " in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_logsub_command(capsys):
     code, out, _ = run(capsys, "logsub", "--samples", "5", "--seed", "3",
                        "--h", "1e-2", "--h", "1e-3")
@@ -284,6 +380,14 @@ def test_logsub_command(capsys):
 
 def test_logsub_rejects_zero_samples(capsys):
     assert run(capsys, "logsub", "--samples", "0")[0] == 1
+
+
+@pytest.mark.parametrize("h", ["nan", "inf", "0", "-1e-3"])
+def test_logsub_rejects_a_bad_step(capsys, h):
+    code, out, err = run(capsys, "logsub", "--samples", "2", f"--h={h}")
+    assert code == 1
+    assert "error: argument --h: " in err and "Traceback" not in err
+    assert out == ""
 
 
 def test_unknown_flag_is_input_error(capsys):
