@@ -15,8 +15,8 @@ their one pair, through the scalar library path.  A refusal ends the
 pipeline and becomes the status (`not_admissible`, `no_sign_change`,
 `non_convergence`), with `detail` for a solver refusal.  `sweep` evaluates
 the flattened grid in blocks of SWEEP_BLOCK pairs with `evaluate_block`,
-the same pipeline on numpy arrays, and writes each block's rows into a
-temporary file that replaces `--out` only when the sweep is complete.
+which calls the same closed forms on numpy arrays, and writes each block's
+rows into a temporary file that replaces `--out` once the sweep is done.
 `--tol` must be finite and > 0, `--slack` finite and >= 0.
 
 Exit codes: 0 ok, 1 malformed input, 2 not admissible, 3 solver failure,
@@ -37,13 +37,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import bernstein, harmonic, oddmap, weierstrass
+from . import bernstein, harmonic, oddmap, ops, scalar, weierstrass
 from .errors import (CertificateMismatch, DomainError, NoSignChange,
                      NonConvergence)
-from .params import (AdmissibleInterval, ScherkParams, admissible_interval,
-                     from_ab, from_angles, interval_L, interval_R)
-from .scalar import (BISECT_WIDTH, DEGENERATE_WIDTH, NEWTON_POLISH,
-                     ScalarZero, solve_zero)
+from .params import (AdmissibleInterval, ParamBlock, ScherkParams,
+                     admissible_interval, from_ab, from_angles, interval_L,
+                     interval_R)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -73,9 +72,6 @@ OK, NOT_ADMISSIBLE, NO_SIGN_CHANGE, NON_CONVERGENCE = range(len(STATUSES))
 # the grid.
 SWEEP_BLOCK = 1024
 
-_PI2 = math.pi ** 2
-
-
 def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
@@ -104,18 +100,14 @@ class PairRecord:
     interval: AdmissibleInterval
     status: str
     detail: Optional[str] = None
-    zero: Optional[ScalarZero] = None
+    zero: Optional[scalar.ScalarZero] = None
     wk_scalar: Optional[float] = None
     solution: Optional[harmonic.ZeroSolution] = None
 
     @property
-    def sigma(self) -> float:
-        return math.sqrt(2.0 * (1.0 + self.params.A * self.params.B))
-
-    @property
     def margin(self) -> float:
         """Sharp derivative margin S - sqrt(2(1+AB)); 0 at A = B = 1."""
-        return self.zero.S - self.sigma
+        return self.zero.S - scalar.sigma(self.params)
 
     @property
     def route_gap(self) -> float:
@@ -144,7 +136,7 @@ def evaluate_pair(params: ScherkParams, tol: float = 1e-12) -> PairRecord:
     if not interval.nonempty:
         return PairRecord(params, interval, "not_admissible")
     try:
-        zero = solve_zero(params, tol)
+        zero = scalar.solve_zero(params, tol, interval)
     except NoSignChange as exc:
         return PairRecord(params, interval, "no_sign_change", str(exc))
     wks = weierstrass.wk_scalar(params, zero.S).value
@@ -154,17 +146,6 @@ def evaluate_pair(params: ScherkParams, tol: float = 1e-12) -> PairRecord:
         return PairRecord(params, interval, "non_convergence", str(exc),
                           zero, wks)
     return PairRecord(params, interval, "ok", None, zero, wks, sol)
-
-
-class ParamBlock(NamedTuple):
-    """A block of pairs as columns of the `ScherkParams` fields that
-    `evaluate_block` reads; both constructors set c_p = kappa, d_q = epsilon.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    kappa: np.ndarray
-    epsilon: np.ndarray
 
 
 class BlockRecord(NamedTuple):
@@ -181,176 +162,26 @@ class BlockRecord(NamedTuple):
     route_gap: np.ndarray
 
 
-def _block_g_s(A, B, kappa, epsilon):
-    """G(U) and S(U) of `scalar.g_eval` and `s_eval` on arrays of pairs."""
-    P = (1 + A * B) / (B * (A + B))
-    shift = kappa * kappa / (A * (A + B))
-
-    def g(U):
-        return (B * np.cos(math.pi * (kappa * (P - U)))
-                - A * np.cos(math.pi * (epsilon * (U + shift)))
-                - (A + B) * np.cos(math.pi * U))
-
-    def s(U):
-        return ((A + B) * np.sin(math.pi * U)
-                + B * kappa * np.sin(math.pi * (kappa * (P - U)))
-                + A * epsilon * np.sin(math.pi * (epsilon * (U + shift))))
-    return g, s
-
-
-def _bisect_and_polish(g, s, a, b, tol: float):
-    """The bisection and guarded Newton polish of `solve_zero`, per pair."""
-    lo, hi = a, b
-    active = hi - lo > BISECT_WIDTH
-    while active.any():
-        mid = 0.5 * (lo + hi)
-        active &= (mid > lo) & (mid < hi)
-        below = g(mid) < 0.0
-        lo = np.where(active & below, mid, lo)
-        hi = np.where(active & ~below, mid, hi)
-        active &= hi - lo > BISECT_WIDTH
-    u = 0.5 * (lo + hi)
-    gu = g(u)
-    active = np.ones(u.size, bool)
-    for _ in range(NEWTON_POLISH):
-        su = s(u)
-        u_next = u - gu / (math.pi * su)
-        g_next = g(u_next)
-        active &= ((su > 0.0) & (a <= u_next) & (u_next <= b)
-                   & (np.abs(g_next) < np.abs(gu)))
-        u = np.where(active, u_next, u)
-        gu = np.where(active, g_next, gu)
-        active &= ~(np.abs(gu) <= 0.25 * tol)
-    return u
-
-
-def _block_zero(A, B, kappa, epsilon, L, R, tol: float):
-    """`scalar.solve_zero` on admissible pairs: (U, S, found).
-
-    Each pair takes the first branch of `solve_zero` that applies to it;
-    `found` is False where `solve_zero` raises NoSignChange.
-    """
-    g, s = _block_g_s(A, B, kappa, epsilon)
-    corner = (A == 1.0) & (B == 1.0)
-    ga, gb = g(L), g(R)
-    mid = 0.5 * (L + R)
-    degenerate = (L == R) | (R - L < DEGENERATE_WIDTH)
-    refused = ~corner & np.where(degenerate, np.abs(g(mid)) > tol,
-                                 (ga > tol) | (gb < -tol))
-    U = np.select([corner, degenerate, ga > 0.0, gb < 0.0], [0.5, mid, L, R])
-    bisect = np.flatnonzero(~(corner | degenerate | (ga > 0.0) | (gb < 0.0)))
-    gi, si = _block_g_s(A[bisect], B[bisect], kappa[bisect], epsilon[bisect])
-    U[bisect] = _bisect_and_polish(gi, si, L[bisect], R[bisect], tol)
-    return U, np.where(corner, 2.0, s(U)), ~refused
-
-
-def _libm(fn, *arrays) -> np.ndarray:
-    """`fn` from `math` elementwise.  numpy's own atan and atan2 differ from
-    libm's by an ulp on some inputs; its cos, sin, hypot and sqrt matched
-    libm on every input tried."""
-    return np.array(list(map(fn, *(a.tolist() for a in arrays))))
-
-
-def _block_zero_point(A, B, kappa, epsilon, U, tol: float):
-    """`harmonic.solve_zero_point` and `weierstrass.wk_geometric` on pairs
-    with a scalar zero U: (WK, D0, solved).
-
-    `solved` is False where `solve_zero_point` raises NonConvergence.  The
-    complex arithmetic is spelled out in reals as CPython does it (Smith's
-    division included), and `**`, atan and atan2 are libm's as on a Python
-    float: near B0(A) the measure residual amplifies an ulp of z0 or alpha
-    by about 1/(1 - r), which could move a pair across `tol`.
-    """
-    pi = math.pi
-    corner = A * B >= 1.0
-    mu = np.sqrt(A * B)
-    alpha = 2.0 * _libm(math.atan, np.sqrt(A / B))
-    # V and T of the scalar zero (scalar._make_zero), then the targets.
-    V = kappa * ((1 + A * B) / (B * (A + B)) - U)
-    T = -epsilon * (U + np.float_power(kappa, 2) / (A * (A + B)))
-    t1 = 0.5 * (U + V)
-    t2 = 0.5 * (1.0 - U - T)
-    targets = (t1, t2, 0.5 * (U - V), 0.5 * (1.0 - U + T))
-
-    # z0 = c - det/num from the two level-set lines, c = e^{i alpha}.
-    cr, ci = np.cos(alpha), np.sin(alpha)
-    th1 = pi * t1 + 0.5 * alpha
-    th2 = -(pi * t2 + 0.5 * (pi - alpha))
-    e1r, e1i = np.cos(th1), np.sin(th1)
-    e2r, e2i = np.cos(th2), np.sin(th2)
-    g1r = e1r * (1.0 - cr) - e1i * -ci           # e1 (1 - c)
-    g1i = e1r * -ci + e1i * (1.0 - cr)
-    g2r = -e2r * (1.0 + cr) - -e2i * ci          # -e2 (1 + c)
-    g2i = -e2r * ci + -e2i * (1.0 + cr)
-    det = g1i * g2r - g1r * g2i
-    nr = g1r * e2i - g2r * e1i
-    ni = g2i * e1i - g1i * e2i
-    by_real = np.abs(nr) >= np.abs(ni)
-    ratio = np.where(by_real, ni / nr, nr / ni)
-    denom = np.where(by_real, nr + ni * ratio, nr * ratio + ni)
-    zr = cr - np.where(by_real, det, det * ratio) / denom
-    zi = ci - np.where(by_real, -(det * ratio), -det) / denom
-    r = np.where(corner, 0.0, np.hypot(zr, zi))
-    t = np.where(corner, 0.0, _libm(math.atan2, zi, zr) % (2.0 * pi))
-
-    # The four harmonic measures at z0 (harmonic.measures4).
-    h = 0.5 * alpha
-    half_large = 0.5 * (pi - alpha)
-    resid = np.zeros(A.size)
-    for (phi, half), target in zip(((h, h), (h + 0.5 * pi, half_large),
-                                    (h + pi, h), (h + 1.5 * pi, half_large)),
-                                   targets):
-        num = (1.0 + r * r) * np.cos(half) - 2.0 * r * np.cos(t - phi)
-        den = (1.0 - r * r) * np.sin(half)
-        resid = np.maximum(resid,
-                           np.abs(_libm(math.atan2, den, num) / pi - target))
-    solved = corner | ((r < 1.0) & (resid <= tol))
-
-    # D0 from the phase of the Gauss-map parameter (harmonic.phase_param).
-    den = (1.0 + mu) * (A + B)
-    delta = _libm(math.atan2, -mu * (kappa + epsilon) / den,
-                  (A * epsilon - B * kappa) / den)
-    root1m2 = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
-    D0 = np.where(corner, 1.0,
-                  1.0 + r * r - 2.0 * root1m2 * r * np.cos(t - delta))
-
-    # The geometric route (weierstrass.wk_geometric).
-    mu2 = mu * mu
-    xr, xi = r * np.cos(t), r * np.sin(t)
-    wr, wi = xr * xr - xi * xi, xr * xi + xi * xr
-    num1 = np.hypot(1.0 - wr, -wi)
-    num2 = np.hypot(wr - np.cos(2.0 * alpha), wi - np.sin(2.0 * alpha))
-    WK = ((_PI2 / 4.0) * ((1.0 + mu2) / mu2)
-          * np.float_power(num1 * num2, 2)
-          / (np.float_power(1.0 - r * r, 2) * D0 * D0))
-    return WK, D0, solved
-
-
 def evaluate_block(pairs: ParamBlock, tol: float = 1e-12) -> BlockRecord:
     """`evaluate_pair` on a block of pairs, with numpy: the sweep's pipeline.
 
-    Every branch of `evaluate_pair`, `solve_zero`, `wk_scalar`,
-    `solve_zero_point` and `wk_geometric` has its array counterpart, with
-    the same operations in the same order, so each pair gets the status
-    and, to rounding, the values `evaluate_pair` gives it.  Raises
-    DomainError as the scalar routes do, for the first pair in the block
-    with S <= 0 or D0 <= 0.  Single pairs stay on the scalar path: for one
-    pair this pipeline is over ten times slower.
+    The scalar path's closed forms, on ops.ARRAY, and the array twins of
+    its solvers give each pair its status and values; DomainError for the
+    first pair with S <= 0 or D0 <= 0.  A lone pair is over ten times
+    faster on the scalar path.
     """
-    A, B, kappa, epsilon = pairs.A, pairs.B, pairs.kappa, pairs.epsilon
-    status = np.full(A.size, NOT_ADMISSIBLE, np.int8)
-    columns = np.full((6, A.size), np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        L = interval_L(A, B, kappa, epsilon)
-        R = interval_R(A, B, kappa, epsilon)
+    status = np.full(pairs.A.size, NOT_ADMISSIBLE, np.int8)
+    columns = np.full((6, pairs.A.size), np.nan)
+    with np.errstate(all="ignore"):
+        L, R = interval_L(*pairs), interval_R(*pairs)
         idx = np.flatnonzero(L <= R)
-        A, B, kappa, epsilon = A[idx], B[idx], kappa[idx], epsilon[idx]
-        U, S, found = _block_zero(A, B, kappa, epsilon, L[idx], R[idx], tol)
+        pairs = pairs.take(idx)
+        U, S, found = scalar.solve_zero_block(pairs, L[idx], R[idx], tol)
         status[idx[~found]] = NO_SIGN_CHANGE
-        idx, A, B, kappa, epsilon, U, S = (
-            x[found] for x in (idx, A, B, kappa, epsilon, U, S))
-        wks = _PI2 * (1 + A * B) / (S * S)
-        WK, D0, solved = _block_zero_point(A, B, kappa, epsilon, U, tol)
+        idx, U, S, pairs = idx[found], U[found], S[found], pairs.take(found)
+        wks = weierstrass.wk_scalar_value(pairs, S)
+        WK, D0, solved = harmonic.solve_zero_point_block(
+            pairs, U, *scalar.v_t(pairs, U, ops.ARRAY), tol)
     bad = np.flatnonzero((S <= 0.0) | (solved & (D0 <= 0.0)))
     if bad.size:
         i = bad[0]
@@ -358,7 +189,7 @@ def evaluate_block(pairs: ParamBlock, tol: float = 1e-12) -> BlockRecord:
                           else f"require D0 > 0, got {float(D0[i])}")
     status[idx] = np.where(solved, OK, NON_CONVERGENCE)
     WK[~solved] = np.nan
-    columns[:, idx] = (U, S, S - np.sqrt(2.0 * (1.0 + A * B)), wks, WK,
+    columns[:, idx] = (U, S, S - scalar.sigma(pairs, ops.ARRAY), wks, WK,
                        np.abs(wks - WK))
     return BlockRecord(status, *columns)
 
@@ -414,7 +245,7 @@ def cmd_check(args) -> int:
         out.update({
             "U": zero.U, "M": zero.M, "N": zero.N, "V": zero.V, "T": zero.T,
             "S": zero.S, "residual": zero.residual,
-            "sigma": rec.sigma, "margin": rec.margin,
+            "sigma": scalar.sigma(params), "margin": rec.margin,
             "wk_scalar": rec.wk_scalar,
         })
     if sol is None:

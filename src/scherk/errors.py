@@ -18,8 +18,8 @@ class NoSignChange(Exception):
 
 
 class NonConvergence(Exception):
-    """A solve found no answer within tolerance (for the zero point: r >= 1,
-    or its harmonic measures miss their targets by more than tol)."""
+    """A solve found no answer within tolerance (for the zero point: r not
+    below 1, alpha rounded to pi, or measures that miss their targets)."""
 
 
 class DegenerateError(Exception):

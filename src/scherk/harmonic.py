@@ -23,7 +23,8 @@ the phase of the Gauss-map parameter a.
 
 z0 is found in closed form from the circular level sets of Omega1 and
 Omega2 (see solve_zero_point), and refused only when it lies outside the
-open disk or misses its four measures by more than the tolerance.
+open disk, when alpha rounds to pi, or when it misses its four measures
+by more than the tolerance.
 """
 
 from __future__ import annotations
@@ -33,12 +34,16 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateError, DomainError, NonConvergence
+import numpy as np
+
 from . import weierstrass
+from .errors import DegenerateError, DomainError, NonConvergence
+from .ops import ARRAY, FLOAT
+from .params import arc_alpha
 
 if TYPE_CHECKING:
     from .scalar import ScalarZero
-    from .params import ScherkParams
+    from .params import ParamBlock, ScherkParams
 
 @dataclass(frozen=True)
 class DiskPoint:
@@ -50,9 +55,6 @@ class DiskPoint:
     def __post_init__(self):
         if not (0.0 <= self.r < 1.0):
             raise DomainError(f"require 0 <= r < 1, got r={self.r}")
-
-    def as_complex(self) -> complex:
-        return complex(self.r * math.cos(self.t), self.r * math.sin(self.t))
 
 
 @dataclass(frozen=True)
@@ -103,31 +105,45 @@ class PhaseParam:
     sin_residual: float  # sin(delta-h) + d_q*sqrt(A)/sqrt((1-AB)(A+B))
 
 
-def arc_measure(z: DiskPoint, arc: ArcSpec) -> float:
-    """Harmonic measure of the arc at z, in (0, 1).
+def _arc(r, t, phi, half, ops=FLOAT):
+    """Harmonic measure at r e^{it} of the arc (phi - half, phi + half).
 
     atan2 on (numerator, denominator) of the cot formula realizes the
     arccot branch mapping R onto (0, pi); the positive denominator pins
     the value inside (0, 1) continuously across cot = 0.
     """
-    num = (1.0 + z.r * z.r) * math.cos(arc.s) - 2.0 * z.r * math.cos(z.t - arc.phi)
-    den = (1.0 - z.r * z.r) * math.sin(arc.s)
-    return math.atan2(den, num) / math.pi
+    num = (1.0 + r * r) * ops.cos(half) - 2.0 * r * ops.cos(t - phi)
+    den = (1.0 - r * r) * ops.sin(half)
+    return ops.atan2(den, num) / math.pi
+
+
+def _measures(r, t, alpha, ops=FLOAT) -> FourMeasures:
+    h = 0.5 * alpha
+    half_large = 0.5 * (math.pi - alpha)   # I2, I4; I1, I3 have half h
+    o1, o3 = _arc(r, t, h, h, ops), _arc(r, t, h + math.pi, h, ops)
+    o2 = _arc(r, t, h + 0.5 * math.pi, half_large, ops)
+    o4 = _arc(r, t, h + 1.5 * math.pi, half_large, ops)
+    return FourMeasures(Omega1=o1, Omega2=o2, Omega3=o3, Omega4=o4,
+                        U=o1 + o3, V=o1 - o3, T=o4 - o2)
+
+
+def _residual(m: FourMeasures, U, V, T, ops=FLOAT):
+    """max |Omega_j - target_j| for the targets of the scalar zero."""
+    d1, d2 = abs(m.Omega1 - 0.5 * (U + V)), abs(m.Omega2 - 0.5 * (1.0 - U - T))
+    d3, d4 = abs(m.Omega3 - 0.5 * (U - V)), abs(m.Omega4 - 0.5 * (1.0 - U + T))
+    return ops.maximum(ops.maximum(ops.maximum(d1, d2), d3), d4)
+
+
+def arc_measure(z: DiskPoint, arc: ArcSpec) -> float:
+    """Harmonic measure of the arc at z, in (0, 1)."""
+    return _arc(z.r, z.t, arc.phi, arc.s)
 
 
 def measures4(z: DiskPoint, alpha: float) -> FourMeasures:
     """Harmonic measures of the four fixed arcs, plus (U, V, T)."""
     if not (0.0 < alpha < math.pi):
         raise DomainError(f"require 0 < alpha < pi, got {alpha}")
-    h = 0.5 * alpha
-    half_small = h                      # I1, I3
-    half_large = 0.5 * (math.pi - alpha)  # I2, I4
-    o1 = arc_measure(z, ArcSpec(h, half_small))
-    o2 = arc_measure(z, ArcSpec(h + 0.5 * math.pi, half_large))
-    o3 = arc_measure(z, ArcSpec(h + math.pi, half_small))
-    o4 = arc_measure(z, ArcSpec(h + 1.5 * math.pi, half_large))
-    return FourMeasures(Omega1=o1, Omega2=o2, Omega3=o3, Omega4=o4,
-                        U=o1 + o3, V=o1 - o3, T=o4 - o2)
+    return _measures(z.r, z.t, alpha)
 
 
 def cross_ratio_residual(z: DiskPoint, alpha: float) -> float:
@@ -141,9 +157,24 @@ def cross_ratio_residual(z: DiskPoint, alpha: float) -> float:
 def sinU_identity_residual(z: DiskPoint, alpha: float) -> float:
     """sin(pi U) - (1-r^4) sin(alpha) / (|1-w| |e^{2i alpha}-w|), w = z^2."""
     m = measures4(z, alpha)
-    w = z.as_complex() ** 2
+    w = cmath.rect(z.r, z.t) ** 2
     denom = abs(1.0 - w) * abs(cmath.exp(2j * alpha) - w)
     return math.sin(math.pi * m.U) - (1.0 - z.r ** 4) * math.sin(alpha) / denom
+
+
+def _phase(pair, mu, ops=FLOAT):
+    """a = ar + i ai of the formula in `phase_param`, and delta = arg a."""
+    A, B, c_p, d_q = pair.A, pair.B, pair.kappa, pair.epsilon
+    den = (1.0 + mu) * (A + B)
+    ar, ai = (A * d_q - B * c_p) / den, -mu * (c_p + d_q) / den
+    return ar, ai, ops.atan2(ai, ar)
+
+
+def _d0(mu, r, t, delta, ops=FLOAT):
+    """D0 = 1 + r^2 - 2 sqrt(1-mu^2) r cos(t-delta) and its two factors."""
+    root1m2 = ops.sqrt(ops.maximum(0.0, 1.0 - mu * mu))
+    cos_term = ops.cos(t - delta)
+    return 1.0 + r * r - 2.0 * root1m2 * r * cos_term, root1m2, cos_term
 
 
 def phase_param(params: "ScherkParams") -> PhaseParam:
@@ -159,8 +190,8 @@ def phase_param(params: "ScherkParams") -> PhaseParam:
     if A * B >= 1.0:
         raise DegenerateError("a = 0 at A*B = 1; the phase is undefined")
     c_p, d_q, mu, h = params.c_p, params.d_q, params.mu, params.h
-    a = complex(A * d_q - B * c_p, -mu * (c_p + d_q)) / ((1.0 + mu) * (A + B))
-    delta = cmath.phase(a)
+    ar, ai, delta = _phase(params, mu)
+    a = complex(ar, ai)
     scale = math.sqrt((1.0 - A * B) * (A + B))
     return PhaseParam(
         a=a,
@@ -169,6 +200,24 @@ def phase_param(params: "ScherkParams") -> PhaseParam:
         cos_residual=math.cos(delta - h) + c_p * math.sqrt(B) / scale,
         sin_residual=math.sin(delta - h) + d_q * math.sqrt(A) / scale,
     )
+
+
+def _zero_point(alpha, U, V, T, ops=FLOAT):
+    """(r, t) of z0 = c - det/num, c = e^{i alpha}, in reals.  Each line
+    is Im(e*(1 + w*u)) = 0 with e = e^{-i*arg}; with e*w = p + iq and
+    u = x + iy that reads q*x + p*y = -Im(e)."""
+    cr, ci = ops.cos(alpha), ops.sin(alpha)
+    th1 = math.pi * (0.5 * (U + V)) + 0.5 * alpha
+    th2 = -(math.pi * (0.5 * (1.0 - U - T)) + 0.5 * (math.pi - alpha))
+    e1r, e1i, e2r, e2i = ops.cos(th1), ops.sin(th1), ops.cos(th2), ops.sin(th2)
+    g1r = e1r * (1.0 - cr) - e1i * -ci           # e1 (1 - c)
+    g1i = e1r * -ci + e1i * (1.0 - cr)
+    g2r = -e2r * (1.0 + cr) - -e2i * ci          # -e2 (1 + c)
+    g2i = -e2r * ci + -e2i * (1.0 + cr)
+    qr, qi = ops.div(g1i * g2r - g1r * g2i, 0.0,    # det / num
+                     g1r * e2i - g2r * e1i, g2i * e1i - g1i * e2i)
+    zr, zi = cr - qr, ci - qi
+    return ops.hypot(zr, zi), ops.atan2(zi, zr) % (2.0 * math.pi)
 
 
 def solve_zero_point(params: "ScherkParams", scalar_zero: "ScalarZero",
@@ -186,61 +235,56 @@ def solve_zero_point(params: "ScherkParams", scalar_zero: "ScalarZero",
         arg(1 + (1-c) u) = -(pi*Omega1 + alpha/2),
         arg(1 - (1+c) u) = pi*Omega2 + (pi-alpha)/2,
     and z0 = c - 1/u is one 2x2 real solve.  Raises NonConvergence when
-    r >= 1 or when the four measures miss their targets by more than tol.
+    r is not below 1 (NaN included), when alpha rounds to pi, or when the
+    four measures miss their targets by more than tol (or by NaN).
     """
     A, B = params.A, params.B
     if A * B >= 1.0:
         # Full symmetry: z0 is the origin, mu = 1 removes the phase term.
         z = DiskPoint(r=0.0, t=0.0)
         m = measures4(z, params.alpha)
-        wk = weierstrass.wk_geometric(z, params, 1.0)
         return ZeroSolution(z=z, measures=m, D0=1.0, delta=0.0, a_mod=0.0,
-                            WK=wk.value, master_lhs=1.0,
-                            residual=abs(m.U - 0.5))
+                            WK=weierstrass.wk_geometric(z, params, 1.0).value,
+                            master_lhs=1.0, residual=abs(m.U - 0.5))
 
-    alpha = params.alpha
-    t1 = 0.5 * (scalar_zero.U + scalar_zero.V)
-    t2 = 0.5 * (1.0 - scalar_zero.U - scalar_zero.T)
-    targets = (t1, t2,
-               0.5 * (scalar_zero.U - scalar_zero.V),
-               0.5 * (1.0 - scalar_zero.U + scalar_zero.T))
+    U, V, T = scalar_zero.U, scalar_zero.V, scalar_zero.T
+    r, t = _zero_point(params.alpha, U, V, T)
+    if not r < 1.0:
+        raise NonConvergence(f"zero point at r={r} is not inside the open "
+                             f"unit disk (A={A}, B={B})")
+    if not params.alpha < math.pi:   # the residual refuses it; this says why
+        raise NonConvergence(f"alpha={params.alpha} rounds to pi, so I2 and "
+                             f"I4 are empty (A={A}, B={B})")
+    m = _measures(r, t, params.alpha)
+    resid = _residual(m, U, V, T)
+    if not resid <= tol:
+        raise NonConvergence(f"zero point misses its measures by {resid} > "
+                             f"tol {tol} (A={A}, B={B})")
 
-    # Each line is Im(e*(1 + w*u)) = 0 with e = e^{-i*arg}; with
-    # e*w = p + iq and u = x + iy that reads q*x + p*y = -Im(e).
-    c = cmath.exp(1j * alpha)
-    e1 = cmath.exp(1j * (math.pi * t1 + 0.5 * alpha))
-    e2 = cmath.exp(-1j * (math.pi * t2 + 0.5 * (math.pi - alpha)))
-    g1 = e1 * (1.0 - c)
-    g2 = -e2 * (1.0 + c)
-    det = g1.imag * g2.real - g1.real * g2.imag
-    num = complex(g1.real * e2.imag - g2.real * e1.imag,
-                  g2.imag * e1.imag - g1.imag * e2.imag)
-    z0 = c - det / num    # u = num / det
-    r = abs(z0)
-    if r >= 1.0:
-        raise NonConvergence(
-            f"zero point at r={r} lies outside the open unit disk "
-            f"(A={A}, B={B})")
-    z = DiskPoint(r=r, t=cmath.phase(z0) % (2.0 * math.pi))
-    m = measures4(z, alpha)
-    resid = max(abs(m.Omega1 - targets[0]), abs(m.Omega2 - targets[1]),
-                abs(m.Omega3 - targets[2]), abs(m.Omega4 - targets[3]))
-    if resid > tol:
-        raise NonConvergence(
-            f"zero point misses its measures by {resid} > tol {tol} "
-            f"(A={A}, B={B})")
-
-    ph = phase_param(params)
-    mu = params.mu
-    root1m2 = math.sqrt(max(0.0, 1.0 - mu * mu))
-    cos_term = math.cos(z.t - ph.delta)
-    D0 = 1.0 + r * r - 2.0 * root1m2 * r * cos_term
+    z = DiskPoint(r=r, t=t)
+    ar, ai, delta = _phase(params, params.mu)
+    D0, root1m2, cos_term = _d0(params.mu, r, t, delta)
     master_lhs = math.sin(math.pi * m.U) * (
         1.0 - root1m2 * (2.0 * r / (1.0 + r * r)) * cos_term)
-    wk = weierstrass.wk_geometric(z, params, D0)
-    return ZeroSolution(z=z, measures=m, D0=D0, delta=ph.delta,
-                        a_mod=abs(ph.a), WK=wk.value,
+    return ZeroSolution(z=z, measures=m, D0=D0, delta=delta,
+                        a_mod=abs(complex(ar, ai)),
+                        WK=weierstrass.wk_geometric(z, params, D0).value,
                         master_lhs=master_lhs, residual=resid)
+
+
+def solve_zero_point_block(pairs: "ParamBlock", U, V, T, tol: float):
+    """(WK, D0, solved) of `solve_zero_point` on a block of pairs; `solved`
+    is False where it raises NonConvergence."""
+    corner = pairs.A * pairs.B >= 1.0
+    mu = np.sqrt(pairs.A * pairs.B)
+    alpha = arc_alpha(pairs.A, pairs.B, ARRAY)
+    r, t = (np.where(corner, 0.0, x)
+            for x in _zero_point(alpha, U, V, T, ARRAY))
+    resid = _residual(_measures(r, t, alpha, ARRAY), U, V, T, ARRAY)
+    delta = _phase(pairs, mu, ARRAY)[2]
+    D0 = np.where(corner, 1.0, _d0(mu, r, t, delta, ARRAY)[0])
+    WK = weierstrass.wk_geometric_value(mu, alpha, r, t, D0, ARRAY)[0]
+    return WK, D0, corner | ((r < 1.0) & (resid <= tol))
 
 
 def master_inequality_check(sol: ZeroSolution, params: "ScherkParams",

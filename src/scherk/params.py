@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError
-
-#: Default slack for floating-point identity residuals (double precision
-#: with ~1e2 of condition-amplification headroom).
-RESIDUAL_TOL = 1e-10
+from .ops import FLOAT
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,18 @@ class ScherkParams:
     d_q: float
     alpha: float
     h: float
+
+
+class ParamBlock(NamedTuple):
+    """A block of pairs: arrays of A, B, kappa = c_p and epsilon = d_q."""
+
+    A: np.ndarray
+    B: np.ndarray
+    kappa: np.ndarray
+    epsilon: np.ndarray
+
+    def take(self, idx) -> "ParamBlock":
+        return ParamBlock(*(x[idx] for x in self))
 
 
 @dataclass(frozen=True)
@@ -108,6 +120,21 @@ def threshold_b0(A: float, kappa: float | None = None) -> float:
     return (-A * (1 - kappa) + math.sqrt(disc)) / (2 * (1 + kappa))
 
 
+def arc_alpha(A, B, ops=FLOAT):
+    """Arc parameter alpha in (0, pi) with tan^2(alpha/2) = A/B."""
+    return 2.0 * ops.atan(ops.sqrt(A / B))
+
+
+def _build(A, B, p, q, c_p, d_q) -> ScherkParams:
+    if B * (A + B) == 0.0 or A * (A + B) == 0.0:   # P, R and G divide by them
+        raise DomainError(f"require B*(A+B) > 0 and A*(A+B) > 0, "
+                          f"got an underflow at A={A}, B={B}")
+    alpha = arc_alpha(A, B)
+    return ScherkParams(A=A, B=B, kappa=c_p, epsilon=d_q, mu=math.sqrt(A * B),
+                        P=(1 + A * B) / (B * (A + B)), p=p, q=q, c_p=c_p,
+                        d_q=d_q, alpha=alpha, h=alpha / 2.0)
+
+
 def from_ab(A: float, B: float) -> ScherkParams:
     """Build parameters directly from the sine pair (A, B) in (0, 1]^2.
 
@@ -115,16 +142,10 @@ def from_ab(A: float, B: float) -> ScherkParams:
     q = p + asin(B), which always lands in the restricted convention.
     """
     _validate_ab(A, B)
-    kappa = math.sqrt(max(0.0, 1.0 - A * A))
-    epsilon = math.sqrt(max(0.0, 1.0 - B * B))
-    mu = math.sqrt(A * B)
-    P = (1 + A * B) / (B * (A + B))
     p = math.asin(A)
-    q = p + math.asin(B)
-    alpha = 2.0 * math.atan(math.sqrt(A / B))
-    return ScherkParams(A=A, B=B, kappa=kappa, epsilon=epsilon, mu=mu, P=P,
-                        p=p, q=q, c_p=kappa, d_q=epsilon,
-                        alpha=alpha, h=alpha / 2.0)
+    return _build(A, B, p, p + math.asin(B),
+                  math.sqrt(max(0.0, 1.0 - A * A)),
+                  math.sqrt(max(0.0, 1.0 - B * B)))
 
 
 def from_angles(p: float, q: float) -> ScherkParams:
@@ -144,19 +165,9 @@ def from_angles(p: float, q: float) -> ScherkParams:
         raise DomainError(
             f"restricted-angle convention needs p <= pi/2 and q-p <= pi/2, "
             f"got p={p}, q-p={q - p}")
-    A = math.sin(p)
-    B = math.sin(q - p)
-    c_p = math.cos(p)
-    d_q = math.cos(q - p)
     # cos of an angle in [0, pi/2] can round to a tiny negative; clamp.
-    c_p = max(0.0, c_p)
-    d_q = max(0.0, d_q)
-    mu = math.sqrt(A * B)
-    P = (1 + A * B) / (B * (A + B))
-    alpha = 2.0 * math.atan(math.sqrt(A / B))
-    return ScherkParams(A=A, B=B, kappa=c_p, epsilon=d_q, mu=mu, P=P,
-                        p=p, q=q, c_p=c_p, d_q=d_q,
-                        alpha=alpha, h=alpha / 2.0)
+    return _build(math.sin(p), math.sin(q - p), p, q,
+                  max(0.0, math.cos(p)), max(0.0, math.cos(q - p)))
 
 
 def admissible_interval(params: ScherkParams) -> AdmissibleInterval:

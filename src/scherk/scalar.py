@@ -24,13 +24,16 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NoSignChange, NotAdmissible
-from .params import ScherkParams, admissible_interval, from_ab
+import numpy as np
 
-# Shared with the sweep's block solver (`cli.evaluate_block`).
-BISECT_WIDTH = 1e-12
-DEGENERATE_WIDTH = 1e-15   # a narrower interval is solved at its midpoint
-NEWTON_POLISH = 5
+from .errors import NoSignChange, NotAdmissible
+from .ops import ARRAY, FLOAT
+from .params import (AdmissibleInterval, ParamBlock, ScherkParams,
+                     admissible_interval, from_ab)
+
+_BISECT_WIDTH = 1e-12
+_DEGENERATE_WIDTH = 1e-15   # a narrower interval is solved at its midpoint
+_NEWTON_POLISH = 5
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,37 @@ class BarrierChainReport:
     root: ScalarZero
 
 
-def _mn(params: ScherkParams, U: float) -> tuple[float, float]:
-    k, e = params.kappa, params.epsilon
-    A, B = params.A, params.B
-    return k * (params.P - U), e * (U + k * k / (A * (A + B)))
+def g_s(pair, ops=FLOAT):
+    """G, S and U -> (M, N) of a ScherkParams, or of a ParamBlock on ARRAY."""
+    A, B, kappa, epsilon = pair.A, pair.B, pair.kappa, pair.epsilon
+    P = (1 + A * B) / (B * (A + B))
+    shift = kappa * kappa / (A * (A + B))
+    pi, cos, sin = math.pi, ops.cos, ops.sin
+
+    def mn(U):
+        return kappa * (P - U), epsilon * (U + shift)
+
+    def g(U):
+        M, N = mn(U)
+        return B * cos(pi * M) - A * cos(pi * N) - (A + B) * cos(pi * U)
+
+    def s(U):
+        M, N = mn(U)
+        return ((A + B) * sin(pi * U) + B * kappa * sin(pi * M)
+                + A * epsilon * sin(pi * N))
+    return g, s, mn
+
+
+def v_t(pair, U, ops=FLOAT):
+    """(V, T) at U, with c_p = kappa and d_q = epsilon."""
+    A, B, kappa, epsilon = pair.A, pair.B, pair.kappa, pair.epsilon
+    return (kappa * ((1 + A * B) / (B * (A + B)) - U),
+            -epsilon * (U + ops.pow(kappa, 2) / (A * (A + B))))
+
+
+def sigma(pair, ops=FLOAT):
+    """The sharp bound sqrt(2(1+AB)) on S at the zero."""
+    return ops.sqrt(2.0 * (1.0 + pair.A * pair.B))
 
 
 def g_eval(params: ScherkParams, U: float) -> tuple[float, float, float]:
@@ -82,37 +112,24 @@ def g_eval(params: ScherkParams, U: float) -> tuple[float, float, float]:
     M may land outside [0, 1/2] for U outside the admissible interval;
     callers gate admissibility separately.
     """
-    M, N = _mn(params, U)
-    G = (params.B * math.cos(math.pi * M)
-         - params.A * math.cos(math.pi * N)
-         - (params.A + params.B) * math.cos(math.pi * U))
-    return G, M, N
+    g, _, mn = g_s(params)
+    return (g(U), *mn(U))
 
 
 def s_eval(params: ScherkParams, U: float) -> float:
     """Scaled derivative S(U) = (1/pi) G'(U); positive on [L, R]."""
-    M, N = _mn(params, U)
-    return ((params.A + params.B) * math.sin(math.pi * U)
-            + params.B * params.kappa * math.sin(math.pi * M)
-            + params.A * params.epsilon * math.sin(math.pi * N))
+    return g_s(params)[1](U)
 
 
-def _make_zero(params: ScherkParams, U: float, residual: float) -> ScalarZero:
-    M, N = _mn(params, U)
-    V = params.c_p * (params.P - U)
-    T = -params.d_q * (U + params.kappa ** 2
-                       / (params.A * (params.A + params.B)))
-    return ScalarZero(U=U, M=M, N=N, V=V, T=T,
-                      S=s_eval(params, U), residual=residual)
-
-
-def solve_zero(params: ScherkParams, tol: float = 1e-12) -> ScalarZero:
+def solve_zero(params: ScherkParams, tol: float = 1e-12,
+               interval: Optional[AdmissibleInterval] = None) -> ScalarZero:
     """Find the admissible zero of G to |G(U)| <= tol*max(1, |G'(U)|).
 
     Bisection to bracket width 1e-12 followed by at most five Newton steps
     using pi*S as the derivative; Newton steps leaving the bracket are
     rejected.  A*B = 1 is an exact analytic branch (U = 1/2, S = 2), where
-    floating-point root isolation would be pointless.
+    floating-point root isolation would be pointless.  `interval` is
+    `admissible_interval(params)`, built here when not given.
 
     Raises NotAdmissible for an empty interval and NoSignChange when
     G(L) > tol or G(R) < -tol (reported, never silently clamped).
@@ -123,20 +140,23 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12) -> ScalarZero:
         return ScalarZero(U=0.5, M=0.0, N=0.0, V=0.0, T=0.0, S=2.0,
                           residual=0.0)
 
-    interval = admissible_interval(params)
+    interval = interval or admissible_interval(params)
     if not interval.nonempty:
         raise NotAdmissible(
             f"empty admissible interval for A={params.A}, B={params.B}: "
             f"L={interval.L} > R={interval.R}")
     a, b = interval.L, interval.R
-    ga = g_eval(params, a)[0]
-    gb = g_eval(params, b)[0]
+    g, s, mn = g_s(params)
+    ga, gb = g(a), g(b)
 
-    if a == b or b - a < DEGENERATE_WIDTH:
+    def zero(U: float, residual: float) -> ScalarZero:
+        return ScalarZero(U, *mn(U), *v_t(params, U), s(U), residual)
+
+    if a == b or b - a < _DEGENERATE_WIDTH:
         mid = 0.5 * (a + b)
-        gm = g_eval(params, mid)[0]
+        gm = g(mid)
         if abs(gm) <= tol:
-            return _make_zero(params, mid, abs(gm))
+            return zero(mid, abs(gm))
         raise NoSignChange(
             f"degenerate interval at A={params.A}, B={params.B} with "
             f"|G| = {abs(gm)} > tol")
@@ -145,38 +165,73 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12) -> ScalarZero:
     if gb < -tol:
         raise NoSignChange(f"G(R) = {gb} < -tol at A={params.A}, B={params.B}")
     if ga > 0.0:
-        return _make_zero(params, a, abs(ga))
+        return zero(a, abs(ga))
     if gb < 0.0:
-        return _make_zero(params, b, abs(gb))
+        return zero(b, abs(gb))
 
     lo, hi = a, b
-    while hi - lo > BISECT_WIDTH:
+    while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        gm = g_eval(params, mid)[0]
-        if gm < 0.0:
+        if g(mid) < 0.0:
             lo = mid
         else:
             hi = mid
 
     u = 0.5 * (lo + hi)
-    g = g_eval(params, u)[0]
-    for _ in range(NEWTON_POLISH):
-        s = s_eval(params, u)
-        if s <= 0.0:
+    gu = g(u)
+    for _ in range(_NEWTON_POLISH):
+        su = s(u)
+        if su <= 0.0:
             break
-        step = g / (math.pi * s)
-        u_next = u - step
+        u_next = u - gu / (math.pi * su)
         if not (a <= u_next <= b):
             break
-        g_next = g_eval(params, u_next)[0]
-        if abs(g_next) >= abs(g):
+        g_next = g(u_next)
+        if abs(g_next) >= abs(gu):
             break
-        u, g = u_next, g_next
-        if abs(g) <= 0.25 * tol:
+        u, gu = u_next, g_next
+        if abs(gu) <= 0.25 * tol:
             break
-    return _make_zero(params, u, abs(g))
+    return zero(u, abs(gu))
+
+
+def solve_zero_block(pairs: ParamBlock, L, R, tol: float):
+    """(U, S, found) of `solve_zero` on a block of admissible pairs, by
+    the first branch that applies; `found` is False where it raises."""
+    g, s, _ = g_s(pairs, ARRAY)
+    corner = (pairs.A == 1.0) & (pairs.B == 1.0)
+    ga, gb = g(L), g(R)
+    centre = 0.5 * (L + R)
+    degenerate = (L == R) | (R - L < _DEGENERATE_WIDTH)
+    refused = ~corner & np.where(degenerate, np.abs(g(centre)) > tol,
+                                 (ga > tol) | (gb < -tol))
+    bisect = ~(corner | degenerate | (ga > 0.0) | (gb < 0.0))
+    lo, hi = L, R
+    active = bisect & (hi - lo > _BISECT_WIDTH)
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        active &= (mid > lo) & (mid < hi)
+        below = g(mid) < 0.0
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+        active &= hi - lo > _BISECT_WIDTH
+    u = 0.5 * (lo + hi)
+    gu = g(u)
+    active = bisect.copy()
+    for _ in range(_NEWTON_POLISH):
+        su = s(u)
+        u_next = u - gu / (math.pi * su)
+        g_next = g(u_next)
+        active &= ((su > 0.0) & (L <= u_next) & (u_next <= R)
+                   & (np.abs(g_next) < np.abs(gu)))
+        u = np.where(active, u_next, u)
+        gu = np.where(active, g_next, gu)
+        active &= ~(np.abs(gu) <= 0.25 * tol)
+    U = np.select([corner, degenerate, ga > 0.0, gb < 0.0],
+                  [0.5, centre, L, R], u)
+    return U, np.where(corner, 2.0, s(U)), ~refused
 
 
 def hr_identity_residual(A, B, kappa, epsilon, U):
@@ -203,16 +258,19 @@ def barrier_chain_check(params: ScherkParams,
     (iii) if U* < R then G(U*) >= 0 (the barrier point);
     (iv)  both linear estimates >= sigma/2 at the solved root;
     (v)   the swap identity G_{B,A}(1-U) = -G_{A,B}(U).
+    Raises ValueError for samples < 1, which would check nothing in (i).
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     A, B = params.A, params.B
     k, e = params.kappa, params.epsilon
-    zero = solve_zero(params, tol)
     interval = admissible_interval(params)
+    zero = solve_zero(params, tol, interval)
     L, R = interval.L, interval.R
 
-    sigma = math.sqrt(2.0 * (1.0 + A * B))
+    bound = sigma(params)
     c_factor = 2.0 + A * B - A * A
-    x_star = sigma / (2.0 * B * c_factor)
+    x_star = bound / (2.0 * B * c_factor)
     u_star = params.P - x_star
 
     max_resid = 0.0
@@ -236,7 +294,7 @@ def barrier_chain_check(params: ScherkParams,
     swap_residual = g_eval(swapped, 1.0 - zero.U)[0] + g_eval(params, zero.U)[0]
 
     return BarrierChainReport(
-        sigma=sigma,
+        sigma=bound,
         c_factor=c_factor,
         x_star=x_star,
         u_star=u_star,
@@ -246,8 +304,8 @@ def barrier_chain_check(params: ScherkParams,
         barrier_ok=barrier_ok,
         hr_at_root=hr_at_root,
         hl_at_root=hl_at_root,
-        hr_linear_ok=hr_at_root >= 0.5 * sigma - slack,
-        hl_linear_ok=hl_at_root >= 0.5 * sigma - slack,
+        hr_linear_ok=hr_at_root >= 0.5 * bound - slack,
+        hl_linear_ok=hl_at_root >= 0.5 * bound - slack,
         swap_residual=swap_residual,
         root=zero,
     )

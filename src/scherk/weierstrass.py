@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
+from .ops import FLOAT
 
 if TYPE_CHECKING:
     from .harmonic import DiskPoint
@@ -72,6 +73,24 @@ class LaplacianCheck:
     lapK_exact: float  # -16|g'|^2/(1+|g|^2)^2
 
 
+def wk_geometric_value(mu, alpha, r, t, D0, ops=FLOAT):
+    """(W^2|K|, |1 - z0^2|, |z0^2 - e^{2 i alpha}|, 1 - r^2), z0 = r e^{it}."""
+    mu2 = mu * mu
+    xr, xi = r * ops.cos(t), r * ops.sin(t)
+    wr, wi = xr * xr - xi * xi, xr * xi + xi * xr          # w = z0^2
+    num1 = ops.hypot(1.0 - wr, -wi)
+    num2 = ops.hypot(wr - ops.cos(2.0 * alpha), wi - ops.sin(2.0 * alpha))
+    one_minus_r2 = 1.0 - r * r
+    value = ((math.pi ** 2 / 4.0) * ((1.0 + mu2) / mu2)
+             * ops.pow(num1 * num2, 2) / (ops.pow(one_minus_r2, 2) * D0 * D0))
+    return value, num1, num2, one_minus_r2
+
+
+def wk_scalar_value(pair, S):
+    """The scalar route pi^2 (1+A*B) / S^2, on floats or arrays."""
+    return math.pi ** 2 * (1.0 + pair.A * pair.B) / (S * S)
+
+
 def wk_geometric(z: "DiskPoint", params: "ScherkParams",
                  D0: float) -> NormalizedCurvature:
     """Geometric route at the zero point z, given D0 = D(z0) > 0."""
@@ -79,27 +98,18 @@ def wk_geometric(z: "DiskPoint", params: "ScherkParams",
         raise DomainError(f"require D0 > 0, got {D0}")
     if z.r >= 1.0:
         raise DomainError(f"require r < 1, got {z.r}")
-    mu2 = params.mu * params.mu
-    zc = complex(z.r * math.cos(z.t), z.r * math.sin(z.t))
-    w = zc * zc
-    num1 = abs(1.0 - w)
-    num2 = abs(w - cmath.exp(2j * params.alpha))
-    one_minus_r2 = 1.0 - z.r * z.r
-    value = (math.pi ** 2 / 4.0) * ((1.0 + mu2) / mu2) \
-        * (num1 * num2) ** 2 / (one_minus_r2 ** 2 * D0 * D0)
-    return NormalizedCurvature(
-        value=value, route="geometric",
-        components={"num1": num1, "num2": num2, "D0": D0,
-                    "one_minus_r2": one_minus_r2})
+    value, num1, num2, one_minus_r2 = wk_geometric_value(
+        params.mu, params.alpha, z.r, z.t, D0)
+    return NormalizedCurvature(value, "geometric", {
+        "num1": num1, "num2": num2, "D0": D0, "one_minus_r2": one_minus_r2})
 
 
 def wk_scalar(params: "ScherkParams", S: float) -> NormalizedCurvature:
     """Scalar route: pi^2 (1+A*B) / S^2 from the solved derivative value."""
     if S <= 0.0:
         raise DomainError(f"require S > 0, got {S}")
-    value = math.pi ** 2 * (1.0 + params.A * params.B) / (S * S)
-    return NormalizedCurvature(value=value, route="scalar",
-                               components={"S": S})
+    return NormalizedCurvature(value=wk_scalar_value(params, S),
+                               route="scalar", components={"S": S})
 
 
 def lower_identity_residual(A, B, kappa=None, epsilon=None):

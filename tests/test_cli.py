@@ -87,6 +87,47 @@ def test_zero_command(capsys):
     assert rec["residual"] < 1e-11
 
 
+@pytest.mark.parametrize("B, cause", [
+    ("1e-300", "alpha=3.141592653589793 rounds to pi"),
+    ("5e-324", "zero point at r=nan is not inside the open unit disk")])
+def test_tiny_b_is_a_solver_refusal(capsys, B, cause):
+    # alpha rounds to pi at B = 1e-300; at B = 5e-324, P overflows and r is
+    # NaN.  Both are refused, as `evaluate_block` refuses them.
+    for command in ("check", "zero"):
+        code, out, err = run(capsys, command, "--A", "1", "--B", B)
+        assert code == 3 and err == ""
+        rec = json.loads(out)
+        assert rec["status"] == "non_convergence"
+        assert rec["detail"].startswith(cause)
+
+
+@pytest.mark.parametrize("argv", [("--A", "1e-300", "--B", "1e-300"),
+                                  ("--A", "5e-324", "--B", "0.4"),
+                                  ("--p", "1e-300", "--q", "2e-300")])
+def test_underflowing_pairs_are_input_errors(capsys, argv):
+    for command in ("check", "zero"):
+        code, out, err = run(capsys, command, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: require B*(A+B) > 0 and A*(A+B) > 0")
+
+
+def test_evaluate_pair_builds_the_interval_once(monkeypatch):
+    from scherk import params, scalar
+    built = []
+
+    def counted(p):
+        built.append(p)
+        return params.admissible_interval(p)
+
+    monkeypatch.setattr(cli, "admissible_interval", counted)
+    monkeypatch.setattr(scalar, "admissible_interval", counted)
+    for a, b in [(0.6, 0.95), (0.5, 0.5), (1.0, 1.0),
+                 (0.5, threshold_b0(0.5) + 1e-6)]:
+        built.clear()
+        evaluate_pair(from_ab(a, b))
+        assert len(built) == 1, (a, b)
+
+
 def test_zero_reports_the_solver_status(capsys):
     b = threshold_b0(0.5) + 1e-6
     code, out, _ = run(capsys, "zero", "--A", "0.5", "--B", repr(b))
@@ -201,18 +242,14 @@ def _assert_block_matches_scalar(pairs, rec, params):
         ref = evaluate_pair(x)
         where = f"A={x.A!r}, B={x.B!r}"
         assert cli.STATUSES[rec.status[k]] == ref.status, where
-        got = [float(col[k]) for col in rec[1:]]
-        if ref.zero is None:
-            assert all(math.isnan(v) for v in got), where
-            continue
-        for value, expect in zip(got, (ref.zero.U, ref.zero.S, ref.margin,
-                                       ref.wk_scalar)):
-            assert abs(value - expect) <= 1e-14, where
-        if ref.solution is None:
-            assert math.isnan(got[4]) and math.isnan(got[5]), where
-            continue
-        assert abs(got[4] - ref.solution.WK) <= 1e-11, where
-        assert abs(got[5] - ref.route_gap) <= 1e-11, where
+        expect = [math.nan] * 6
+        if ref.zero is not None:
+            expect[:4] = ref.zero.U, ref.zero.S, ref.margin, ref.wk_scalar
+        if ref.solution is not None:
+            expect[4:] = ref.solution.WK, ref.route_gap
+        # Both paths call the same closed forms: equal bits, NaN for NaN.
+        np.testing.assert_array_equal([col[k] for col in rec[1:]], expect,
+                                      err_msg=where)
 
 
 @pytest.mark.parametrize("grid, mode", [(40, "AB"), (12, "pq")])
@@ -236,28 +273,35 @@ def test_block_evaluator_matches_evaluate_pair_on_edge_pairs():
     # The corner, a pair on B0(A) that rounding makes not admissible, a
     # refused zero point and two solved ones near B0(A), then pairs whose
     # scalar zero comes from the G(L) > 0 end, the degenerate-interval
-    # midpoint and the G(R) < 0 end of `solve_zero`.
+    # midpoint and the G(R) < 0 end of `solve_zero`.  Then three pairs on
+    # which the paths part by an ulp if `math.hypot`, x*x or numpy's arctan
+    # stands in for libm's hypot, pow or atan, a B so small that alpha
+    # rounds to pi, and one so small that P overflows.
     params = [from_ab(a, b) for a, b in [
         (1.0, 1.0), (0.2, threshold_b0(0.2)),
         (0.5, threshold_b0(0.5) + 1e-6), (0.52, 0.94), (0.94, 0.52),
         (0.08603685184259213, 0.9989909331760518),
         (0.09, 0.9988913694662622),
-        (1.0, 1.1102230246251565e-16)]]
+        (1.0, 1.1102230246251565e-16),
+        (0.7181383713219818, 0.9574269277339676),
+        (0.9537738791884737, 0.8985663290012464),
+        (0.083988245473411, 0.9991003552723192),
+        (1.0, 1e-300), (1.0, 5e-324)]]
     pairs = cli.ParamBlock(*(np.array([getattr(x, field) for x in params])
                              for field in cli.ParamBlock._fields))
     rec = cli.evaluate_block(pairs)
     assert [cli.STATUSES[s] for s in rec.status] == [
         "ok", "not_admissible", "non_convergence", "ok", "ok",
-        "non_convergence", "non_convergence", "non_convergence"]
+        "non_convergence", "non_convergence", "non_convergence", "ok", "ok",
+        "ok", "non_convergence", "non_convergence"]
     _assert_block_matches_scalar(pairs, rec, params)
-    # Those three branches return L, the midpoint of [L, R] and R itself.
-    # Bisection and polish would land within an ulp or two of them, inside
-    # the tolerances above, so U is compared exactly.
-    refs = [evaluate_pair(x) for x in params[5:]]
+    # Those three branches return L, the midpoint of [L, R] and R itself,
+    # where bisection and polish would land within an ulp or two of them.
+    refs = [evaluate_pair(x) for x in params[5:8]]
     ends = [refs[0].interval.L,
             0.5 * (refs[1].interval.L + refs[1].interval.R),
             refs[2].interval.R]
-    assert [ref.zero.U for ref in refs] == ends == rec.U[5:].tolist()
+    assert [ref.zero.U for ref in refs] == ends == rec.U[5:8].tolist()
 
     # A block with no admissible pair runs every stage on empty arrays.
     alone = cli.ParamBlock(*(np.array([getattr(params[1], field)])

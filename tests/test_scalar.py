@@ -175,6 +175,13 @@ def test_barrier_chain_generic_pair():
         assert rep.g_at_u_star >= -1e-12
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_barrier_chain_needs_a_sample(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        barrier_chain_check(from_ab(0.6, 0.95), samples=samples)
+    assert barrier_chain_check(from_ab(0.6, 0.95), samples=1).root.U > 0
+
+
 def test_barrier_chain_equality_corner():
     rep = barrier_chain_check(from_ab(1.0, 1.0))
     assert rep.sigma == 2.0 and rep.c_factor == 2.0
