@@ -40,9 +40,9 @@ import numpy as np
 from . import bernstein, harmonic, oddmap, ops, scalar, weierstrass
 from .errors import (CertificateMismatch, DomainError, NoSignChange,
                      NonConvergence)
-from .params import (AdmissibleInterval, ParamBlock, ScherkParams,
-                     admissible_interval, from_ab, from_angles, interval_L,
-                     interval_R)
+from .params import (AdmissibleInterval, ScherkParams, ab_params,
+                     admissible_interval, angle_params, arc_alpha, from_ab,
+                     from_angles, interval_L, interval_R)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -162,7 +162,7 @@ class BlockRecord(NamedTuple):
     route_gap: np.ndarray
 
 
-def evaluate_block(pairs: ParamBlock, tol: float = 1e-12) -> BlockRecord:
+def evaluate_block(pairs: ScherkParams, tol: float = 1e-12) -> BlockRecord:
     """`evaluate_pair` on a block of pairs, with numpy: the sweep's pipeline.
 
     The scalar path's closed forms, on ops.ARRAY, and the array twins of
@@ -173,15 +173,15 @@ def evaluate_block(pairs: ParamBlock, tol: float = 1e-12) -> BlockRecord:
     status = np.full(pairs.A.size, NOT_ADMISSIBLE, np.int8)
     columns = np.full((6, pairs.A.size), np.nan)
     with np.errstate(all="ignore"):
-        L, R = interval_L(*pairs), interval_R(*pairs)
+        L, R = interval_L(*pairs[:4]), interval_R(*pairs[:4])   # A..epsilon
         idx = np.flatnonzero(L <= R)
         pairs = pairs.take(idx)
         U, S, found = scalar.solve_zero_block(pairs, L[idx], R[idx], tol)
         status[idx[~found]] = NO_SIGN_CHANGE
         idx, U, S, pairs = idx[found], U[found], S[found], pairs.take(found)
         wks = weierstrass.wk_scalar_value(pairs, S)
-        WK, D0, solved = harmonic.solve_zero_point_block(
-            pairs, U, *scalar.v_t(pairs, U, ops.ARRAY), tol)
+        M, N = scalar.g_s(pairs, ops.ARRAY)[2](U)
+        WK, D0, solved = harmonic.solve_zero_point_block(pairs, U, M, -N, tol)
     bad = np.flatnonzero((S <= 0.0) | (solved & (D0 <= 0.0)))
     if bad.size:
         i = bad[0]
@@ -235,7 +235,7 @@ def cmd_check(args) -> int:
     zero, sol = rec.zero, rec.solution
     out = {
         "A": params.A, "B": params.B, "p": params.p, "q": params.q,
-        "alpha": params.alpha, "L": interval.L, "R": interval.R,
+        "alpha": arc_alpha(params), "L": interval.L, "R": interval.R,
         "B0": interval.B0, "admissible": interval.nonempty,
         "status": rec.status,
     }
@@ -293,58 +293,48 @@ def cmd_zero(args) -> int:
 def _sweep_blocks(grid: int, mode: str):
     """The grid x grid pairs, row-major, in blocks of SWEEP_BLOCK pairs.
 
-    Yields each block's ParamBlock and the start "p,q,A,B" of each of its
-    CSV rows.  The values are computed with `math` as `from_ab` (mode AB)
-    and `from_angles` (mode pq) compute them, so every field is the float
-    those constructors give: on the axis values, and in pq mode on q - p,
-    which is not an axis value.  Axis values are formatted once.  The grid
-    lies inside both constructors' domains.
+    Yields each block's ScherkParams and the start "p,q,A,B" of each of
+    its CSV rows.  The fields come from the builders of `from_ab` (mode AB)
+    and `from_angles` (mode pq) on ops.ARRAY, so each is the float those
+    constructors give.  Axis values are formatted once.  The grid lies
+    inside both constructors' domains.
     """
     steps = range(1, grid + 1)
     if mode == "AB":
-        values = [i / grid for i in steps]                 # A and B
-        asin = [math.asin(v) for v in values]
-        cos = np.array([math.sqrt(max(0.0, 1.0 - v * v)) for v in values])
-        v_text, p_text = _texts(values), _texts(asin)
-        values, asin = np.array(values), np.array(asin)
+        values = np.array([i / grid for i in steps])          # A and B
+        axis = ab_params(values, values, ops.ARRAY)
+        v_text, p_text = _texts(axis.A), _texts(axis.p)
 
         def block(i, j):
-            p = asin[i]
-            q = p + asin[j]
+            row, col = axis.take(i), axis.take(j)
+            pairs = ScherkParams(row.A, col.B, row.kappa, col.epsilon,
+                                 row.p, row.p + col.p)   # q as from_ab sums it
             heads = [f"{p_text[a]},{y:.17g},{v_text[a]},{v_text[b]}"
-                     for a, b, y in zip(i.tolist(), j.tolist(), q.tolist())]
-            return ParamBlock(values[i], values[j], cos[i], cos[j]), heads
+                     for a, b, y in zip(i.tolist(), j.tolist(),
+                                        pairs.q.tolist())]
+            return pairs, heads
     else:
-        angles = [0.5 * math.pi * i / grid for i in steps]   # p and q - p
-        sin = [math.sin(x) for x in angles]
-        cos = np.array([max(0.0, math.cos(x)) for x in angles])
-        p_text, a_text = _texts(angles), _texts(sin)
-        angles, sin = np.array(angles), np.array(sin)
+        angles = np.array([0.5 * math.pi * i / grid for i in steps])
+        p_text = _texts(angles)       # p and q - p are axis values
+        a_text = _texts(angle_params(angles, angles, ops.ARRAY).A)  # A(p)
 
         def block(i, j):
-            p = angles[i]
-            q = p + angles[j]
-            gap = (q - p).tolist()
-            B = [math.sin(x) for x in gap]
+            pairs = angle_params(angles[i], angles[i] + angles[j], ops.ARRAY)
             heads = [f"{p_text[a]},{y:.17g},{a_text[a]},{b:.17g}"
-                     for a, y, b in zip(i.tolist(), q.tolist(), B)]
-            epsilon = [max(0.0, math.cos(x)) for x in gap]
-            return ParamBlock(sin[i], np.array(B), cos[i],
-                              np.array(epsilon)), heads
+                     for a, y, b in zip(i.tolist(), pairs.q.tolist(),
+                                        pairs.B.tolist())]
+            return pairs, heads
 
     for start in range(0, grid * grid, SWEEP_BLOCK):
         flat = np.arange(start, min(start + SWEEP_BLOCK, grid * grid))
         yield block(*np.divmod(flat, grid))
 
 
-def _texts(values: list[float]) -> list[str]:
-    return [f"{x:.17g}" for x in values]
+def _texts(values: np.ndarray) -> list[str]:
+    return [f"{x:.17g}" for x in values.tolist()]
 
 
 def cmd_sweep(args) -> int:
-    if args.grid < 2:
-        print("error: --grid must be >= 2", file=sys.stderr)
-        return EXIT_BAD_INPUT
     counts = np.zeros(len(STATUSES), int)
     wk_min, wk_max = math.inf, -math.inf
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
@@ -387,14 +377,25 @@ def _print_matrix(name: str, form: bernstein.BernsteinForm) -> None:
         print("  [ " + "  ".join(cells) + " ]")
 
 
+def _corruption(name: str, i: str, j: str, delta: str):
+    """`--corrupt NAME I J DELTA`, checked: an entry of y (4x4) or 2z
+    (5x5), and an exact fraction."""
+    size = {"y": len(bernstein.CERT_Y_EXPECTED),
+            "2z": len(bernstein.CERT_2Z_EXPECTED)}.get(name)
+    if size is None:
+        raise DomainError("--corrupt name must be 'y' or '2z'")
+    try:
+        row, col, step = int(i), int(j), Fraction(delta)
+    except (ValueError, ZeroDivisionError):
+        row = col = -1
+    if not (0 <= row < size and 0 <= col < size):
+        raise DomainError(f"--corrupt {name} needs integers 0 <= I, J < "
+                          f"{size} and a fraction DELTA, got {i} {j} {delta}")
+    return name, row, col, step
+
+
 def cmd_certify(args) -> int:
-    corrupt = None
-    if args.corrupt:
-        name, i, j, delta = args.corrupt
-        if name not in ("y", "2z"):
-            print("error: --corrupt name must be 'y' or '2z'", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        corrupt = (name, int(i), int(j), Fraction(delta))
+    corrupt = _corruption(*args.corrupt) if args.corrupt else None
     try:
         report = bernstein.verify_appendix_certificates(corrupt)
     except CertificateMismatch as exc:
@@ -417,9 +418,6 @@ def cmd_certify(args) -> int:
 
 
 def cmd_odd(args) -> int:
-    if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return EXIT_BAD_INPUT
     sharp = 8.0 / math.pi ** 2
     seeds = range(args.seed, args.seed + args.trials)
     s1s = oddmap.random_odd_S1(seeds, [1 + seed % 8 for seed in seeds], 0.3)
@@ -458,9 +456,6 @@ def cmd_odd(args) -> int:
 
 
 def cmd_logsub(args) -> int:
-    if args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
-        return EXIT_BAD_INPUT
     import random
     rng = random.Random(args.seed)
     hs = args.h or [1e-3]
@@ -502,16 +497,18 @@ def _finite_float(strict: bool):
     return finite_float
 
 
-def _seed(text: str) -> int:
-    """argparse type: an integer >= 0, as numpy's generators need."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 0, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer >= `low`."""
+    def int_at_least(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {text!r}")
+        return value
+    return int_at_least
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -538,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_zero.set_defaults(func=cmd_zero)
 
     p_sweep = sub.add_parser("sweep", help="grid sweep to CSV")
-    p_sweep.add_argument("--grid", type=int, default=100)
+    p_sweep.add_argument("--grid", type=_int_at_least(2), default=100)
     p_sweep.add_argument("--out", type=str, required=True)
     p_sweep.add_argument("--mode", choices=("AB", "pq"), default="AB")
     p_sweep.add_argument("--tol", type=_finite_float(True), default=1e-12)
@@ -552,14 +549,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.set_defaults(func=cmd_certify)
 
     p_odd = sub.add_parser("odd", help="odd-lift coefficient experiments")
-    p_odd.add_argument("--trials", type=int, default=100)
-    p_odd.add_argument("--seed", type=_seed, default=0)
+    p_odd.add_argument("--trials", type=_int_at_least(1), default=100)
+    # numpy's generators take seeds >= 0
+    p_odd.add_argument("--seed", type=_int_at_least(0), default=0)
     p_odd.add_argument("--slack", type=_finite_float(False), default=1e-9)
     p_odd.add_argument("--extremal", action="store_true")
     p_odd.set_defaults(func=cmd_odd)
 
     p_log = sub.add_parser("logsub", help="log-Laplacian FD checks")
-    p_log.add_argument("--samples", type=int, default=20)
+    p_log.add_argument("--samples", type=_int_at_least(1), default=20)
     p_log.add_argument("--seed", type=int, default=0)
     p_log.add_argument("--h", type=_finite_float(True), action="append",
                        default=None)

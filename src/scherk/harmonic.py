@@ -39,11 +39,11 @@ import numpy as np
 from . import weierstrass
 from .errors import DegenerateError, DomainError, NonConvergence
 from .ops import ARRAY, FLOAT
-from .params import arc_alpha
+from .params import arc_alpha, mu
 
 if TYPE_CHECKING:
     from .scalar import ScalarZero
-    from .params import ParamBlock, ScherkParams
+    from .params import ScherkParams
 
 @dataclass(frozen=True)
 class DiskPoint:
@@ -101,8 +101,8 @@ class PhaseParam:
     a: complex
     delta: float
     mod_residual: float  # |a| - sqrt((1-mu)/(1+mu))
-    cos_residual: float  # cos(delta-h) + c_p*sqrt(B)/sqrt((1-AB)(A+B))
-    sin_residual: float  # sin(delta-h) + d_q*sqrt(A)/sqrt((1-AB)(A+B))
+    cos_residual: float  # cos(delta-h) + kappa*sqrt(B)/sqrt((1-AB)(A+B))
+    sin_residual: float  # sin(delta-h) + epsilon*sqrt(A)/sqrt((1-AB)(A+B))
 
 
 def _arc(r, t, phi, half, ops=FLOAT):
@@ -164,9 +164,9 @@ def sinU_identity_residual(z: DiskPoint, alpha: float) -> float:
 
 def _phase(pair, mu, ops=FLOAT):
     """a = ar + i ai of the formula in `phase_param`, and delta = arg a."""
-    A, B, c_p, d_q = pair.A, pair.B, pair.kappa, pair.epsilon
+    A, B, kappa, epsilon = pair.A, pair.B, pair.kappa, pair.epsilon
     den = (1.0 + mu) * (A + B)
-    ar, ai = (A * d_q - B * c_p) / den, -mu * (c_p + d_q) / den
+    ar, ai = (A * epsilon - B * kappa) / den, -mu * (kappa + epsilon) / den
     return ar, ai, ops.atan2(ai, ar)
 
 
@@ -180,25 +180,25 @@ def _d0(mu, r, t, delta, ops=FLOAT):
 def phase_param(params: "ScherkParams") -> PhaseParam:
     """Gauss-map parameter a and its phase delta = arg(a).
 
-        a = (A*d_q - B*c_p - i*sqrt(AB)*(c_p + d_q)) / ((1+sqrt(AB))*(A+B)),
+        a = (A*epsilon - B*kappa - i*mu*(kappa + epsilon)) / ((1+mu)*(A+B)),
 
-    with |a| = sqrt((1-mu)/(1+mu)).  The residual fields check the two
-    closed forms for cos(delta-h) and sin(delta-h) against the computed a.
+    with |a| = sqrt((1-mu)/(1+mu)), mu = sqrt(AB).  The residual fields check
+    the closed forms of cos(delta-h), sin(delta-h), h = alpha/2, against a.
     Undefined at A*B = 1 (a = 0).
     """
-    A, B = params.A, params.B
+    A, B, kappa, epsilon = params.A, params.B, params.kappa, params.epsilon
     if A * B >= 1.0:
         raise DegenerateError("a = 0 at A*B = 1; the phase is undefined")
-    c_p, d_q, mu, h = params.c_p, params.d_q, params.mu, params.h
-    ar, ai, delta = _phase(params, mu)
+    mu_ab, h = mu(params), arc_alpha(params) / 2.0
+    ar, ai, delta = _phase(params, mu_ab)
     a = complex(ar, ai)
     scale = math.sqrt((1.0 - A * B) * (A + B))
     return PhaseParam(
         a=a,
         delta=delta,
-        mod_residual=abs(a) - math.sqrt((1.0 - mu) / (1.0 + mu)),
-        cos_residual=math.cos(delta - h) + c_p * math.sqrt(B) / scale,
-        sin_residual=math.sin(delta - h) + d_q * math.sqrt(A) / scale,
+        mod_residual=abs(a) - math.sqrt((1.0 - mu_ab) / (1.0 + mu_ab)),
+        cos_residual=math.cos(delta - h) + kappa * math.sqrt(B) / scale,
+        sin_residual=math.sin(delta - h) + epsilon * math.sqrt(A) / scale,
     )
 
 
@@ -238,32 +238,33 @@ def solve_zero_point(params: "ScherkParams", scalar_zero: "ScalarZero",
     r is not below 1 (NaN included), when alpha rounds to pi, or when the
     four measures miss their targets by more than tol (or by NaN).
     """
-    A, B = params.A, params.B
+    A, B, alpha = params.A, params.B, arc_alpha(params)
     if A * B >= 1.0:
         # Full symmetry: z0 is the origin, mu = 1 removes the phase term.
         z = DiskPoint(r=0.0, t=0.0)
-        m = measures4(z, params.alpha)
+        m = measures4(z, alpha)
         return ZeroSolution(z=z, measures=m, D0=1.0, delta=0.0, a_mod=0.0,
                             WK=weierstrass.wk_geometric(z, params, 1.0).value,
                             master_lhs=1.0, residual=abs(m.U - 0.5))
 
     U, V, T = scalar_zero.U, scalar_zero.V, scalar_zero.T
-    r, t = _zero_point(params.alpha, U, V, T)
+    r, t = _zero_point(alpha, U, V, T)
     if not r < 1.0:
         raise NonConvergence(f"zero point at r={r} is not inside the open "
                              f"unit disk (A={A}, B={B})")
-    if not params.alpha < math.pi:   # the residual refuses it; this says why
-        raise NonConvergence(f"alpha={params.alpha} rounds to pi, so I2 and "
+    if not alpha < math.pi:   # the residual refuses it; this says why
+        raise NonConvergence(f"alpha={alpha} rounds to pi, so I2 and "
                              f"I4 are empty (A={A}, B={B})")
-    m = _measures(r, t, params.alpha)
+    m = _measures(r, t, alpha)
     resid = _residual(m, U, V, T)
     if not resid <= tol:
         raise NonConvergence(f"zero point misses its measures by {resid} > "
                              f"tol {tol} (A={A}, B={B})")
 
     z = DiskPoint(r=r, t=t)
-    ar, ai, delta = _phase(params, params.mu)
-    D0, root1m2, cos_term = _d0(params.mu, r, t, delta)
+    mu_ab = mu(params)
+    ar, ai, delta = _phase(params, mu_ab)
+    D0, root1m2, cos_term = _d0(mu_ab, r, t, delta)
     master_lhs = math.sin(math.pi * m.U) * (
         1.0 - root1m2 * (2.0 * r / (1.0 + r * r)) * cos_term)
     return ZeroSolution(z=z, measures=m, D0=D0, delta=delta,
@@ -272,18 +273,17 @@ def solve_zero_point(params: "ScherkParams", scalar_zero: "ScalarZero",
                         master_lhs=master_lhs, residual=resid)
 
 
-def solve_zero_point_block(pairs: "ParamBlock", U, V, T, tol: float):
+def solve_zero_point_block(pairs: "ScherkParams", U, V, T, tol: float):
     """(WK, D0, solved) of `solve_zero_point` on a block of pairs; `solved`
     is False where it raises NonConvergence."""
     corner = pairs.A * pairs.B >= 1.0
-    mu = np.sqrt(pairs.A * pairs.B)
-    alpha = arc_alpha(pairs.A, pairs.B, ARRAY)
+    mu_ab, alpha = mu(pairs, ARRAY), arc_alpha(pairs, ARRAY)
     r, t = (np.where(corner, 0.0, x)
             for x in _zero_point(alpha, U, V, T, ARRAY))
     resid = _residual(_measures(r, t, alpha, ARRAY), U, V, T, ARRAY)
-    delta = _phase(pairs, mu, ARRAY)[2]
-    D0 = np.where(corner, 1.0, _d0(mu, r, t, delta, ARRAY)[0])
-    WK = weierstrass.wk_geometric_value(mu, alpha, r, t, D0, ARRAY)[0]
+    delta = _phase(pairs, mu_ab, ARRAY)[2]
+    D0 = np.where(corner, 1.0, _d0(mu_ab, r, t, delta, ARRAY)[0])
+    WK = weierstrass.wk_geometric_value(mu_ab, alpha, r, t, D0, ARRAY)[0]
     return WK, D0, corner | ((r < 1.0) & (resid <= tol))
 
 
@@ -294,18 +294,18 @@ def master_inequality_check(sol: ZeroSolution, params: "ScherkParams",
     lhs = sin(pi U)(1 - sqrt(1-mu^2) (2r/(1+r^2)) cos(t0-delta)) must
     dominate rhs = sqrt(2(1+mu^2))/(A+B).
     """
-    mu2 = params.mu * params.mu
+    mu2 = mu(params) * mu(params)   # not A*B, whose bits differ
     rhs = math.sqrt(2.0 * (1.0 + mu2)) / (params.A + params.B)
     return sol.master_lhs, rhs, sol.master_lhs >= rhs - slack
 
 
 def modulus_consistency_residual(params: "ScherkParams",
                                  m: FourMeasures) -> float:
-    """| |(1-U)c_p + i T A| - |U d_q + i V B| | at measured (U, V, T).
+    """| |(1-U)kappa + i T A| - |U epsilon + i V B| | at measured (U, V, T).
 
-    The zero equation multiplies (U d_q + iVB) by a unimodular factor, so
-    the two moduli agree whenever the measures come from a true zero point.
+    The zero equation multiplies (U epsilon + iVB) by a unimodular factor,
+    so the moduli agree whenever the measures come from a true zero point.
     """
-    lhs = abs(complex((1.0 - m.U) * params.c_p, m.T * params.A))
-    rhs = abs(complex(m.U * params.d_q, m.V * params.B))
+    lhs = abs(complex((1.0 - m.U) * params.kappa, m.T * params.A))
+    rhs = abs(complex(m.U * params.epsilon, m.V * params.B))
     return abs(lhs - rhs)

@@ -4,6 +4,8 @@ gets the same bits on both paths.  numpy's cos, sin, sqrt, hypot and %
 match libm; elsewhere ARRAY follows CPython:
 - atan, atan2 are `math`'s: numpy's differ by an ulp on ~0.1% and ~8% of
   inputs, and near B0(A) ~1/(1 - r) times an ulp can move a pair past tol.
+- asin is `math`'s: numpy's arcsin differs on ~8% of uniform inputs in
+  (0, 1], and asin gives p and q, which the sweep prints.
 - pow is libm pow (np.float_power), as `**` is; x*x differs on ~0.1%.
 - complex division is Smith's method, as in CPython.
 - FLOAT's hypot is abs(complex), libm's; `math.hypot` is CPython's own and
@@ -36,10 +38,10 @@ def _libm(fn):
 
 
 FLOAT = SimpleNamespace(cos=math.cos, sin=math.sin, sqrt=math.sqrt,
-                        atan=math.atan, atan2=math.atan2, pow=pow,
-                        maximum=max, div=_complex_div,
+                        asin=math.asin, atan=math.atan, atan2=math.atan2,
+                        pow=pow, maximum=max, div=_complex_div,
                         hypot=lambda x, y: abs(complex(x, y)))
 ARRAY = SimpleNamespace(cos=np.cos, sin=np.sin, sqrt=np.sqrt,
-                        atan=_libm(math.atan), atan2=_libm(math.atan2),
-                        pow=np.float_power, maximum=np.maximum,
-                        div=_smith_div, hypot=np.hypot)
+                        asin=_libm(math.asin), atan=_libm(math.atan),
+                        atan2=_libm(math.atan2), pow=np.float_power,
+                        maximum=np.maximum, div=_smith_div, hypot=np.hypot)

@@ -5,6 +5,10 @@ determines
 
     A = sin(p),            B = sin(q - p),
     kappa = sqrt(1 - A^2), epsilon = sqrt(1 - B^2),
+
+and `ScherkParams` keeps those six values: floats for one pair, numpy
+arrays for a block.  The rest are closed forms over `scherk.ops`,
+
     mu = sqrt(A*B),        P = (1 + A*B) / (B*(A + B)),
 
 and the arc parameter alpha with tan^2(alpha/2) = A/B, so that
@@ -27,46 +31,27 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DomainError
 from .ops import FLOAT
 
 
-@dataclass(frozen=True)
-class ScherkParams:
-    """Derived constants of one member of the comparison family.
+class ScherkParams(NamedTuple):
+    """One member of the comparison family, or a block of them.
 
-    A, B in (0, 1]; kappa, epsilon are the complementary cosines; mu, P as
-    in the module docstring.  The angle fields hold the restricted-angle
-    data (p <= pi/2, q - p <= pi/2, so c_p = kappa >= 0 and d_q = epsilon
-    >= 0); both constructors fill them.
+    A, B in (0, 1]; kappa, epsilon are the complementary cosines; p, q the
+    angles in the restricted convention (p <= pi/2, q - p <= pi/2), so
+    cos(p) = kappa and cos(q - p) = epsilon.  `take` selects block pairs.
     """
 
     A: float
     B: float
     kappa: float
     epsilon: float
-    mu: float
-    P: float
     p: float
     q: float
-    c_p: float
-    d_q: float
-    alpha: float
-    h: float
 
-
-class ParamBlock(NamedTuple):
-    """A block of pairs: arrays of A, B, kappa = c_p and epsilon = d_q."""
-
-    A: np.ndarray
-    B: np.ndarray
-    kappa: np.ndarray
-    epsilon: np.ndarray
-
-    def take(self, idx) -> "ParamBlock":
-        return ParamBlock(*(x[idx] for x in self))
+    def take(self, idx) -> "ScherkParams":
+        return ScherkParams(*(x[idx] for x in self))
 
 
 @dataclass(frozen=True)
@@ -92,11 +77,6 @@ class DomainLemmaReport:
     p_minus_r_residual: float  # P - R minus its closed form
 
 
-def _validate_ab(A, B) -> None:
-    if not (0.0 < A <= 1.0 and 0.0 < B <= 1.0):
-        raise DomainError(f"require 0 < A, B <= 1, got A={A}, B={B}")
-
-
 def interval_L(A, B, kappa, epsilon):
     """Left endpoint; pure field arithmetic (Fraction-safe)."""
     return kappa * (1 + A * B) / ((1 + kappa) * B * (A + B))
@@ -120,19 +100,41 @@ def threshold_b0(A: float, kappa: float | None = None) -> float:
     return (-A * (1 - kappa) + math.sqrt(disc)) / (2 * (1 + kappa))
 
 
-def arc_alpha(A, B, ops=FLOAT):
+def arc_alpha(pair, ops=FLOAT):
     """Arc parameter alpha in (0, pi) with tan^2(alpha/2) = A/B."""
-    return 2.0 * ops.atan(ops.sqrt(A / B))
+    return 2.0 * ops.atan(ops.sqrt(pair.A / pair.B))
 
 
-def _build(A, B, p, q, c_p, d_q) -> ScherkParams:
+def mu(pair, ops=FLOAT):
+    """mu = sqrt(A*B), the modulus behind the Gauss-map parameter."""
+    return ops.sqrt(pair.A * pair.B)
+
+
+def pole(pair):
+    """P = (1 + A*B) / (B*(A + B)), where M(U) = kappa*(P - U) vanishes."""
+    return (1 + pair.A * pair.B) / (pair.B * (pair.A + pair.B))
+
+
+def ab_params(A, B, ops=FLOAT) -> ScherkParams:
+    """`from_ab` without its checks: p = asin(A), q = p + asin(B)."""
+    p = ops.asin(A)
+    return ScherkParams(A, B, ops.sqrt(ops.maximum(0.0, 1.0 - A * A)),
+                        ops.sqrt(ops.maximum(0.0, 1.0 - B * B)),
+                        p, p + ops.asin(B))
+
+
+def angle_params(p, q, ops=FLOAT) -> ScherkParams:
+    """`from_angles` without its checks.  cos of an angle in [0, pi/2] can
+    round to a tiny negative, so the cosines are clamped at 0."""
+    return ScherkParams(ops.sin(p), ops.sin(q - p),
+                        ops.maximum(0.0, ops.cos(p)),
+                        ops.maximum(0.0, ops.cos(q - p)), p, q)
+
+
+def _require_no_underflow(A, B) -> None:
     if B * (A + B) == 0.0 or A * (A + B) == 0.0:   # P, R and G divide by them
         raise DomainError(f"require B*(A+B) > 0 and A*(A+B) > 0, "
                           f"got an underflow at A={A}, B={B}")
-    alpha = arc_alpha(A, B)
-    return ScherkParams(A=A, B=B, kappa=c_p, epsilon=d_q, mu=math.sqrt(A * B),
-                        P=(1 + A * B) / (B * (A + B)), p=p, q=q, c_p=c_p,
-                        d_q=d_q, alpha=alpha, h=alpha / 2.0)
 
 
 def from_ab(A: float, B: float) -> ScherkParams:
@@ -141,23 +143,22 @@ def from_ab(A: float, B: float) -> ScherkParams:
     Angle data is populated with the principal branch p = asin(A),
     q = p + asin(B), which always lands in the restricted convention.
     """
-    _validate_ab(A, B)
-    p = math.asin(A)
-    return _build(A, B, p, p + math.asin(B),
-                  math.sqrt(max(0.0, 1.0 - A * A)),
-                  math.sqrt(max(0.0, 1.0 - B * B)))
+    if not (0.0 < A <= 1.0 and 0.0 < B <= 1.0):
+        raise DomainError(f"require 0 < A, B <= 1, got A={A}, B={B}")
+    _require_no_underflow(A, B)
+    return ab_params(A, B)
 
 
 def from_angles(p: float, q: float) -> ScherkParams:
     """Build parameters from angles with 0 < p < q <= pi.
 
     The restricted convention p <= pi/2 and q - p <= pi/2 is enforced, so
-    the signed cosines c_p = cos(p) and d_q = cos(q-p) are nonnegative and
-    coincide with kappa, epsilon.  Obtuse angles are rejected rather than
+    the signed cosines cos(p) and cos(q-p) are nonnegative and coincide
+    with kappa, epsilon.  Obtuse angles are rejected rather than
     sign-folded.
     """
     # One-ulp slack: q built as p + pi/2 can overshoot the gate on re-
-    # subtraction; the cosine clamp below keeps the convention intact.
+    # subtraction; the cosine clamp keeps the convention intact.
     eps = 1e-12
     if not (0.0 < p < q <= math.pi + eps):
         raise DomainError(f"require 0 < p < q <= pi, got p={p}, q={q}")
@@ -165,9 +166,9 @@ def from_angles(p: float, q: float) -> ScherkParams:
         raise DomainError(
             f"restricted-angle convention needs p <= pi/2 and q-p <= pi/2, "
             f"got p={p}, q-p={q - p}")
-    # cos of an angle in [0, pi/2] can round to a tiny negative; clamp.
-    return _build(math.sin(p), math.sin(q - p), p, q,
-                  max(0.0, math.cos(p)), max(0.0, math.cos(q - p)))
+    params = angle_params(p, q)
+    _require_no_underflow(params.A, params.B)
+    return params
 
 
 def admissible_interval(params: ScherkParams) -> AdmissibleInterval:
@@ -203,7 +204,7 @@ def domain_lemma_checks(params: ScherkParams) -> DomainLemmaReport:
     by_interval = L <= R
     by_half = L <= 0.5
     by_threshold = B >= b0
-    pmr = params.P - R
+    pmr = pole(params) - R
     return DomainLemmaReport(
         swap_residual=1.0 - R - L_swap,
         nonempty_by_interval=by_interval,

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import NoSignChange, NotAdmissible
 from .ops import ARRAY, FLOAT
-from .params import (AdmissibleInterval, ParamBlock, ScherkParams,
-                     admissible_interval, from_ab)
+from .params import (AdmissibleInterval, ScherkParams, admissible_interval,
+                     from_ab, pole)
 
 _BISECT_WIDTH = 1e-12
 _DEGENERATE_WIDTH = 1e-15   # a narrower interval is solved at its midpoint
@@ -40,8 +40,8 @@ _NEWTON_POLISH = 5
 class ScalarZero:
     """The admissible zero U together with its derived quantities.
 
-    V and T are the signed variants c_p*(P-U) and -d_q*(U + kappa^2/(A(A+B)));
-    in the restricted-angle convention V = M(U) and T = -N(U).
+    V = M(U) and T = -N(U) are the (V, T) targets of the zero point, as
+    both constructors keep the restricted-angle convention.
     """
 
     U: float
@@ -74,9 +74,9 @@ class BarrierChainReport:
 
 
 def g_s(pair, ops=FLOAT):
-    """G, S and U -> (M, N) of a ScherkParams, or of a ParamBlock on ARRAY."""
+    """G, S and U -> (M, N) of a pair, or of a block on ARRAY."""
     A, B, kappa, epsilon = pair.A, pair.B, pair.kappa, pair.epsilon
-    P = (1 + A * B) / (B * (A + B))
+    P = pole(pair)
     shift = kappa * kappa / (A * (A + B))
     pi, cos, sin = math.pi, ops.cos, ops.sin
 
@@ -92,13 +92,6 @@ def g_s(pair, ops=FLOAT):
         return ((A + B) * sin(pi * U) + B * kappa * sin(pi * M)
                 + A * epsilon * sin(pi * N))
     return g, s, mn
-
-
-def v_t(pair, U, ops=FLOAT):
-    """(V, T) at U, with c_p = kappa and d_q = epsilon."""
-    A, B, kappa, epsilon = pair.A, pair.B, pair.kappa, pair.epsilon
-    return (kappa * ((1 + A * B) / (B * (A + B)) - U),
-            -epsilon * (U + ops.pow(kappa, 2) / (A * (A + B))))
 
 
 def sigma(pair, ops=FLOAT):
@@ -131,8 +124,8 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12,
     floating-point root isolation would be pointless.  `interval` is
     `admissible_interval(params)`, built here when not given.
 
-    Raises NotAdmissible for an empty interval and NoSignChange when
-    G(L) > tol or G(R) < -tol (reported, never silently clamped).
+    Raises NotAdmissible for an empty interval and NoSignChange unless
+    G(L) <= tol and G(R) >= -tol (NaN fails both; never silently clamped).
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -150,7 +143,8 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12,
     ga, gb = g(a), g(b)
 
     def zero(U: float, residual: float) -> ScalarZero:
-        return ScalarZero(U, *mn(U), *v_t(params, U), s(U), residual)
+        M, N = mn(U)
+        return ScalarZero(U, M, N, M, -N, s(U), residual)
 
     if a == b or b - a < _DEGENERATE_WIDTH:
         mid = 0.5 * (a + b)
@@ -160,10 +154,12 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12,
         raise NoSignChange(
             f"degenerate interval at A={params.A}, B={params.B} with "
             f"|G| = {abs(gm)} > tol")
-    if ga > tol:
-        raise NoSignChange(f"G(L) = {ga} > tol at A={params.A}, B={params.B}")
-    if gb < -tol:
-        raise NoSignChange(f"G(R) = {gb} < -tol at A={params.A}, B={params.B}")
+    if not ga <= tol:   # NaN included
+        raise NoSignChange(
+            f"G(L) = {ga} is not <= tol at A={params.A}, B={params.B}")
+    if not gb >= -tol:
+        raise NoSignChange(
+            f"G(R) = {gb} is not >= -tol at A={params.A}, B={params.B}")
     if ga > 0.0:
         return zero(a, abs(ga))
     if gb < 0.0:
@@ -197,7 +193,7 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12,
     return zero(u, abs(gu))
 
 
-def solve_zero_block(pairs: ParamBlock, L, R, tol: float):
+def solve_zero_block(pairs: ScherkParams, L, R, tol: float):
     """(U, S, found) of `solve_zero` on a block of admissible pairs, by
     the first branch that applies; `found` is False where it raises."""
     g, s, _ = g_s(pairs, ARRAY)
@@ -205,8 +201,8 @@ def solve_zero_block(pairs: ParamBlock, L, R, tol: float):
     ga, gb = g(L), g(R)
     centre = 0.5 * (L + R)
     degenerate = (L == R) | (R - L < _DEGENERATE_WIDTH)
-    refused = ~corner & np.where(degenerate, np.abs(g(centre)) > tol,
-                                 (ga > tol) | (gb < -tol))
+    refused = ~corner & ~np.where(degenerate, np.abs(g(centre)) <= tol,
+                                  (ga <= tol) & (gb >= -tol))
     bisect = ~(corner | degenerate | (ga > 0.0) | (gb < 0.0))
     lo, hi = L, R
     active = bisect & (hi - lo > _BISECT_WIDTH)
@@ -271,7 +267,7 @@ def barrier_chain_check(params: ScherkParams,
     bound = sigma(params)
     c_factor = 2.0 + A * B - A * A
     x_star = bound / (2.0 * B * c_factor)
-    u_star = params.P - x_star
+    u_star = pole(params) - x_star
 
     max_resid = 0.0
     for i in range(samples):

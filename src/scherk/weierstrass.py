@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .ops import FLOAT
+from .params import arc_alpha, mu
 
 if TYPE_CHECKING:
     from .harmonic import DiskPoint
@@ -99,7 +100,7 @@ def wk_geometric(z: "DiskPoint", params: "ScherkParams",
     if z.r >= 1.0:
         raise DomainError(f"require r < 1, got {z.r}")
     value, num1, num2, one_minus_r2 = wk_geometric_value(
-        params.mu, params.alpha, z.r, z.t, D0)
+        mu(params), arc_alpha(params), z.r, z.t, D0)
     return NormalizedCurvature(value, "geometric", {
         "num1": num1, "num2": num2, "D0": D0, "one_minus_r2": one_minus_r2})
 
@@ -144,7 +145,7 @@ def zero_control_check(z: "DiskPoint", params: "ScherkParams", D0: float,
     """Boolean agreement of the zero-control form with wk <= pi^2/2."""
     curv = wk_geometric(z, params, D0)
     lhs = curv.components["num1"] * curv.components["num2"]
-    mu2 = params.mu * params.mu
+    mu2 = mu(params) * mu(params)   # not A*B, whose bits differ
     rhs = math.sqrt(2.0 * mu2 / (1.0 + mu2)) * (1.0 - z.r ** 2) * D0
     return ZeroControlCheck(
         lhs=lhs, rhs=rhs,

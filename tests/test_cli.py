@@ -8,7 +8,7 @@ import pytest
 from scherk import cli
 from scherk.cli import CSV_HEADER, ROUTE_GAP_BOUND, evaluate_pair, main
 from scherk.oddmap import fourier_S1, random_odd_lift
-from scherk.params import from_ab, from_angles, threshold_b0
+from scherk.params import ScherkParams, from_ab, from_angles, threshold_b0
 
 
 def run(capsys, *argv):
@@ -17,10 +17,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def load(out: str):
+    """json.loads that rejects NaN and the infinities, as strict parsers do."""
+    return json.loads(out, parse_constant=_no_constant)
+
+
 def test_check_equality_corner(capsys):
     code, out, _ = run(capsys, "check", "--A", "1", "--B", "1")
     assert code == 0
-    rec = json.loads(out)
+    rec = load(out)
     assert rec["wk_scalar"] == pytest.approx(math.pi ** 2 / 2, abs=1e-12)
     assert rec["margin"] == 0.0
     assert rec["status"] == "ok"
@@ -29,13 +38,13 @@ def test_check_equality_corner(capsys):
 def test_check_not_admissible(capsys):
     code, out, _ = run(capsys, "check", "--A", "0.5", "--B", "0.5")
     assert code == 2
-    assert json.loads(out)["status"] == "not_admissible"
+    assert load(out)["status"] == "not_admissible"
 
 
 def test_check_generic_pair(capsys):
     code, out, _ = run(capsys, "check", "--A", "0.6", "--B", "0.95")
     assert code == 0
-    rec = json.loads(out)
+    rec = load(out)
     assert rec["wk_scalar"] == pytest.approx(2.5403881748537801, abs=1e-10)
     assert rec["route_gap"] < 1e-8
     assert rec["master_ok"] and rec["in_band"]
@@ -45,7 +54,7 @@ def test_check_angles_input(capsys):
     code, out, _ = run(capsys, "check", "--p", str(math.pi / 2),
                        "--q", str(math.pi))
     assert code == 0
-    rec = json.loads(out)
+    rec = load(out)
     assert rec["A"] == 1.0 and rec["B"] == 1.0
 
 
@@ -64,7 +73,7 @@ def test_check_on_the_threshold_curve_is_decided_by_rounding(capsys):
     b = threshold_b0(0.2)
     code, out, _ = run(capsys, "check", "--A", "0.2", "--B", repr(b))
     assert code == 2
-    rec = json.loads(out)
+    rec = load(out)
     assert rec["status"] == "not_admissible" and rec["admissible"] is False
     assert rec["B0"] == b
     assert rec["L"] == 0.5000000000000001 and rec["R"] == 0.4999999999999956
@@ -74,13 +83,13 @@ def test_check_solver_failure_near_threshold(capsys):
     b = threshold_b0(0.5) + 1e-6
     code, out, _ = run(capsys, "check", "--A", "0.5", "--B", repr(b))
     assert code == 3
-    assert json.loads(out)["status"] == "non_convergence"
+    assert load(out)["status"] == "non_convergence"
 
 
 def test_zero_command(capsys):
     code, out, _ = run(capsys, "zero", "--A", "0.6", "--B", "0.95")
     assert code == 0
-    rec = json.loads(out)
+    rec = load(out)
     assert rec["status"] == "ok"
     assert rec["Omega1"] + rec["Omega2"] + rec["Omega3"] + rec["Omega4"] == \
         pytest.approx(1.0, abs=1e-12)
@@ -88,17 +97,28 @@ def test_zero_command(capsys):
 
 
 @pytest.mark.parametrize("B, cause", [
-    ("1e-300", "alpha=3.141592653589793 rounds to pi"),
-    ("5e-324", "zero point at r=nan is not inside the open unit disk")])
+    ("1e-300", "alpha=3.141592653589793 rounds to pi")])
 def test_tiny_b_is_a_solver_refusal(capsys, B, cause):
-    # alpha rounds to pi at B = 1e-300; at B = 5e-324, P overflows and r is
-    # NaN.  Both are refused, as `evaluate_block` refuses them.
+    # alpha rounds to pi at B = 1e-300.  It is refused, as `evaluate_block`
+    # refuses it.
     for command in ("check", "zero"):
         code, out, err = run(capsys, command, "--A", "1", "--B", B)
         assert code == 3 and err == ""
-        rec = json.loads(out)
+        rec = load(out)
         assert rec["status"] == "non_convergence"
         assert rec["detail"].startswith(cause)
+
+
+def test_overflowing_pole_is_a_sign_change_refusal(capsys):
+    # At B = 5e-324, P overflows and G is NaN on all of [L, R].  The NaN
+    # endpoint values are refused, so no NaN reaches the JSON.
+    for command in ("check", "zero"):
+        code, out, err = run(capsys, command, "--A", "1", "--B", "5e-324")
+        assert code == 3 and err == ""
+        rec = load(out)
+        assert rec["status"] == "no_sign_change"
+        assert rec["detail"].startswith("G(L) = nan is not <= tol")
+        assert "M" not in rec and "S" not in rec
 
 
 @pytest.mark.parametrize("argv", [("--A", "1e-300", "--B", "1e-300"),
@@ -132,7 +152,7 @@ def test_zero_reports_the_solver_status(capsys):
     b = threshold_b0(0.5) + 1e-6
     code, out, _ = run(capsys, "zero", "--A", "0.5", "--B", repr(b))
     assert code == 3
-    rec = json.loads(out)
+    rec = load(out)
     assert rec["status"] == "non_convergence"
     assert "misses its measures" in rec["detail"]
 
@@ -233,8 +253,13 @@ def _sweep_pairs(grid, mode):
     return [from_angles(p, p + s) for p in angles for s in angles]
 
 
+def _stack(params):
+    """The pairs as one block: each ScherkParams field an array."""
+    return ScherkParams(*(np.array(values) for values in zip(*params)))
+
+
 def _assert_block_matches_scalar(pairs, rec, params):
-    for field in cli.ParamBlock._fields:
+    for field in ScherkParams._fields:
         assert getattr(pairs, field).tolist() == [
             getattr(x, field) for x in params], field
     assert rec.status.size == len(params)
@@ -287,13 +312,12 @@ def test_block_evaluator_matches_evaluate_pair_on_edge_pairs():
         (0.9537738791884737, 0.8985663290012464),
         (0.083988245473411, 0.9991003552723192),
         (1.0, 1e-300), (1.0, 5e-324)]]
-    pairs = cli.ParamBlock(*(np.array([getattr(x, field) for x in params])
-                             for field in cli.ParamBlock._fields))
+    pairs = _stack(params)
     rec = cli.evaluate_block(pairs)
     assert [cli.STATUSES[s] for s in rec.status] == [
         "ok", "not_admissible", "non_convergence", "ok", "ok",
         "non_convergence", "non_convergence", "non_convergence", "ok", "ok",
-        "ok", "non_convergence", "non_convergence"]
+        "ok", "non_convergence", "no_sign_change"]
     _assert_block_matches_scalar(pairs, rec, params)
     # Those three branches return L, the midpoint of [L, R] and R itself,
     # where bisection and polish would land within an ulp or two of them.
@@ -304,8 +328,7 @@ def test_block_evaluator_matches_evaluate_pair_on_edge_pairs():
     assert [ref.zero.U for ref in refs] == ends == rec.U[5:8].tolist()
 
     # A block with no admissible pair runs every stage on empty arrays.
-    alone = cli.ParamBlock(*(np.array([getattr(params[1], field)])
-                             for field in cli.ParamBlock._fields))
+    alone = _stack(params[1:2])
     assert cli.evaluate_block(alone).status.tolist() == [cli.NOT_ADMISSIBLE]
 
 
@@ -352,8 +375,12 @@ def test_sweep_pq_mode(tmp_path, capsys):
 
 
 def test_sweep_bad_grid_and_path(tmp_path, capsys):
-    assert run(capsys, "sweep", "--grid", "1",
-               "--out", str(tmp_path / "x.csv"))[0] == 1
+    code, out, err = run(capsys, "sweep", "--grid", "1",
+                         "--out", str(tmp_path / "x.csv"))
+    assert code == 1 and out == ""
+    assert "scherk sweep: error: argument --grid: must be an integer >= 2" \
+        in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
     assert run(capsys, "sweep", "--grid", "2",
                "--out", "/nonexistent-dir/x.csv")[0] == 1
 
@@ -369,12 +396,24 @@ def test_certify_corrupt_negative_control(capsys):
     code, _, err = run(capsys, "certify", "--corrupt", "y", "0", "0", "1")
     assert code == 4
     assert "y[0][0]" in err
+    code, _, err = run(capsys, "certify", "--corrupt", "2z", "4", "4", "1")
+    assert code == 4
+    assert "2z[4][4]" in err
+
+
+@pytest.mark.parametrize("corrupt", [
+    ("y", "9", "9", "1"), ("y", "a", "0", "1"), ("y", "0", "0", "abc"),
+    ("y", "-1", "-1", "-1"), ("2z", "0", "5", "1")], ids=" ".join)
+def test_certify_corrupt_rejects_a_bad_entry(capsys, corrupt):
+    code, out, err = run(capsys, "certify", "--corrupt", *corrupt)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --corrupt ") and "Traceback" not in err
 
 
 def test_certify_json(capsys):
     code, out, _ = run(capsys, "certify", "--json")
     assert code == 0
-    doc = json.loads(out)
+    doc = load(out)
     assert doc["nonnegative"] is True
     assert doc["y"]["bidegree"] == [3, 3]
     assert doc["two_z"]["bidegree"] == [4, 4]
@@ -404,7 +443,10 @@ def test_odd_deterministic_and_first_minimum(capsys):
 
 
 def test_odd_rejects_zero_trials(capsys):
-    assert run(capsys, "odd", "--trials", "0")[0] == 1
+    code, out, err = run(capsys, "odd", "--trials", "0")
+    assert code == 1 and out == ""
+    assert "scherk odd: error: argument --trials: must be an integer >= 1" \
+        in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("seed", ["-1", "-5", "x"])
@@ -423,7 +465,10 @@ def test_logsub_command(capsys):
 
 
 def test_logsub_rejects_zero_samples(capsys):
-    assert run(capsys, "logsub", "--samples", "0")[0] == 1
+    code, out, err = run(capsys, "logsub", "--samples", "0")
+    assert code == 1 and out == ""
+    assert ("scherk logsub: error: argument --samples: must be an integer "
+            ">= 1") in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("h", ["nan", "inf", "0", "-1e-3"])

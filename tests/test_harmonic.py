@@ -10,7 +10,7 @@ from scherk.harmonic import (ArcSpec, DiskPoint, arc_measure,
                              measures4, modulus_consistency_residual,
                              phase_param, sinU_identity_residual,
                              solve_zero_point)
-from scherk.params import from_ab, threshold_b0
+from scherk.params import arc_alpha, from_ab, mu, threshold_b0
 from scherk.scalar import solve_zero
 from scherk.weierstrass import wk_scalar
 
@@ -200,7 +200,8 @@ def test_zero_point_generic_pair():
     assert sol.residual < 1e-11
     assert modulus_consistency_residual(params, sol.measures) < 1e-9
     assert sol.D0 > 0.0
-    assert abs(sol.a_mod - math.sqrt((1 - params.mu) / (1 + params.mu))) < 1e-12
+    m = mu(params)
+    assert abs(sol.a_mod - math.sqrt((1 - m) / (1 + m))) < 1e-12
     lhs, rhs, holds = master_inequality_check(sol, params)
     assert holds
     assert lhs * (params.A + params.B) == pytest.approx(zero.S, abs=1e-8)
@@ -227,7 +228,7 @@ def test_zero_point_close_to_threshold_is_solved(A, B):
     assert sol.residual <= 1e-12
     assert abs(sol.WK - wk_scalar(params, zero.S).value) < 1e-10
     assert master_inequality_check(sol, params)[2]
-    h = 0.5 * params.alpha
+    h = 0.5 * arc_alpha(params)
     arcs = [(h, h), (h + math.pi / 2, math.pi / 2 - h),
             (h + math.pi, h), (h + 1.5 * math.pi, math.pi / 2 - h)]
     m = sol.measures

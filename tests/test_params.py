@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from scherk.errors import DomainError
-from scherk.params import (admissible_interval, domain_lemma_checks, from_ab,
-                           from_angles, interval_L, interval_R,
-                           p_minus_r_closed_form, threshold_b0)
+from scherk.params import (admissible_interval, arc_alpha, domain_lemma_checks,
+                           from_ab, from_angles, interval_L, interval_R, mu,
+                           p_minus_r_closed_form, pole, threshold_b0)
 
 PYTHAGOREAN = [(Fraction(3, 5), Fraction(4, 5)),
                (Fraction(5, 13), Fraction(12, 13)),
@@ -17,14 +17,14 @@ def test_from_angles_right_angle_corner():
     p = from_angles(math.pi / 2, math.pi)
     assert p.A == 1.0 and p.B == 1.0
     assert abs(p.kappa) < 1e-15 and abs(p.epsilon) < 1e-15
-    assert p.mu == 1.0 and p.P == 1.0
-    assert p.alpha == math.pi / 2
+    assert mu(p) == 1.0 and pole(p) == 1.0
+    assert arc_alpha(p) == math.pi / 2
 
 
 def test_from_angles_symmetric():
     p = from_angles(math.pi / 4, math.pi / 2)
     assert p.A == p.B == math.sin(math.pi / 4)
-    assert p.alpha == math.pi / 2
+    assert arc_alpha(p) == math.pi / 2
 
 
 def test_from_angles_high_precision_values():
@@ -49,7 +49,7 @@ def test_from_angles_tolerates_ulp_overshoot():
     p = 0.43982297150257105
     params = from_angles(p, p + math.pi / 2)
     assert params.B == pytest.approx(1.0, abs=1e-15)
-    assert params.d_q >= 0.0
+    assert params.epsilon >= 0.0
 
 
 def test_from_ab_rejects_out_of_range():
@@ -64,12 +64,12 @@ def test_derived_invariants(rng):
         p = from_ab(float(a), float(b))
         assert p.A ** 2 + p.kappa ** 2 == pytest.approx(1.0, abs=1e-14)
         assert p.B ** 2 + p.epsilon ** 2 == pytest.approx(1.0, abs=1e-14)
-        assert p.mu ** 2 == pytest.approx(p.A * p.B, abs=1e-14)
-        assert math.tan(p.alpha / 2) ** 2 == pytest.approx(p.A / p.B,
-                                                           rel=1e-12)
-        assert math.sin(p.alpha) == pytest.approx(
-            2 * p.mu / (p.A + p.B), abs=1e-14)
-        assert p.c_p == p.kappa and p.d_q == p.epsilon
+        assert mu(p) ** 2 == pytest.approx(p.A * p.B, abs=1e-14)
+        assert math.tan(arc_alpha(p) / 2) ** 2 == pytest.approx(p.A / p.B,
+                                                                rel=1e-12)
+        assert math.sin(arc_alpha(p)) == pytest.approx(
+            2 * mu(p) / (p.A + p.B), abs=1e-14)
+        assert p.p == math.asin(p.A) and p.q == p.p + math.asin(p.B)
 
 
 def test_interval_equality_corner():

@@ -73,6 +73,15 @@ def test_solve_zero_frozen_root():
     assert z.T == pytest.approx(-z.N, abs=1e-15)
 
 
+def test_zero_carries_v_as_m_and_t_as_minus_n():
+    # Both constructors keep the restricted convention, so V = M and T = -N
+    # exactly; T is also -0.0 where epsilon = 0, and 0.0 at the corner.
+    z = solve_zero(from_ab(0.5951822279863979, 0.9355929405964881))
+    assert z.V == z.M and z.T == -z.N
+    assert math.copysign(1.0, solve_zero(from_ab(0.6, 1.0)).T) == -1.0
+    assert math.copysign(1.0, solve_zero(from_ab(1.0, 1.0)).T) == 1.0
+
+
 def test_solve_zero_not_admissible():
     with pytest.raises(NotAdmissible):
         solve_zero(from_ab(0.5, 0.5))
