@@ -176,7 +176,7 @@ def evaluate_block(pairs: ScherkParams, tol: float = 1e-12) -> BlockRecord:
         L, R = interval_L(*pairs[:4]), interval_R(*pairs[:4])   # A..epsilon
         idx = np.flatnonzero(L <= R)
         pairs = pairs.take(idx)
-        U, S, found = scalar.solve_zero_block(pairs, L[idx], R[idx], tol)
+        U, S, found, _ = scalar.solve_zero_block(pairs, L[idx], R[idx], tol)
         status[idx[~found]] = NO_SIGN_CHANGE
         idx, U, S, pairs = idx[found], U[found], S[found], pairs.take(found)
         wks = weierstrass.wk_scalar_value(pairs, S)
@@ -244,7 +244,7 @@ def cmd_check(args) -> int:
     if zero is not None:
         out.update({
             "U": zero.U, "M": zero.M, "N": zero.N, "V": zero.V, "T": zero.T,
-            "S": zero.S, "residual": zero.residual,
+            "S": zero.S, "residual": zero.residual, "steps": zero.steps,
             "sigma": scalar.sigma(params), "margin": rec.margin,
             "wk_scalar": rec.wk_scalar,
         })

@@ -238,14 +238,15 @@ def solve_zero_point(params: "ScherkParams", scalar_zero: "ScalarZero",
     r is not below 1 (NaN included), when alpha rounds to pi, or when the
     four measures miss their targets by more than tol (or by NaN).
     """
-    A, B, alpha = params.A, params.B, arc_alpha(params)
+    A, B = params.A, params.B
+    mu_ab, alpha = mu(params), arc_alpha(params)
     if A * B >= 1.0:
         # Full symmetry: z0 is the origin, mu = 1 removes the phase term.
         z = DiskPoint(r=0.0, t=0.0)
         m = measures4(z, alpha)
+        WK = weierstrass.wk_geometric_value(mu_ab, alpha, 0.0, 0.0, 1.0)[0]
         return ZeroSolution(z=z, measures=m, D0=1.0, delta=0.0, a_mod=0.0,
-                            WK=weierstrass.wk_geometric(z, params, 1.0).value,
-                            master_lhs=1.0, residual=abs(m.U - 0.5))
+                            WK=WK, master_lhs=1.0, residual=abs(m.U - 0.5))
 
     U, V, T = scalar_zero.U, scalar_zero.V, scalar_zero.T
     r, t = _zero_point(alpha, U, V, T)
@@ -261,15 +262,16 @@ def solve_zero_point(params: "ScherkParams", scalar_zero: "ScalarZero",
         raise NonConvergence(f"zero point misses its measures by {resid} > "
                              f"tol {tol} (A={A}, B={B})")
 
-    z = DiskPoint(r=r, t=t)
-    mu_ab = mu(params)
     ar, ai, delta = _phase(params, mu_ab)
     D0, root1m2, cos_term = _d0(mu_ab, r, t, delta)
+    if D0 <= 0.0:   # the guard of weierstrass.wk_geometric; r < 1 holds
+        raise DomainError(f"require D0 > 0, got {D0}")
     master_lhs = math.sin(math.pi * m.U) * (
         1.0 - root1m2 * (2.0 * r / (1.0 + r * r)) * cos_term)
-    return ZeroSolution(z=z, measures=m, D0=D0, delta=delta,
-                        a_mod=abs(complex(ar, ai)),
-                        WK=weierstrass.wk_geometric(z, params, D0).value,
+    return ZeroSolution(z=DiskPoint(r=r, t=t), measures=m, D0=D0,
+                        delta=delta, a_mod=abs(complex(ar, ai)),
+                        WK=weierstrass.wk_geometric_value(
+                            mu_ab, alpha, r, t, D0)[0],
                         master_lhs=master_lhs, residual=resid)
 
 
@@ -294,7 +296,8 @@ def master_inequality_check(sol: ZeroSolution, params: "ScherkParams",
     lhs = sin(pi U)(1 - sqrt(1-mu^2) (2r/(1+r^2)) cos(t0-delta)) must
     dominate rhs = sqrt(2(1+mu^2))/(A+B).
     """
-    mu2 = mu(params) * mu(params)   # not A*B, whose bits differ
+    mu_ab = mu(params)
+    mu2 = mu_ab * mu_ab   # not A*B, whose bits differ
     rhs = math.sqrt(2.0 * (1.0 + mu2)) / (params.A + params.B)
     return sol.master_lhs, rhs, sol.master_lhs >= rhs - slack
 

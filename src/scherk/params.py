@@ -95,7 +95,7 @@ def p_minus_r_closed_form(A, B, kappa, epsilon):
 def threshold_b0(A: float, kappa: float | None = None) -> float:
     """Positive root of (1+kappa)*B^2 + A*(1-kappa)*B - 2*kappa in B."""
     if kappa is None:
-        kappa = math.sqrt(max(0.0, 1.0 - A * A))
+        kappa = cos_from_sin(A)
     disc = A * A * (1 - kappa) ** 2 + 8 * kappa * (1 + kappa)
     return (-A * (1 - kappa) + math.sqrt(disc)) / (2 * (1 + kappa))
 
@@ -115,11 +115,16 @@ def pole(pair):
     return (1 + pair.A * pair.B) / (pair.B * (pair.A + pair.B))
 
 
+def cos_from_sin(x, ops=FLOAT):
+    """sqrt(1 - x^2) clamped at 0: the cosine of the angle in [0, pi/2]
+    whose sine is x, as kappa of A and epsilon of B."""
+    return ops.sqrt(ops.maximum(0.0, 1.0 - x * x))
+
+
 def ab_params(A, B, ops=FLOAT) -> ScherkParams:
     """`from_ab` without its checks: p = asin(A), q = p + asin(B)."""
     p = ops.asin(A)
-    return ScherkParams(A, B, ops.sqrt(ops.maximum(0.0, 1.0 - A * A)),
-                        ops.sqrt(ops.maximum(0.0, 1.0 - B * B)),
+    return ScherkParams(A, B, cos_from_sin(A, ops), cos_from_sin(B, ops),
                         p, p + ops.asin(B))
 
 

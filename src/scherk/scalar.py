@@ -14,8 +14,10 @@ with scaled derivative
          = (A+B)*sin(pi*U) + B*kappa*sin(pi*M(U)) + A*epsilon*sin(pi*N(U)),
 
 and the sharp bound states S(U) >= sqrt(2*(1+A*B)) at the admissible zero.
-The zero is found by bisection (guaranteed by monotonicity plus the sign
-change G(L) <= 0 <= G(R)) with a short Newton polish.
+The zero exists and is unique by monotonicity plus the sign change
+G(L) <= 0 <= G(R).  It is found by Newton's method on G with derivative
+pi*S, kept inside the sign bracket by a bisection fallback; from the
+midpoint of [L, R] it takes about five evaluations of G.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from .ops import ARRAY, FLOAT
 from .params import (AdmissibleInterval, ScherkParams, admissible_interval,
                      from_ab, pole)
 
-_BISECT_WIDTH = 1e-12
 _DEGENERATE_WIDTH = 1e-15   # a narrower interval is solved at its midpoint
-_NEWTON_POLISH = 5
+_STEP_ULPS = 4      # a Newton step this many ulps or less ends the iteration
+_MAX_STEPS = 100    # evaluations of G; Newton needs ~5, bisection ~60
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,7 @@ class ScalarZero:
     T: float
     S: float
     residual: float
+    steps: int       # evaluations of G after the two at L and R
 
 
 @dataclass(frozen=True)
@@ -116,12 +119,18 @@ def s_eval(params: ScherkParams, U: float) -> float:
 
 def solve_zero(params: ScherkParams, tol: float = 1e-12,
                interval: Optional[AdmissibleInterval] = None) -> ScalarZero:
-    """Find the admissible zero of G to |G(U)| <= tol*max(1, |G'(U)|).
+    """Find the admissible zero of G on [L, R].
 
-    Bisection to bracket width 1e-12 followed by at most five Newton steps
-    using pi*S as the derivative; Newton steps leaving the bracket are
-    rejected.  A*B = 1 is an exact analytic branch (U = 1/2, S = 2), where
-    floating-point root isolation would be pointless.  `interval` is
+    Safeguarded Newton (rtsafe): from the midpoint of [L, R], each
+    evaluation of G shrinks the bracket by its sign, and the next iterate
+    is the Newton step u - G/(pi*S) when it falls strictly inside the
+    bracket, else the bracket midpoint.  Once the Newton step is at most
+    _STEP_ULPS ulps, one last step is taken and kept only if it lowers
+    |G|.  G = 0, a bracket that cannot be split, or _MAX_STEPS evaluations
+    also end it.  The stopping rule does not depend on `tol`, which only
+    gates the sign change.  `steps` counts the evaluations of G after the
+    two at the ends.  A*B = 1 is an exact analytic branch (U = 1/2, S = 2),
+    where floating-point root isolation would be pointless.  `interval` is
     `admissible_interval(params)`, built here when not given.
 
     Raises NotAdmissible for an empty interval and NoSignChange unless
@@ -131,7 +140,7 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12,
         raise ValueError(f"tol must be positive, got {tol}")
     if params.A == 1.0 and params.B == 1.0:
         return ScalarZero(U=0.5, M=0.0, N=0.0, V=0.0, T=0.0, S=2.0,
-                          residual=0.0)
+                          residual=0.0, steps=0)
 
     interval = interval or admissible_interval(params)
     if not interval.nonempty:
@@ -142,15 +151,15 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12,
     g, s, mn = g_s(params)
     ga, gb = g(a), g(b)
 
-    def zero(U: float, residual: float) -> ScalarZero:
+    def zero(U: float, residual: float, steps: int) -> ScalarZero:
         M, N = mn(U)
-        return ScalarZero(U, M, N, M, -N, s(U), residual)
+        return ScalarZero(U, M, N, M, -N, s(U), residual, steps)
 
     if a == b or b - a < _DEGENERATE_WIDTH:
         mid = 0.5 * (a + b)
         gm = g(mid)
         if abs(gm) <= tol:
-            return zero(mid, abs(gm))
+            return zero(mid, abs(gm), 1)
         raise NoSignChange(
             f"degenerate interval at A={params.A}, B={params.B} with "
             f"|G| = {abs(gm)} > tol")
@@ -161,41 +170,42 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12,
         raise NoSignChange(
             f"G(R) = {gb} is not >= -tol at A={params.A}, B={params.B}")
     if ga > 0.0:
-        return zero(a, abs(ga))
+        return zero(a, abs(ga), 0)
     if gb < 0.0:
-        return zero(b, abs(gb))
+        return zero(b, abs(gb), 0)
 
     lo, hi = a, b
-    while hi - lo > _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+    u = 0.5 * (a + b)
+    for steps in range(1, _MAX_STEPS + 1):
+        gu = g(u)
+        if gu == 0.0:
             break
-        if g(mid) < 0.0:
-            lo = mid
+        if gu < 0.0:
+            lo = u
         else:
-            hi = mid
-
-    u = 0.5 * (lo + hi)
-    gu = g(u)
-    for _ in range(_NEWTON_POLISH):
+            hi = u
         su = s(u)
-        if su <= 0.0:
+        du = gu / (math.pi * su) if su > 0.0 else math.inf
+        if abs(du) <= _STEP_ULPS * math.ulp(u):
+            u_last = u - du
+            g_last = g(u_last)
+            steps += 1
+            if abs(g_last) < abs(gu):
+                u, gu = u_last, g_last
             break
-        u_next = u - gu / (math.pi * su)
-        if not (a <= u_next <= b):
-            break
-        g_next = g(u_next)
-        if abs(g_next) >= abs(gu):
-            break
-        u, gu = u_next, g_next
-        if abs(gu) <= 0.25 * tol:
-            break
-    return zero(u, abs(gu))
+        u_next = u - du
+        if not lo < u_next < hi:
+            u_next = 0.5 * (lo + hi)
+            if not lo < u_next < hi:
+                break
+        u = u_next
+    return zero(u, abs(gu), steps)
 
 
 def solve_zero_block(pairs: ScherkParams, L, R, tol: float):
-    """(U, S, found) of `solve_zero` on a block of admissible pairs, by
-    the first branch that applies; `found` is False where it raises."""
+    """(U, S, found, steps) of `solve_zero` on a block of admissible pairs,
+    by the first branch that applies; `found` is False where it raises.
+    The Newton iteration makes the same decisions per pair under masks."""
     g, s, _ = g_s(pairs, ARRAY)
     corner = (pairs.A == 1.0) & (pairs.B == 1.0)
     ga, gb = g(L), g(R)
@@ -203,31 +213,37 @@ def solve_zero_block(pairs: ScherkParams, L, R, tol: float):
     degenerate = (L == R) | (R - L < _DEGENERATE_WIDTH)
     refused = ~corner & ~np.where(degenerate, np.abs(g(centre)) <= tol,
                                   (ga <= tol) & (gb >= -tol))
-    bisect = ~(corner | degenerate | (ga > 0.0) | (gb < 0.0))
-    lo, hi = L, R
-    active = bisect & (hi - lo > _BISECT_WIDTH)
-    while active.any():
+    newton = ~(corner | degenerate | refused | (ga > 0.0) | (gb < 0.0))
+    lo, hi, u = L, R, centre
+    gu, du = np.zeros_like(u), np.zeros_like(u)
+    steps = np.where(degenerate & ~corner, 1, 0)
+    active, last_step = newton.copy(), np.zeros_like(newton)
+    for _ in range(_MAX_STEPS):
+        if not active.any():
+            break
+        gx, sx = g(u), s(u)
+        steps += active
+        gu = np.where(active, gx, gu)
+        below = gx < 0.0
+        lo = np.where(active & below, u, lo)
+        hi = np.where(active & ~below, u, hi)
+        dx = np.where(sx > 0.0, gx / (math.pi * sx), np.inf)
+        du = np.where(active, dx, du)
+        hit = gx == 0.0
+        tiny = active & ~hit & (np.abs(dx) <= _STEP_ULPS * np.spacing(u))
+        last_step |= tiny
+        active &= ~hit & ~tiny
+        u_next = u - dx
         mid = 0.5 * (lo + hi)
-        active &= (mid > lo) & (mid < hi)
-        below = g(mid) < 0.0
-        lo = np.where(active & below, mid, lo)
-        hi = np.where(active & ~below, mid, hi)
-        active &= hi - lo > _BISECT_WIDTH
-    u = 0.5 * (lo + hi)
-    gu = g(u)
-    active = bisect.copy()
-    for _ in range(_NEWTON_POLISH):
-        su = s(u)
-        u_next = u - gu / (math.pi * su)
-        g_next = g(u_next)
-        active &= ((su > 0.0) & (L <= u_next) & (u_next <= R)
-                   & (np.abs(g_next) < np.abs(gu)))
+        u_next = np.where((lo < u_next) & (u_next < hi), u_next, mid)
+        active &= (lo < u_next) & (u_next < hi)
         u = np.where(active, u_next, u)
-        gu = np.where(active, g_next, gu)
-        active &= ~(np.abs(gu) <= 0.25 * tol)
+    u_last = u - du
+    steps += last_step
+    u = np.where(last_step & (np.abs(g(u_last)) < np.abs(gu)), u_last, u)
     U = np.select([corner, degenerate, ga > 0.0, gb < 0.0],
                   [0.5, centre, L, R], u)
-    return U, np.where(corner, 2.0, s(U)), ~refused
+    return U, np.where(corner, 2.0, s(U)), ~refused, steps
 
 
 def hr_identity_residual(A, B, kappa, epsilon, U):

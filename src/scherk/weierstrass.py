@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .ops import FLOAT
-from .params import arc_alpha, mu
+from .params import arc_alpha, cos_from_sin, mu
 
 if TYPE_CHECKING:
     from .harmonic import DiskPoint
@@ -121,9 +121,9 @@ def lower_identity_residual(A, B, kappa=None, epsilon=None):
     point from A, B.
     """
     if kappa is None:
-        kappa = math.sqrt(max(0.0, 1.0 - A * A))
+        kappa = cos_from_sin(A)
     if epsilon is None:
-        epsilon = math.sqrt(max(0.0, 1.0 - B * B))
+        epsilon = cos_from_sin(B)
     lhs = 4 * (1 + A * B) - (A + B + B * kappa + A * epsilon) ** 2
     rhs = (kappa * epsilon + kappa + epsilon - 1 - A * B) ** 2
     return lhs - rhs
@@ -145,7 +145,8 @@ def zero_control_check(z: "DiskPoint", params: "ScherkParams", D0: float,
     """Boolean agreement of the zero-control form with wk <= pi^2/2."""
     curv = wk_geometric(z, params, D0)
     lhs = curv.components["num1"] * curv.components["num2"]
-    mu2 = mu(params) * mu(params)   # not A*B, whose bits differ
+    mu_ab = mu(params)
+    mu2 = mu_ab * mu_ab   # not A*B, whose bits differ
     rhs = math.sqrt(2.0 * mu2 / (1.0 + mu2)) * (1.0 - z.r ** 2) * D0
     return ZeroControlCheck(
         lhs=lhs, rhs=rhs,

@@ -33,6 +33,7 @@ def test_check_equality_corner(capsys):
     assert rec["wk_scalar"] == pytest.approx(math.pi ** 2 / 2, abs=1e-12)
     assert rec["margin"] == 0.0
     assert rec["status"] == "ok"
+    assert rec["steps"] == 0   # U = 1/2 exactly, without iterating
 
 
 def test_check_not_admissible(capsys):
@@ -48,6 +49,7 @@ def test_check_generic_pair(capsys):
     assert rec["wk_scalar"] == pytest.approx(2.5403881748537801, abs=1e-10)
     assert rec["route_gap"] < 1e-8
     assert rec["master_ok"] and rec["in_band"]
+    assert 1 <= rec["steps"] <= 8   # evaluations of G for U
 
 
 def test_check_angles_input(capsys):
@@ -301,7 +303,10 @@ def test_block_evaluator_matches_evaluate_pair_on_edge_pairs():
     # midpoint and the G(R) < 0 end of `solve_zero`.  Then three pairs on
     # which the paths part by an ulp if `math.hypot`, x*x or numpy's arctan
     # stands in for libm's hypot, pow or atan, a B so small that alpha
-    # rounds to pi, and one so small that P overflows.
+    # rounds to pi, and one so small that P overflows.  Last, two pairs on
+    # which Newton steps leave the bracket [L, R] and bisection steps
+    # stand in: three times at (0.005, 1), ten times at (1, 1e-9), whose
+    # zero point then misses its measures.
     params = [from_ab(a, b) for a, b in [
         (1.0, 1.0), (0.2, threshold_b0(0.2)),
         (0.5, threshold_b0(0.5) + 1e-6), (0.52, 0.94), (0.94, 0.52),
@@ -311,16 +316,16 @@ def test_block_evaluator_matches_evaluate_pair_on_edge_pairs():
         (0.7181383713219818, 0.9574269277339676),
         (0.9537738791884737, 0.8985663290012464),
         (0.083988245473411, 0.9991003552723192),
-        (1.0, 1e-300), (1.0, 5e-324)]]
+        (1.0, 1e-300), (1.0, 5e-324), (0.005, 1.0), (1.0, 1e-9)]]
     pairs = _stack(params)
     rec = cli.evaluate_block(pairs)
     assert [cli.STATUSES[s] for s in rec.status] == [
         "ok", "not_admissible", "non_convergence", "ok", "ok",
         "non_convergence", "non_convergence", "non_convergence", "ok", "ok",
-        "ok", "non_convergence", "no_sign_change"]
+        "ok", "non_convergence", "no_sign_change", "ok", "non_convergence"]
     _assert_block_matches_scalar(pairs, rec, params)
     # Those three branches return L, the midpoint of [L, R] and R itself,
-    # where bisection and polish would land within an ulp or two of them.
+    # where the Newton iteration would land within an ulp or two of them.
     refs = [evaluate_pair(x) for x in params[5:8]]
     ends = [refs[0].interval.L,
             0.5 * (refs[1].interval.L + refs[1].interval.R),

@@ -6,10 +6,11 @@ import pytest
 
 from conftest import named_check, random_admissible
 from oracles import mp_scalar_root
-from scherk.errors import NotAdmissible
-from scherk.params import admissible_interval, from_ab
+from scherk.errors import NoSignChange, NotAdmissible
+from scherk.params import (ScherkParams, admissible_interval, from_ab,
+                           threshold_b0)
 from scherk.scalar import (barrier_chain_check, g_eval, hr_identity_residual,
-                           s_eval, solve_zero)
+                           s_eval, solve_zero, solve_zero_block)
 
 PYTH = [(Fraction(3, 5), Fraction(4, 5)),
         (Fraction(5, 13), Fraction(12, 13)),
@@ -116,6 +117,70 @@ def test_solve_zero_matches_oracle_on_random_pairs(rng):
         z = solve_zero(params)
         assert z.U == pytest.approx(u_mp, abs=2e-12)
         assert z.S == pytest.approx(s_mp, abs=1e-10)
+
+
+def test_solve_zero_within_1e15_of_oracle():
+    # The Newton iteration stops at a step of a few ulps, so U is as close
+    # to the 50-digit root as doubles allow, well inside 1e-15.
+    for params in random_admissible(np.random.default_rng(9), 30):
+        assert abs(solve_zero(params).U - mp_scalar_root(params.A, params.B)[0]
+                   ) <= 1e-15, (params.A, params.B)
+
+
+def _iterated(params) -> bool:
+    """True where the zero comes from the Newton iteration: a sign change
+    strictly inside a non-degenerate [L, R], not one of its branches."""
+    iv = admissible_interval(params)
+    return (iv.R - iv.L >= 1e-15 and not params.A == params.B == 1.0
+            and g_eval(params, iv.L)[0] <= 0.0 <= g_eval(params, iv.R)[0])
+
+
+def test_newton_steps_on_the_grid_match_the_block_solver():
+    # Every admissible pair of the 200x200 grid whose zero is iterated
+    # takes at most 10 evaluations of G (5 at the median), and the block
+    # solver takes the same steps to the same U, pair by pair.
+    grid = 200
+    pairs = [from_ab(i / grid, j / grid) for i in range(1, grid + 1)
+             for j in range(1, grid + 1)]
+    pairs = [x for x in pairs if admissible_interval(x).nonempty]
+    ivs = [admissible_interval(x) for x in pairs]
+    block = ScherkParams(*(np.array(values) for values in zip(*pairs)))
+    U, _, found, steps = solve_zero_block(
+        block, np.array([iv.L for iv in ivs]), np.array([iv.R for iv in ivs]),
+        1e-12)
+    assert found.all()
+    zeros = [solve_zero(x) for x in pairs]
+    assert U.tolist() == [z.U for z in zeros]
+    assert steps.tolist() == [z.steps for z in zeros]
+    iterated = [z.steps for x, z in zip(pairs, zeros) if _iterated(x)]
+    assert len(iterated) > 5000
+    assert 1 <= min(iterated) and max(iterated) <= 10
+    assert np.median(iterated) == 5
+
+
+def test_newton_steps_near_the_threshold_curve():
+    # 1e-9 to 1e-3 above B0(A).  Near A = 1 (B0 -> 0) a Newton step from
+    # the left overshoots R until bisection brings u within ~B^(1/3) of
+    # the root: 14 evaluations at (1, 1e-9), the most here.
+    for a in np.linspace(0.01, 1.0, 100).tolist():
+        for gap in (1e-9, 1e-7, 1e-5, 1e-3):
+            params = from_ab(a, min(1.0, threshold_b0(a) + gap))
+            if admissible_interval(params).nonempty:
+                assert solve_zero(params).steps <= 16, (a, gap)
+
+
+def test_zero_does_not_depend_on_tol(rng):
+    # tol gates the sign change only; U is the same wherever both pass.
+    pairs = random_admissible(rng, 200)
+    pairs += [from_ab(a, threshold_b0(a) + gap) for a in (0.3, 0.5, 0.9)
+              for gap in (1e-9, 1e-6, 1e-3)]
+    for params in pairs:
+        try:
+            fine, coarse = solve_zero(params, 1e-12), solve_zero(params, 1e-6)
+        except (NoSignChange, NotAdmissible):
+            continue
+        assert fine.U == coarse.U, (params.A, params.B)
+        assert fine.steps == coarse.steps
 
 
 def test_monotonicity_on_admissible_interval(rng):
