@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Union
+from typing import Union
 
 from .errors import CertificateMismatch, DegreeError
 
@@ -331,34 +331,16 @@ def _compare(name: str, form: BernsteinForm, expected) -> None:
                     f"{name}[{i}][{j}] = {c}, expected {expected[i][j]}")
 
 
-def verify_appendix_certificates(
-        corrupt: Optional[tuple[str, int, int, Fraction]] = None
-) -> CertificateReport:
+def verify_appendix_certificates() -> CertificateReport:
     """Rebuild both certificates from their closed forms and check them.
 
     Builds Y and 2Z symbolically, substitutes A = 1-t, B = 1-v, converts to
     Bernstein form at (3,3) resp. (4,4), and asserts exact entry-by-entry
     equality with the expected matrices plus nonnegativity of every entry.
-
-    The corrupt hook perturbs one computed entry before comparison (negative
-    control for the CLI); corrupt = (name, i, j, delta) with name in
-    {"y", "2z"}.  Raises CertificateMismatch naming the first bad entry.
+    Raises CertificateMismatch naming the first bad entry.
     """
     y_form = to_bernstein(poly_y().reflect(), 3, 3)
     tz_form = to_bernstein(poly_two_z().reflect(), 4, 4)
-
-    if corrupt is not None:
-        name, ci, cj, delta = corrupt
-        target = y_form if name == "y" else tz_form
-        rows = [list(r) for r in target.coeffs]
-        rows[ci][cj] += Fraction(delta)
-        patched = BernsteinForm(m=target.m, n=target.n,
-                                coeffs=tuple(tuple(r) for r in rows))
-        if name == "y":
-            y_form = patched
-        else:
-            tz_form = patched
-
     _compare("y", y_form, CERT_Y_EXPECTED)
     _compare("2z", tz_form, CERT_2Z_EXPECTED)
 
@@ -381,9 +363,3 @@ def certificate_to_json(form: BernsteinForm) -> str:
     }
     return json.dumps(doc, sort_keys=True)
 
-
-def certificate_from_json(text: str) -> BernsteinForm:
-    doc = json.loads(text)
-    m, n = doc["bidegree"]
-    rows = tuple(tuple(Fraction(s) for s in row) for row in doc["coeffs"])
-    return BernsteinForm(m=m, n=n, coeffs=rows)

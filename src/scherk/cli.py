@@ -17,7 +17,8 @@ pipeline and becomes the status (`not_admissible`, `no_sign_change`,
 the flattened grid in blocks of SWEEP_BLOCK pairs with `evaluate_block`,
 which calls the same closed forms on numpy arrays, and writes each block's
 rows into a temporary file that replaces `--out` once the sweep is done.
-`--tol` must be finite and > 0, `--slack` finite and >= 0.
+`--tol` must be finite and > 0, `--slack` finite and >= 0, and `--out`
+must name a file.
 
 Exit codes: 0 ok, 1 malformed input, 2 not admissible, 3 solver failure,
 4 verification failure.
@@ -32,7 +33,6 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -71,6 +71,11 @@ OK, NOT_ADMISSIBLE, NO_SIGN_CHANGE, NON_CONVERGENCE = range(len(STATUSES))
 # are written before the next block starts, so memory does not grow with
 # the grid.
 SWEEP_BLOCK = 1024
+
+# `logsub` samples z in [-0.5, 0.5]^2, so |z| <= sqrt(0.5), and the
+# stencil of step h needs |z| < 1 - 4h.
+LOGSUB_Z_MAX = math.hypot(0.5, 0.5)
+
 
 def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
@@ -377,27 +382,9 @@ def _print_matrix(name: str, form: bernstein.BernsteinForm) -> None:
         print("  [ " + "  ".join(cells) + " ]")
 
 
-def _corruption(name: str, i: str, j: str, delta: str):
-    """`--corrupt NAME I J DELTA`, checked: an entry of y (4x4) or 2z
-    (5x5), and an exact fraction."""
-    size = {"y": len(bernstein.CERT_Y_EXPECTED),
-            "2z": len(bernstein.CERT_2Z_EXPECTED)}.get(name)
-    if size is None:
-        raise DomainError("--corrupt name must be 'y' or '2z'")
-    try:
-        row, col, step = int(i), int(j), Fraction(delta)
-    except (ValueError, ZeroDivisionError):
-        row = col = -1
-    if not (0 <= row < size and 0 <= col < size):
-        raise DomainError(f"--corrupt {name} needs integers 0 <= I, J < "
-                          f"{size} and a fraction DELTA, got {i} {j} {delta}")
-    return name, row, col, step
-
-
 def cmd_certify(args) -> int:
-    corrupt = _corruption(*args.corrupt) if args.corrupt else None
     try:
-        report = bernstein.verify_appendix_certificates(corrupt)
+        report = bernstein.verify_appendix_certificates()
     except CertificateMismatch as exc:
         print(f"certificate mismatch: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -497,6 +484,26 @@ def _finite_float(strict: bool):
     return finite_float
 
 
+def _logsub_step(text: str) -> float:
+    """argparse type: a step h > 0 with 1 - 4h > LOGSUB_Z_MAX, the rule of
+    `weierstrass.log_subharmonicity_check` at every sample."""
+    h = _finite_float(True)(text)
+    if not LOGSUB_Z_MAX < 1.0 - 4.0 * h:
+        raise argparse.ArgumentTypeError(
+            f"must be < (1 - sqrt(0.5))/4 = {(1.0 - LOGSUB_Z_MAX) / 4.0:.4g}"
+            f", so the stencil stays inside the unit disk, got {text!r}")
+    return h
+
+
+def _out_file(text: str) -> str:
+    """argparse type: a path that names a file, so a sweep never runs to
+    fail at the final rename."""
+    if not os.path.basename(text) or os.path.isdir(text):
+        raise argparse.ArgumentTypeError(
+            f"must name a file, not a directory, got {text!r}")
+    return text
+
+
 def _int_at_least(low: int):
     """argparse type: an integer >= `low`."""
     def int_at_least(text: str) -> int:
@@ -536,16 +543,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="grid sweep to CSV")
     p_sweep.add_argument("--grid", type=_int_at_least(2), default=100)
-    p_sweep.add_argument("--out", type=str, required=True)
+    p_sweep.add_argument("--out", type=_out_file, required=True)
     p_sweep.add_argument("--mode", choices=("AB", "pq"), default="AB")
     p_sweep.add_argument("--tol", type=_finite_float(True), default=1e-12)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cert = sub.add_parser("certify", help="verify the two certificates")
     p_cert.add_argument("--json", action="store_true")
-    p_cert.add_argument("--corrupt", nargs=4, default=None,
-                        metavar=("NAME", "I", "J", "DELTA"),
-                        help="test hook: perturb one computed entry")
     p_cert.set_defaults(func=cmd_certify)
 
     p_odd = sub.add_parser("odd", help="odd-lift coefficient experiments")
@@ -559,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_log = sub.add_parser("logsub", help="log-Laplacian FD checks")
     p_log.add_argument("--samples", type=_int_at_least(1), default=20)
     p_log.add_argument("--seed", type=int, default=0)
-    p_log.add_argument("--h", type=_finite_float(True), action="append",
+    p_log.add_argument("--h", type=_logsub_step, action="append",
                        default=None)
     p_log.set_defaults(func=cmd_logsub)
 

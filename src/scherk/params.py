@@ -162,8 +162,11 @@ def from_angles(p: float, q: float) -> ScherkParams:
     with kappa, epsilon.  Obtuse angles are rejected rather than
     sign-folded.
     """
-    # One-ulp slack: q built as p + pi/2 can overshoot the gate on re-
-    # subtraction; the cosine clamp keeps the convention intact.
+    # Slack of 1e-12, about 4500 ulps of pi/2: it admits angles that pass
+    # pi/2 or pi by rounding alone, such as q = p + pi/2, whose q - p can
+    # come back an ulp above pi/2.  Within 1e-12 past pi/2, sin rounds to
+    # 1.0 and cos is a negative of size <= 1e-12 that angle_params clamps
+    # to 0: (A, kappa) or (B, epsilon) is (1, 0), still a sine and cosine.
     eps = 1e-12
     if not (0.0 < p < q <= math.pi + eps):
         raise DomainError(f"require 0 < p < q <= pi, got p={p}, q={q}")

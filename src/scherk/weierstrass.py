@@ -57,10 +57,9 @@ class GaussAutomorphism:
 
 @dataclass(frozen=True)
 class NormalizedCurvature:
-    """W^2|K| value with the route that produced it and its factors."""
+    """W^2|K| value and, on the geometric route, the factors it came from."""
 
     value: float
-    route: str  # "geometric" | "scalar"
     components: dict = field(default_factory=dict)
 
 
@@ -75,16 +74,15 @@ class LaplacianCheck:
 
 
 def wk_geometric_value(mu, alpha, r, t, D0, ops=FLOAT):
-    """(W^2|K|, |1 - z0^2|, |z0^2 - e^{2 i alpha}|, 1 - r^2), z0 = r e^{it}."""
+    """(W^2|K|, |1 - z0^2|, |z0^2 - e^{2 i alpha}|), z0 = r e^{it}."""
     mu2 = mu * mu
     xr, xi = r * ops.cos(t), r * ops.sin(t)
     wr, wi = xr * xr - xi * xi, xr * xi + xi * xr          # w = z0^2
     num1 = ops.hypot(1.0 - wr, -wi)
     num2 = ops.hypot(wr - ops.cos(2.0 * alpha), wi - ops.sin(2.0 * alpha))
-    one_minus_r2 = 1.0 - r * r
     value = ((math.pi ** 2 / 4.0) * ((1.0 + mu2) / mu2)
-             * ops.pow(num1 * num2, 2) / (ops.pow(one_minus_r2, 2) * D0 * D0))
-    return value, num1, num2, one_minus_r2
+             * ops.pow(num1 * num2, 2) / (ops.pow(1.0 - r * r, 2) * D0 * D0))
+    return value, num1, num2
 
 
 def wk_scalar_value(pair, S):
@@ -99,18 +97,16 @@ def wk_geometric(z: "DiskPoint", params: "ScherkParams",
         raise DomainError(f"require D0 > 0, got {D0}")
     if z.r >= 1.0:
         raise DomainError(f"require r < 1, got {z.r}")
-    value, num1, num2, one_minus_r2 = wk_geometric_value(
+    value, num1, num2 = wk_geometric_value(
         mu(params), arc_alpha(params), z.r, z.t, D0)
-    return NormalizedCurvature(value, "geometric", {
-        "num1": num1, "num2": num2, "D0": D0, "one_minus_r2": one_minus_r2})
+    return NormalizedCurvature(value, {"num1": num1, "num2": num2})
 
 
 def wk_scalar(params: "ScherkParams", S: float) -> NormalizedCurvature:
     """Scalar route: pi^2 (1+A*B) / S^2 from the solved derivative value."""
     if S <= 0.0:
         raise DomainError(f"require S > 0, got {S}")
-    return NormalizedCurvature(value=wk_scalar_value(params, S),
-                               route="scalar", components={"S": S})
+    return NormalizedCurvature(wk_scalar_value(params, S))
 
 
 def lower_identity_residual(A, B, kappa=None, epsilon=None):

@@ -14,6 +14,20 @@ def rng():
     return np.random.default_rng(20260811)
 
 
+@pytest.fixture
+def corrupt_expected(monkeypatch):
+    """Change entry (i, j) of the table that the certificate check compares
+    the rebuilt "y" or "2z" matrix with, by an exact delta."""
+    from scherk import bernstein
+
+    def corrupt(name, i, j, delta):
+        attr = {"y": "CERT_Y_EXPECTED", "2z": "CERT_2Z_EXPECTED"}[name]
+        rows = [list(row) for row in getattr(bernstein, attr)]
+        rows[i][j] += delta
+        monkeypatch.setattr(bernstein, attr, tuple(map(tuple, rows)))
+    return corrupt
+
+
 def random_admissible(rng, count, margin=0.0, b_floor=0.0):
     """Random (A, B) pairs with B >= B0(A) + margin."""
     out = []

@@ -5,10 +5,9 @@ import pytest
 
 from scherk.bernstein import (CERT_2Z_EXPECTED, CERT_Y_EXPECTED, BiPoly,
                               BernsteinForm, Certificate, Inconclusive,
-                              certificate_from_json, certificate_to_json,
-                              certify_nonneg, elevate, from_bernstein,
-                              poly_two_z, poly_y, to_bernstein,
-                              verify_appendix_certificates)
+                              certificate_to_json, certify_nonneg, elevate,
+                              from_bernstein, poly_two_z, poly_y,
+                              to_bernstein, verify_appendix_certificates)
 from scherk.errors import CertificateMismatch, DegreeError
 
 F = Fraction
@@ -141,12 +140,15 @@ def test_certificate_corner_values():
     assert CERT_2Z_EXPECTED[0][0] == tz.evaluate(F(1), F(1)) == 0
 
 
-def test_verify_certificates_corruption_hook():
+def test_verify_certificates_corruption_hook(corrupt_expected):
+    corrupt_expected("2z", 2, 2, F(-1, 9))
     with pytest.raises(CertificateMismatch) as exc:
-        verify_appendix_certificates(corrupt=("y", 0, 0, F(1)))
+        verify_appendix_certificates()
+    assert "2z[2][2]" in str(exc.value)
+    corrupt_expected("y", 0, 0, F(1))
+    with pytest.raises(CertificateMismatch) as exc:
+        verify_appendix_certificates()
     assert "y[0][0]" in str(exc.value)
-    with pytest.raises(CertificateMismatch):
-        verify_appendix_certificates(corrupt=("2z", 2, 2, F(-1, 9)))
 
 
 def test_certificate_json_round_trip():
@@ -156,5 +158,5 @@ def test_certificate_json_round_trip():
     assert doc["bidegree"] == [3, 3]
     assert doc["coeffs"][1][2] == "20/9"
     assert all(isinstance(s, str) for row in doc["coeffs"] for s in row)
-    back = certificate_from_json(text)
-    assert back == rep.y_form
+    back = tuple(tuple(F(s) for s in row) for row in doc["coeffs"])
+    assert back == rep.y_form.coeffs

@@ -379,7 +379,7 @@ def test_sweep_pq_mode(tmp_path, capsys):
             assert math.pi ** 2 / 4 - 1e-9 <= wk <= math.pi ** 2 / 2 + 1e-9
 
 
-def test_sweep_bad_grid_and_path(tmp_path, capsys):
+def test_sweep_bad_grid_and_path(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "sweep", "--grid", "1",
                          "--out", str(tmp_path / "x.csv"))
     assert code == 1 and out == ""
@@ -388,6 +388,17 @@ def test_sweep_bad_grid_and_path(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
     assert run(capsys, "sweep", "--grid", "2",
                "--out", "/nonexistent-dir/x.csv")[0] == 1
+    # A directory or an empty path is refused before the sweep runs: ""
+    # would put the temporary file beside the working directory.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for out_arg in (str(work), ""):
+        code, out, err = run(capsys, "sweep", "--grid", "2", "--out", out_arg)
+        assert code == 1 and out == ""
+        assert "error: argument --out: must name a file" in err
+        assert list(tmp_path.iterdir()) == [work]
+        assert list(work.iterdir()) == []
 
 
 def test_certify(capsys):
@@ -397,22 +408,27 @@ def test_certify(capsys):
     assert "all entries nonnegative" in out
 
 
-def test_certify_corrupt_negative_control(capsys):
-    code, _, err = run(capsys, "certify", "--corrupt", "y", "0", "0", "1")
+def test_certify_corrupt_negative_control(capsys, corrupt_expected):
+    corrupt_expected("2z", 4, 4, 1)
+    code, out, err = run(capsys, "certify")
+    assert code == 4 and out == ""
+    assert "2z[4][4]" in err
+    corrupt_expected("y", 0, 0, 1)
+    code, _, err = run(capsys, "certify")
     assert code == 4
     assert "y[0][0]" in err
-    code, _, err = run(capsys, "certify", "--corrupt", "2z", "4", "4", "1")
-    assert code == 4
-    assert "2z[4][4]" in err
 
 
+# `certify` has no option to perturb an entry: any such argv is rejected.
 @pytest.mark.parametrize("corrupt", [
-    ("y", "9", "9", "1"), ("y", "a", "0", "1"), ("y", "0", "0", "abc"),
-    ("y", "-1", "-1", "-1"), ("2z", "0", "5", "1")], ids=" ".join)
+    ("y", "0", "0", "1"), ("y", "9", "9", "1"), ("y", "a", "0", "1"),
+    ("y", "0", "0", "abc"), ("y", "-1", "-1", "-1"), ("2z", "0", "5", "1")],
+    ids=" ".join)
 def test_certify_corrupt_rejects_a_bad_entry(capsys, corrupt):
     code, out, err = run(capsys, "certify", "--corrupt", *corrupt)
     assert code == 1 and out == ""
-    assert err.startswith("error: --corrupt ") and "Traceback" not in err
+    assert "unrecognized arguments: --corrupt" in err
+    assert "Traceback" not in err
 
 
 def test_certify_json(capsys):
@@ -464,9 +480,9 @@ def test_odd_rejects_a_negative_seed(capsys, seed):
 
 def test_logsub_command(capsys):
     code, out, _ = run(capsys, "logsub", "--samples", "5", "--seed", "3",
-                       "--h", "1e-2", "--h", "1e-3")
+                       "--h", "1e-2", "--h", "1e-3", "--h", "0.07")
     assert code == 0
-    assert "PASS" in out
+    assert "h=0.07:" in out and "PASS" in out
 
 
 def test_logsub_rejects_zero_samples(capsys):
@@ -476,9 +492,11 @@ def test_logsub_rejects_zero_samples(capsys):
             ">= 1") in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("h", ["nan", "inf", "0", "-1e-3"])
+# A step must also keep the stencil inside the disk: h < 0.0732.
+@pytest.mark.parametrize("h", ["nan", "inf", "0", "-1e-3", "0.1", "0.0733"])
 def test_logsub_rejects_a_bad_step(capsys, h):
-    code, out, err = run(capsys, "logsub", "--samples", "2", f"--h={h}")
+    code, out, err = run(capsys, "logsub", "--samples", "2", "--h=0.01",
+                         f"--h={h}")
     assert code == 1
     assert "error: argument --h: " in err and "Traceback" not in err
     assert out == ""
