@@ -4,8 +4,8 @@ All coefficients are fractions.Fraction; nothing here rounds.  A polynomial
 on [0,1]^2 whose Bernstein expansion at some bidegree has only nonnegative
 coefficients is nonnegative on the square (the basis functions are), so an
 all-nonnegative coefficient matrix is a positivity certificate.  The
-converse fails, hence failure to certify is reported as Inconclusive, never
-as a disproof.
+converse fails: a negative entry proves nothing, since the polynomial may
+still be nonnegative.
 
 The two certificates shipped with the package cover
 
@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Union
 
 from .errors import CertificateMismatch, DegreeError
 
@@ -138,16 +137,6 @@ class BiPoly:
                         acc[k][l] += c * ck * comb(j, l) * (-1) ** l
         return BiPoly(tuple(tuple(r) for r in acc))
 
-    def trimmed(self) -> "BiPoly":
-        """Drop trailing all-zero rows/columns (degree bounds stay honored)."""
-        rows = [list(r) for r in self.coeffs]
-        while len(rows) > 1 and all(c == 0 for c in rows[-1]):
-            rows.pop()
-        while len(rows[0]) > 1 and all(r[-1] == 0 for r in rows):
-            for r in rows:
-                r.pop()
-        return BiPoly(tuple(tuple(r) for r in rows))
-
 
 @dataclass(frozen=True)
 class BernsteinForm:
@@ -169,22 +158,6 @@ class BernsteinForm:
                 if c != 0:
                     total += c * bt * comb(self.n, j) * v ** j * (one - v) ** (self.n - j)
         return total
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """An all-nonnegative Bernstein form witnessing nonnegativity on [0,1]^2."""
-
-    form: BernsteinForm
-    min_coeff: Fraction
-
-
-@dataclass(frozen=True)
-class Inconclusive:
-    """No certificate within the elevation budget.  Not a disproof."""
-
-    bidegree: tuple[int, int]
-    min_coeff: Fraction
 
 
 def to_bernstein(poly: BiPoly, m: int, n: int) -> BernsteinForm:
@@ -210,65 +183,6 @@ def to_bernstein(poly: BiPoly, m: int, n: int) -> BernsteinForm:
             row.append(s)
         rows.append(tuple(row))
     return BernsteinForm(m=m, n=n, coeffs=tuple(rows))
-
-
-def from_bernstein(form: BernsteinForm) -> BiPoly:
-    """Exact Bernstein-to-monomial expansion (inverse of to_bernstein)."""
-    m, n = form.m, form.n
-    acc = [[_F(0)] * (n + 1) for _ in range(m + 1)]
-    for i, row in enumerate(form.coeffs):
-        for j, c in enumerate(row):
-            if c == 0:
-                continue
-            # C(m,i) t^i (1-t)^(m-i) = sum_k C(m,i) C(m-i, k-i) (-1)^(k-i) t^k
-            for k in range(i, m + 1):
-                ct = comb(m, i) * comb(m - i, k - i) * (-1) ** (k - i)
-                for l in range(j, n + 1):
-                    cv = comb(n, j) * comb(n - j, l - j) * (-1) ** (l - j)
-                    acc[k][l] += c * ct * cv
-    return BiPoly(tuple(tuple(r) for r in acc)).trimmed()
-
-
-def elevate(form: BernsteinForm, m_new: int, n_new: int) -> BernsteinForm:
-    """Degree elevation; preserves the polynomial and never lowers min_coeff.
-
-    q_ij = sum_{k,l} C(m,k)C(m_new-m, i-k)/C(m_new,i)
-                   * C(n,l)C(n_new-n, j-l)/C(n_new,j) * p_kl.
-    """
-    if m_new < form.m or n_new < form.n:
-        raise DegreeError("elevation cannot lower the bidegree")
-    m, n = form.m, form.n
-    dm, dn = m_new - m, n_new - n
-    rows = []
-    for i in range(m_new + 1):
-        row = []
-        for j in range(n_new + 1):
-            s = _F(0)
-            for k in range(max(0, i - dm), min(m, i) + 1):
-                ct = _F(comb(m, k) * comb(dm, i - k), comb(m_new, i))
-                for l in range(max(0, j - dn), min(n, j) + 1):
-                    if form.coeffs[k][l] != 0:
-                        s += ct * _F(comb(n, l) * comb(dn, j - l),
-                                     comb(n_new, j)) * form.coeffs[k][l]
-            row.append(s)
-        rows.append(tuple(row))
-    return BernsteinForm(m=m_new, n=n_new, coeffs=tuple(rows))
-
-
-def certify_nonneg(poly: BiPoly,
-                   max_elevation: int = 10) -> Union[Certificate, Inconclusive]:
-    """Search bidegrees up to (deg+max_elevation) for a nonnegative expansion."""
-    last_min = None
-    last_deg = (poly.deg_t, poly.deg_v)
-    for extra in range(max_elevation + 1):
-        m = poly.deg_t + extra
-        n = poly.deg_v + extra
-        form = to_bernstein(poly, m, n)
-        mc = form.min_coeff()
-        last_min, last_deg = mc, (m, n)
-        if mc >= 0:
-            return Certificate(form=form, min_coeff=mc)
-    return Inconclusive(bidegree=last_deg, min_coeff=last_min)
 
 
 def poly_y() -> BiPoly:

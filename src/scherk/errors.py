@@ -26,9 +26,5 @@ class DegenerateError(Exception):
     """The requested quantity is undefined at a degenerate parameter."""
 
 
-class PreconditionError(Exception):
-    """An analytic precondition (e.g. Schwarz-Pick) fails for the inputs."""
-
-
 class CertificateMismatch(Exception):
     """A computed certificate entry differs from the expected exact value."""

@@ -58,18 +58,6 @@ class DiskPoint:
 
 
 @dataclass(frozen=True)
-class ArcSpec:
-    """Boundary arc by center angle phi and half-length s in (0, pi)."""
-
-    phi: float
-    s: float
-
-    def __post_init__(self):
-        if not (0.0 < self.s < math.pi):
-            raise DomainError(f"require 0 < s < pi, got s={self.s}")
-
-
-@dataclass(frozen=True)
 class FourMeasures:
     Omega1: float
     Omega2: float
@@ -132,11 +120,6 @@ def _residual(m: FourMeasures, U, V, T, ops=FLOAT):
     d1, d2 = abs(m.Omega1 - 0.5 * (U + V)), abs(m.Omega2 - 0.5 * (1.0 - U - T))
     d3, d4 = abs(m.Omega3 - 0.5 * (U - V)), abs(m.Omega4 - 0.5 * (1.0 - U + T))
     return ops.maximum(ops.maximum(ops.maximum(d1, d2), d3), d4)
-
-
-def arc_measure(z: DiskPoint, arc: ArcSpec) -> float:
-    """Harmonic measure of the arc at z, in (0, 1)."""
-    return _arc(z.r, z.t, arc.phi, arc.s)
 
 
 def measures4(z: DiskPoint, alpha: float) -> FourMeasures:

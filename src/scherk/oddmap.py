@@ -16,15 +16,15 @@ autocorrelation
 the pointwise bound J(tau) <= tau, and the weighted averaging inequality
 with weight M(tau) = cos(2 tau) on [0, pi/4].  At grid shift m, C is the
 real part of the circular autocorrelation of F at lag 2m (Wiener-Khinchin),
-so the Hall and folding checks get C at every shift from one FFT.
+so the Hall check gets C at every shift from one FFT.
 
 Lifts are sampled on a uniform grid of N = 2^14 points (power of two,
 divisible by 8 so that pi/4-aligned quadrature nodes are exact grid
 multiples); the second half of every sample array is the first half plus
-pi, which makes the odd periodicity exact by construction.  The odd Fourier
-modes are sums over the first half-period against twiddles exp(i k t),
-cached per grid size and mode on first use.  A generated lift is its row of
-coefficients times one cached table of sin(2kt) and cos(2kt).
+pi, which makes the odd periodicity exact by construction.  The first
+Fourier modes c_1 and c_-1 are sums over the first half-period against the
+twiddle exp(i t), cached per grid size on first use.  A generated lift is
+its row of coefficients times one cached table of sin(2kt) and cos(2kt).
 
 `random_odd_S1` gives S1 of many generated lifts without building an
 `OddLift` for each.  It forms them in blocks of four by one matrix product
@@ -41,8 +41,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .errors import PreconditionError
 
 DEFAULT_GRID = 2 ** 14
 _MONOTONE_TOL = 1e-12
@@ -96,9 +94,9 @@ def _mirror(first_half: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _twiddle(n: int, k: int) -> np.ndarray:
-    """exp(i k t_j) on the first half-period t_j = 2 pi j / n, j < n/2."""
-    tw = np.exp(1j * k * (np.arange(n // 2) * (2.0 * math.pi / n)))
+def _twiddle(n: int) -> np.ndarray:
+    """exp(i t_j) on the first half-period t_j = 2 pi j / n, j < n/2."""
+    tw = np.exp(1j * (np.arange(n // 2) * (2.0 * math.pi / n)))
     tw.flags.writeable = False
     return tw
 
@@ -179,7 +177,7 @@ def _s1_rows(theta: np.ndarray, trig=None) -> np.ndarray:
         trig = np.empty((2 * b, half))
     np.cos(theta, out=trig[:b])
     np.sin(theta, out=trig[b:])
-    sums = trig @ _twiddle(2 * half, 1).view(float).reshape(half, 2)
+    sums = trig @ _twiddle(2 * half).view(float).reshape(half, 2)
     sq = (sums * sums).sum(axis=1)
     return 2.0 * (sq[:b] + sq[b:]) / half ** 2
 
@@ -250,22 +248,6 @@ def extremal_sequence(smoothing: float, n: int = DEFAULT_GRID) -> OddLift:
         total += 0.5 * (1.0 + _erf_steps((t_half - 0.5 * math.pi * k) / smoothing))
     theta_half = 0.5 * math.pi * total - 4.0 * math.pi
     return OddLift(_mirror(theta_half))
-
-
-def fourier_mode(lift: OddLift, n: int) -> tuple[complex, complex]:
-    """(c_n, c_{-n}) of F = exp(i theta) by the trapezoid rule.
-
-    On a uniform periodic grid the trapezoid rule is the plain mean, and it
-    is spectrally accurate for smooth lifts.  F(t+pi) = -F(t) makes every
-    even mode 0, and for odd n the mean over the first half-period equals
-    the full one.
-    """
-    if n % 2 == 0:
-        return 0j, 0j
-    half = lift.n // 2
-    f = np.exp(1j * lift.samples[:half])
-    tw = _twiddle(lift.n, n)
-    return complex(np.vdot(tw, f) / half), complex(np.dot(tw, f) / half)
 
 
 def fourier_S1(lift: OddLift) -> float:
@@ -345,70 +327,3 @@ def hall_inequality_check(lift: OddLift, slack: float = 1e-9) -> HallReport:
     max_gap = float((js - taus).max())
     return HallReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs + slack,
                       max_j_minus_tau=max_gap)
-
-
-def folding_max(lift: OddLift, level: int) -> float:
-    """max of L(tau) + L(B - tau) over grid nodes in [0, B/2], L = J - 2t/pi.
-
-    B = (pi/2) / 2^level; the combinatorial bound makes this nonpositive
-    for every valid lift.  Levels beyond 3 are proof scaffolding, not
-    checked here.
-    """
-    if level < 1 or lift.n % (2 ** (level + 2)) != 0:
-        raise ValueError(f"level {level} incompatible with grid {lift.n}")
-    nb = lift.n // (2 ** (level + 2))   # B = nb * step
-    step = lift.step
-    shifts = np.arange(nb // 2 + 1)
-    js = 0.5 * (1.0 - _c_at_shifts(lift, np.concatenate([shifts,
-                                                           nb - shifts])))
-    j_low, j_high = js[:shifts.size], js[shifts.size:]
-    ls = (j_low - 2.0 * (shifts * step) / math.pi
-          + j_high - 2.0 * ((nb - shifts) * step) / math.pi)
-    return float(ls.max())
-
-
-@dataclass(frozen=True)
-class CentralChainReport:
-    """Coefficient-level chain for centrally symmetric graphs."""
-
-    wk: float             # 4|q'(0)|^2 / (|P(0)|^2 (1-r^2)^2 (1+r^2)^2)
-    slope_bound: float    # 4 / (|P(0)|^2 (1+r^2)^2), from Schwarz-Pick
-    coeff_sum: float      # |a_1|^2 + |b_1|^2 = |P(0)|^2 (1 + r^4)
-    wk_le_slope: bool
-    slope_le_coeff_bound: bool  # slope_bound <= 4/coeff_sum
-    coeff_premise: bool   # coeff_sum >= 8/pi^2
-    final_bound: bool     # wk <= pi^2/2 whenever the premise holds
-
-
-def central_chain_check(P0: complex, q0: complex, q0deriv: complex,
-                        slack: float = 1e-12) -> CentralChainReport:
-    """Verify the inequality chain from the data (P(0), q(0), q'(0)).
-
-    Preconditions: |q0| < 1 and the Schwarz-Pick bound |q'(0)| <= 1-|q0|^2.
-    With b_1 = q(0)^2 P(0), the premise |a_1|^2+|b_1|^2 >= 8/pi^2 upgrades
-    the slope bound to wk <= pi^2/2.
-    """
-    r = abs(q0)
-    if r >= 1.0:
-        raise PreconditionError(f"require |q0| < 1, got {r}")
-    r2 = r * r
-    if abs(q0deriv) > 1.0 - r2 + slack:
-        raise PreconditionError(
-            f"Schwarz-Pick violated: |q'(0)|={abs(q0deriv)} > 1-r^2={1 - r2}")
-    if P0 == 0:
-        raise PreconditionError("require P(0) != 0")
-    p2 = abs(P0) ** 2
-    wk = 4.0 * abs(q0deriv) ** 2 / (p2 * (1.0 - r2) ** 2 * (1.0 + r2) ** 2)
-    slope_bound = 4.0 / (p2 * (1.0 + r2) ** 2)
-    coeff_sum = p2 * (1.0 + r2 * r2)
-    sharp = 8.0 / math.pi ** 2
-    premise = coeff_sum >= sharp - slack
-    return CentralChainReport(
-        wk=wk,
-        slope_bound=slope_bound,
-        coeff_sum=coeff_sum,
-        wk_le_slope=wk <= slope_bound + slack,
-        slope_le_coeff_bound=slope_bound <= 4.0 / coeff_sum + slack,
-        coeff_premise=premise,
-        final_bound=(not premise) or wk <= math.pi ** 2 / 2.0 + slack,
-    )

@@ -136,10 +136,21 @@ def angle_params(p, q, ops=FLOAT) -> ScherkParams:
                         ops.maximum(0.0, ops.cos(q - p)), p, q)
 
 
-def _require_no_underflow(A, B) -> None:
-    if B * (A + B) == 0.0 or A * (A + B) == 0.0:   # P, R and G divide by them
+def _require_finite_interval(params: ScherkParams) -> ScherkParams:
+    """`params`, or DomainError where B*(A+B) or A*(A+B) is 0 (P, R and G
+    divide by them) or where L or R is not finite.  A subnormal product
+    can overflow the quotient: L = inf at (0.5, 1e-320), R = -inf at
+    (1e-300, 1e-10)."""
+    A, B = params.A, params.B
+    if B * (A + B) == 0.0 or A * (A + B) == 0.0:
         raise DomainError(f"require B*(A+B) > 0 and A*(A+B) > 0, "
                           f"got an underflow at A={A}, B={B}")
+    L = interval_L(A, B, params.kappa, params.epsilon)
+    R = interval_R(A, B, params.kappa, params.epsilon)
+    if not (math.isfinite(L) and math.isfinite(R)):
+        raise DomainError(f"require finite L and R, got L={L}, R={R} "
+                          f"at A={A}, B={B}")
+    return params
 
 
 def from_ab(A: float, B: float) -> ScherkParams:
@@ -150,8 +161,7 @@ def from_ab(A: float, B: float) -> ScherkParams:
     """
     if not (0.0 < A <= 1.0 and 0.0 < B <= 1.0):
         raise DomainError(f"require 0 < A, B <= 1, got A={A}, B={B}")
-    _require_no_underflow(A, B)
-    return ab_params(A, B)
+    return _require_finite_interval(ab_params(A, B))
 
 
 def from_angles(p: float, q: float) -> ScherkParams:
@@ -174,9 +184,7 @@ def from_angles(p: float, q: float) -> ScherkParams:
         raise DomainError(
             f"restricted-angle convention needs p <= pi/2 and q-p <= pi/2, "
             f"got p={p}, q-p={q - p}")
-    params = angle_params(p, q)
-    _require_no_underflow(params.A, params.B)
-    return params
+    return _require_finite_interval(angle_params(p, q))
 
 
 def admissible_interval(params: ScherkParams) -> AdmissibleInterval:

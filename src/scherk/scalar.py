@@ -102,21 +102,6 @@ def sigma(pair, ops=FLOAT):
     return ops.sqrt(2.0 * (1.0 + pair.A * pair.B))
 
 
-def g_eval(params: ScherkParams, U: float) -> tuple[float, float, float]:
-    """Evaluate (G(U), M(U), N(U)).
-
-    M may land outside [0, 1/2] for U outside the admissible interval;
-    callers gate admissibility separately.
-    """
-    g, _, mn = g_s(params)
-    return (g(U), *mn(U))
-
-
-def s_eval(params: ScherkParams, U: float) -> float:
-    """Scaled derivative S(U) = (1/pi) G'(U); positive on [L, R]."""
-    return g_s(params)[1](U)
-
-
 def solve_zero(params: ScherkParams, tol: float = 1e-12,
                interval: Optional[AdmissibleInterval] = None) -> ScalarZero:
     """Find the admissible zero of G on [L, R].
@@ -293,7 +278,7 @@ def barrier_chain_check(params: ScherkParams,
     g_at_u_star = None
     barrier_ok = True
     if u_star < R:
-        g_at_u_star = g_eval(params, u_star)[0]
+        g_at_u_star = g_s(params)[0](u_star)
         barrier_ok = g_at_u_star >= -slack
 
     def _h(front: float) -> float:
@@ -303,7 +288,7 @@ def barrier_chain_check(params: ScherkParams,
     hl_at_root = _h(zero.U)
 
     swapped = from_ab(B, A)
-    swap_residual = g_eval(swapped, 1.0 - zero.U)[0] + g_eval(params, zero.U)[0]
+    swap_residual = g_s(swapped)[0](1.0 - zero.U) + g_s(params)[0](zero.U)
 
     return BarrierChainReport(
         sigma=bound,

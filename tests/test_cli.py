@@ -133,6 +133,19 @@ def test_underflowing_pairs_are_input_errors(capsys, argv):
         assert err.startswith("error: require B*(A+B) > 0 and A*(A+B) > 0")
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (("--A", "1e-300", "--B", "1e-10"), "R=-inf"),
+    (("--p", "1e-320", "--q", "1.0"), "R=-inf"),
+    (("--A", "0.5", "--B", "1e-320"), "L=inf")])
+def test_overflowing_interval_pairs_are_input_errors(capsys, argv, bad):
+    # A(A+B) or B(A+B) is subnormal but not 0, and the quotient in L or R
+    # overflows; such a pair is refused before any record is printed.
+    for command in ("check", "zero"):
+        code, out, err = run(capsys, command, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: require finite L and R") and bad in err
+
+
 def test_evaluate_pair_builds_the_interval_once(monkeypatch):
     from scherk import params, scalar
     built = []

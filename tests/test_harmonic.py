@@ -5,11 +5,10 @@ import pytest
 from conftest import random_admissible
 from oracles import poisson_arc_measure
 from scherk.errors import DegenerateError, DomainError, NonConvergence
-from scherk.harmonic import (ArcSpec, DiskPoint, arc_measure,
-                             cross_ratio_residual, master_inequality_check,
-                             measures4, modulus_consistency_residual,
-                             phase_param, sinU_identity_residual,
-                             solve_zero_point)
+from scherk.harmonic import (DiskPoint, _arc, cross_ratio_residual,
+                             master_inequality_check, measures4,
+                             modulus_consistency_residual, phase_param,
+                             sinU_identity_residual, solve_zero_point)
 from scherk.params import arc_alpha, from_ab, mu, threshold_b0
 from scherk.scalar import solve_zero
 from scherk.weierstrass import wk_scalar
@@ -22,24 +21,16 @@ def test_disk_point_rejects_boundary():
         DiskPoint(r=-0.1, t=0.0)
 
 
-def test_arc_spec_rejects_bad_half_length():
-    for s in (0.0, math.pi, 4.0):
-        with pytest.raises(DomainError):
-            ArcSpec(phi=0.0, s=s)
-
-
 def test_arc_measure_at_origin_is_normalized_arclength():
-    origin = DiskPoint(r=0.0, t=0.0)
     for s in (0.1, math.pi / 4, 1.0, 3.0):
-        assert arc_measure(origin, ArcSpec(0.7, s)) == pytest.approx(
+        assert _arc(0.0, 0.0, 0.7, s) == pytest.approx(
             s / math.pi, abs=1e-15)
 
 
 def test_arc_measure_frozen_value():
     # Adaptive Poisson quadrature (and the 50-digit closed form) both give
     # 0.56861166736783072 for this configuration.
-    z = DiskPoint(r=0.5, t=0.0)
-    val = arc_measure(z, ArcSpec(phi=0.0, s=math.pi / 4))
+    val = _arc(0.5, 0.0, 0.0, math.pi / 4)
     assert val == pytest.approx(0.56861166736783072098, abs=1e-13)
     assert val == pytest.approx(poisson_arc_measure(0.5, 0.0, 0.0, math.pi / 4),
                                 abs=1e-11)
@@ -51,7 +42,7 @@ def test_arc_measure_matches_quadrature_oracle(rng):
         t = float(rng.uniform(0.0, 2 * math.pi))
         phi = float(rng.uniform(0.0, 2 * math.pi))
         s = float(rng.uniform(0.05, math.pi - 0.05))
-        val = arc_measure(DiskPoint(r=r, t=t), ArcSpec(phi=phi, s=s))
+        val = _arc(r, t, phi, s)
         assert val == pytest.approx(poisson_arc_measure(r, t, phi, s),
                                     abs=1e-9)
 

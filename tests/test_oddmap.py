@@ -6,14 +6,11 @@ import pytest
 from oracles import (direct_autocorrelation, direct_random_odd_lift,
                      full_grid_fourier_mode)
 from scherk import oddmap
-from scherk.errors import PreconditionError
 from scherk.oddmap import (OddLift, _c_at_shifts, _check_monotone,
                            _mirror, _theta_half, autocorrelation,
-                           central_chain_check, extremal_sequence,
-                           folding_max, fourier_S1, fourier_mode,
-                           fourier_spectrum, hall_inequality_check,
-                           identity_lift, random_odd_lift, random_odd_S1,
-                           snap_shift)
+                           extremal_sequence, fourier_S1, fourier_spectrum,
+                           hall_inequality_check, identity_lift,
+                           random_odd_lift, random_odd_S1, snap_shift)
 
 SHARP = 8.0 / math.pi ** 2
 
@@ -38,7 +35,7 @@ def test_identity_lift_basics():
     lift = identity_lift()
     assert fourier_S1(lift) == pytest.approx(1.0, abs=1e-13)
     assert 1.0 >= SHARP
-    c1, cm1 = fourier_mode(lift, 1)
+    c1, cm1 = full_grid_fourier_mode(lift.samples, 1)
     assert abs(c1 - 1.0) < 1e-13 and abs(cm1) < 1e-13
 
 
@@ -124,13 +121,6 @@ def test_hall_extremal_approaches_equality():
     assert rep.rhs - rep.lhs < 2e-3   # averaged bound tightens
 
 
-def test_folding_levels():
-    for seed, modes in ((7, 4), (31, 6)):
-        lift = random_odd_lift(seed, modes=modes, amplitude=0.3)
-        for level in (1, 2, 3):
-            assert folding_max(lift, level) <= 1e-10
-
-
 def test_c_at_shifts_matches_direct_sum():
     for lift in small_lifts():
         ms = np.arange(lift.n // 4 + 1)
@@ -151,23 +141,16 @@ def test_hall_and_folding_match_direct_sums():
         rep = hall_inequality_check(lift)
         assert abs(rep.lhs - lhs) < 1e-13
         assert abs(rep.max_j_minus_tau - (js - taus).max()) < 1e-13
-        for level in (1, 2, 3):
-            nb = lift.n // 2 ** (level + 2)
-            ls = [js[m] + js[nb - m] - 2.0 * nb * step / math.pi
-                  for m in range(nb // 2 + 1)]
-            assert abs(folding_max(lift, level) - max(ls)) < 1e-13
 
 
 def test_fourier_mode_matches_full_grid_mean():
+    # S1 from the half-period sums against the full-grid means of c_1 and
+    # c_-1, on smooth lifts and on the steep extremal ones.
     for lift in (random_odd_lift(13, modes=6, amplitude=0.3),
                  random_odd_lift(40, modes=2, amplitude=0.3),
                  extremal_sequence(0.01), extremal_sequence(1e-3)):
-        for k in (1, 3, 5):
-            got = fourier_mode(lift, k)
-            want = full_grid_fourier_mode(lift.samples, k)
-            assert abs(got[0] - want[0]) < 1e-14
-            assert abs(got[1] - want[1]) < 1e-14
-        assert fourier_mode(lift, 2) == (0j, 0j)
+        c1, cm1 = full_grid_fourier_mode(lift.samples, 1)
+        assert abs(fourier_S1(lift) - (abs(c1) ** 2 + abs(cm1) ** 2)) < 1e-14
 
 
 def test_random_lift_matches_direct_definition():
@@ -256,7 +239,7 @@ def test_extremal_sequence_invariants_and_convergence():
     s1 = fourier_S1(lift)
     assert s1 - SHARP < 1e-3
     assert s1 >= SHARP - 1e-9
-    c1, cm1 = fourier_mode(lift, 1)
+    c1, cm1 = full_grid_fourier_mode(lift.samples, 1)
     assert abs(c1) ** 2 == pytest.approx(SHARP, abs=1e-3)
     assert abs(cm1) < 1e-12   # collapse concentrates in c_1
     with pytest.raises(ValueError):
@@ -269,43 +252,3 @@ def test_exact_collapse_coefficient():
     # a_1 of the exact four-point collapse is 2(1-i)/pi with |a_1|^2 = 8/pi^2.
     a1 = 2.0 * (1.0 - 1.0j) / math.pi
     assert abs(a1) ** 2 == pytest.approx(SHARP, abs=1e-15)
-
-
-def test_central_chain_equality_case():
-    p0 = 2.0 * (1.0 - 1.0j) / math.pi
-    rep = central_chain_check(p0, 0.0j, 1.0 + 0.0j)
-    assert rep.wk == pytest.approx(math.pi ** 2 / 2, abs=1e-12)
-    assert rep.coeff_premise and rep.final_bound
-    assert rep.wk_le_slope and rep.slope_le_coeff_bound
-
-
-def test_central_chain_flat_point():
-    rep = central_chain_check(1.0 + 0j, 0.0j, 0.0j)
-    assert rep.wk == 0.0
-    assert rep.final_bound
-
-
-def test_central_chain_random_triples(rng):
-    sharp = 8.0 / math.pi ** 2
-    for _ in range(1000):
-        r = float(rng.uniform(0.0, 0.9))
-        q0 = r * np.exp(1j * rng.uniform(0, 2 * math.pi))
-        # scale |P0| so the coefficient premise holds
-        p_min = math.sqrt(sharp / (1.0 + r ** 4))
-        p0 = float(rng.uniform(1.0, 3.0)) * p_min * np.exp(
-            1j * rng.uniform(0, 2 * math.pi))
-        qd = float(rng.uniform(0.0, 1.0)) * (1.0 - r * r) * np.exp(
-            1j * rng.uniform(0, 2 * math.pi))
-        rep = central_chain_check(complex(p0), complex(q0), complex(qd))
-        assert rep.wk_le_slope and rep.slope_le_coeff_bound
-        assert rep.coeff_premise and rep.final_bound
-        assert rep.wk <= math.pi ** 2 / 2 + 1e-12
-
-
-def test_central_chain_preconditions():
-    with pytest.raises(PreconditionError):
-        central_chain_check(1.0 + 0j, 1.0 + 0j, 0.1 + 0j)
-    with pytest.raises(PreconditionError):
-        central_chain_check(1.0 + 0j, 0.5 + 0j, 1.0 + 0j)  # > 1 - r^2
-    with pytest.raises(PreconditionError):
-        central_chain_check(0j, 0j, 0j)

@@ -9,8 +9,8 @@ from oracles import mp_scalar_root
 from scherk.errors import NoSignChange, NotAdmissible
 from scherk.params import (ScherkParams, admissible_interval, from_ab,
                            threshold_b0)
-from scherk.scalar import (barrier_chain_check, g_eval, hr_identity_residual,
-                           s_eval, solve_zero, solve_zero_block)
+from scherk.scalar import (barrier_chain_check, g_s, hr_identity_residual,
+                           solve_zero, solve_zero_block)
 
 PYTH = [(Fraction(3, 5), Fraction(4, 5)),
         (Fraction(5, 13), Fraction(12, 13)),
@@ -19,31 +19,33 @@ PYTH += [(k, a) for (a, k) in PYTH]   # both orientations of each triple
 
 
 def test_g_eval_equality_corner():
-    g, m, n = g_eval(from_ab(1.0, 1.0), 0.5)
-    assert abs(g) < 1e-15   # (A+B)*cos(pi/2) rounds to ~1e-16
+    g, _, mn = g_s(from_ab(1.0, 1.0))
+    m, n = mn(0.5)
+    assert abs(g(0.5)) < 1e-15   # (A+B)*cos(pi/2) rounds to ~1e-16
     assert m == 0.0 and n == 0.0
 
 
 @pytest.mark.parametrize("a", [0.3, 0.5, 0.7, 0.95, 1.0])
 def test_g_vanishes_at_half_for_symmetric_pairs(a):
-    g, m, n = g_eval(from_ab(a, a), 0.5)
-    assert abs(g) < 1e-14
+    g, _, mn = g_s(from_ab(a, a))
+    m, n = mn(0.5)
+    assert abs(g(0.5)) < 1e-14
     assert m == pytest.approx(n, abs=1e-14)
 
 
 def test_g_eval_frozen_value():
     # 50-digit evaluation of the three cosine terms.
-    g, _, _ = g_eval(from_ab(0.6, 0.95), 0.5)
+    g = g_s(from_ab(0.6, 0.95))[0](0.5)
     assert g == pytest.approx(-0.096698030138343262333, abs=1e-14)
 
 
 def test_s_eval_values():
-    assert s_eval(from_ab(1.0, 1.0), 0.5) == pytest.approx(2.0, abs=1e-15)
+    assert g_s(from_ab(1.0, 1.0))[1](0.5) == pytest.approx(2.0, abs=1e-15)
     # Symmetric closed form S = 2A + 2*A*kappa*sin(pi*kappa/(2A^2)).
     a = 0.95
     k = math.sqrt(1 - a * a)
     closed = 2 * a + 2 * a * k * math.sin(math.pi * k / (2 * a * a))
-    s = s_eval(from_ab(a, a), 0.5)
+    s = g_s(from_ab(a, a))[1](0.5)
     assert s == pytest.approx(closed, abs=1e-14)
     assert s == pytest.approx(2.2067874442598013117, abs=1e-13)
 
@@ -103,7 +105,7 @@ def test_solve_zero_degenerate_interval():
     iv = admissible_interval(params)
     assert 0.0 <= iv.R - iv.L < 1e-12
     z = solve_zero(params)
-    assert abs(g_eval(params, z.U)[0]) <= 1e-12
+    assert abs(g_s(params)[0](z.U)) <= 1e-12
 
 
 def test_solve_zero_rejects_nonpositive_tol():
@@ -131,8 +133,9 @@ def _iterated(params) -> bool:
     """True where the zero comes from the Newton iteration: a sign change
     strictly inside a non-degenerate [L, R], not one of its branches."""
     iv = admissible_interval(params)
+    g = g_s(params)[0]
     return (iv.R - iv.L >= 1e-15 and not params.A == params.B == 1.0
-            and g_eval(params, iv.L)[0] <= 0.0 <= g_eval(params, iv.R)[0])
+            and g(iv.L) <= 0.0 <= g(iv.R))
 
 
 def test_newton_steps_on_the_grid_match_the_block_solver():
@@ -189,7 +192,8 @@ def test_monotonicity_on_admissible_interval(rng):
         u1, u2 = sorted(rng.uniform(iv.L, iv.R, 2))
         if u1 == u2:
             continue
-        assert g_eval(params, u1)[0] < g_eval(params, u2)[0] + 1e-15
+        g = g_s(params)[0]
+        assert g(u1) < g(u2) + 1e-15
 
 
 def test_root_bracketing_and_mn_bounds(rng):
@@ -209,8 +213,9 @@ def test_derivative_matches_finite_difference(rng):
         iv = admissible_interval(params)
         u = float(rng.uniform(iv.L + h, iv.R - h)) if iv.R - iv.L > 2 * h \
             else 0.5
-        fd = (g_eval(params, u + h)[0] - g_eval(params, u - h)[0]) / (2 * h)
-        exact = math.pi * s_eval(params, u)
+        g, s, _ = g_s(params)
+        fd = (g(u + h) - g(u - h)) / (2 * h)
+        exact = math.pi * s(u)
         assert fd == pytest.approx(exact, rel=1e-7)
 
 
@@ -219,8 +224,8 @@ def test_swap_relation_between_roots(rng):
     for params in random_admissible(rng, 200, margin=1e-6):
         z = solve_zero(params, tol)
         swapped = from_ab(params.B, params.A)
-        g_sw = g_eval(swapped, 1.0 - z.U)[0]
-        assert abs(g_sw + g_eval(params, z.U)[0]) < 1e-12
+        g_sw = g_s(swapped)[0](1.0 - z.U)
+        assert abs(g_sw + g_s(params)[0](z.U)) < 1e-12
         z_sw = solve_zero(swapped, tol)
         assert abs(z_sw.U - (1.0 - z.U)) < 2 * 1e-9
 
