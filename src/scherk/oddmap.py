@@ -27,16 +27,19 @@ twiddle exp(i t), cached per grid size on first use.  A generated lift is
 its row of coefficients times one cached table of sin(2kt) and cos(2kt).
 
 `random_odd_S1` gives S1 of many generated lifts without building an
-`OddLift` for each.  It forms them in blocks of four by one matrix product
-against the table, applies the `OddLift` monotonicity rule to every row, and
-reduces each block to S1 from cos and sin of theta (512 KiB at N = 2^14) by
-one product against the mode-1 twiddle.  `random_odd_lift` and `fourier_S1`
-run the same helpers on a single lift.
+`OddLift` for each.  It draws every coefficient row in one batch, forms the
+lifts in blocks of four by one matrix product against the table, and
+applies the `OddLift` monotonicity rule to every sample of every row.  S1
+is then taken from every stride-th sample only: for K modes, h' points per
+half-period, the smallest power of two >= 64 K (at most N/2), where the
+trapezoid rule is already exact (see `random_odd_S1`).  `random_odd_lift`
+and `fourier_S1` run the same helpers on a single lift, on the full grid.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,7 +48,7 @@ import numpy as np
 DEFAULT_GRID = 2 ** 14
 _MONOTONE_TOL = 1e-12
 _ODD_TOL = 1e-12
-_BLOCK = 4          # lifts per block: cos and sin fill 512 KiB at N = 2^14
+_BLOCK = 4          # lifts per block: theta and steps fill 512 KiB, N = 2^14
 _TABLE_MODES = 8    # the even-mode table covers modes 1..8 at least
 
 
@@ -60,6 +63,8 @@ class OddLift:
         n = s.size
         _check_grid(n)
         object.__setattr__(self, "samples", s)
+        if not np.isfinite(s).all():
+            raise ValueError("lift samples must be finite")
         diffs = np.diff(s)
         if diffs.min(initial=0.0) < -_MONOTONE_TOL:
             raise ValueError(f"lift not nondecreasing: min step {diffs.min()}")
@@ -94,9 +99,17 @@ def _mirror(first_half: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
+def _half_grid(n: int) -> np.ndarray:
+    """The first half-period t_j = 2 pi j / n, j < n/2."""
+    t_half = np.arange(n // 2) * (2.0 * math.pi / n)
+    t_half.flags.writeable = False
+    return t_half
+
+
+@lru_cache(maxsize=64)
 def _twiddle(n: int) -> np.ndarray:
     """exp(i t_j) on the first half-period t_j = 2 pi j / n, j < n/2."""
-    tw = np.exp(1j * (np.arange(n // 2) * (2.0 * math.pi / n)))
+    tw = np.exp(1j * _half_grid(n))
     tw.flags.writeable = False
     return tw
 
@@ -104,7 +117,7 @@ def _twiddle(n: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _even_table(n: int, modes: int) -> np.ndarray:
     """Rows sin(2k t_j), cos(2k t_j), k = 1..modes, on the first half-period."""
-    t_half = np.arange(n // 2) * (2.0 * math.pi / n)
+    t_half = _half_grid(n)
     table = np.empty((2 * modes, n // 2))
     for k in range(1, modes + 1):   # row by row: no (modes, n/2) temporaries
         np.sin(2 * k * t_half, out=table[2 * k - 2])
@@ -113,26 +126,37 @@ def _even_table(n: int, modes: int) -> np.ndarray:
     return table
 
 
-def _lift_coefficients(seed: int, modes: int, amplitude: float) -> np.ndarray:
-    """(a_k cos phi_k, a_k sin phi_k), k = 1..modes, in `_even_table` row order.
+def _draw_coefficients(seeds, modes, amplitude: float) -> np.ndarray:
+    """Coefficient rows of the lifts (seed, m), zero-padded to the widest.
 
-    a sin(2k t + phi) = a cos(phi) sin(2k t) + a sin(phi) cos(2k t).  The
-    amplitudes are rescaled if needed so that min theta' >= 0.05.
+    Row i is (a_k cos phi_k, a_k sin phi_k), k = 1..m, in `_even_table` row
+    order: a sin(2k t + phi) = a cos(phi) sin(2k t) + a sin(phi) cos(2k t).
+    Each seed's `default_rng` gives m draws for a_k = amplitude U(0.2, 1)/k
+    and then m for phi_k = U(0, 2 pi), in one `random(2m)` call.  They are
+    mapped as `Generator.uniform(low, high)` maps them, low + (high - low) d,
+    so every row is bit-identical to two `uniform` calls.
+    The amplitudes are rescaled if needed so that min theta' >= 0.05.  Rows
+    are scaled per mode count, so each sum over k sees exactly m terms.
     """
-    if modes < 1:
-        raise ValueError(f"modes must be >= 1, got {modes}")
-    if amplitude < 0.0:
-        raise ValueError(f"amplitude must be >= 0, got {amplitude}")
-    rng = np.random.default_rng(seed)
-    ks = np.arange(1, modes + 1)
-    amps = amplitude * rng.uniform(0.2, 1.0, modes) / ks
-    phases = rng.uniform(0.0, 2.0 * math.pi, modes)
-    deriv_bound = float(np.sum(2.0 * ks * amps))
-    if deriv_bound > 0.95:
-        amps *= 0.95 / deriv_bound
-    coefs = np.empty(2 * modes)
-    coefs[0::2] = amps * np.cos(phases)
-    coefs[1::2] = amps * np.sin(phases)
+    if not 0.0 <= amplitude < math.inf:
+        raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
+    modes = np.array([operator.index(m) for m in modes], dtype=int)
+    if modes.size and modes.min() < 1:
+        raise ValueError(f"modes must be >= 1, got {modes.min()}")
+    coefs = np.zeros((modes.size, 2 * modes.max(initial=1)))
+    for i, (seed, m) in enumerate(zip(seeds, modes, strict=True)):
+        coefs[i, :2 * m] = np.random.default_rng(seed).random(2 * m)
+    for m in sorted(set(modes.tolist())):   # np.unique costs 1.6 MB of RSS
+        rows = np.flatnonzero(modes == m)
+        d = coefs[rows]     # a copy: the draws are overwritten below
+        ks = np.arange(1, m + 1)
+        amps = amplitude * (0.2 + (1.0 - 0.2) * d[:, :m]) / ks
+        phases = 0.0 + (2.0 * math.pi - 0.0) * d[:, m:2 * m]
+        deriv_bound = (2.0 * ks * amps).sum(axis=1)
+        big = deriv_bound > 0.95
+        amps[big] *= (0.95 / deriv_bound[big])[:, None]
+        coefs[rows, 0:2 * m:2] = amps * np.cos(phases)
+        coefs[rows, 1:2 * m:2] = amps * np.sin(phases)
     return coefs
 
 
@@ -144,7 +168,7 @@ def _theta_half(coefs: np.ndarray, n: int, out=None) -> np.ndarray:
     width = coefs.shape[1]
     table = _even_table(n, max(width // 2, _TABLE_MODES))[:width]
     theta = np.matmul(coefs, table, out=out)
-    theta += np.arange(n // 2) * (2.0 * math.pi / n)
+    theta += _half_grid(n)
     return theta
 
 
@@ -152,25 +176,25 @@ def _check_monotone(theta: np.ndarray, work: np.ndarray) -> None:
     """OddLift's step rule for rows of first-half samples.
 
     The mirrored lift's steps are the steps within the first half plus
-    theta(0) + pi - theta(pi - step), at the seam and at the wrap.
+    theta(0) + pi - theta(pi - step), at the seam and at the wrap.  A NaN
+    or infinite sample makes some step NaN or -inf, which fails the rule.
     """
     steps = np.subtract(theta[:, 1:], theta[:, :-1], out=work[:, :-1])
     min_step = min(steps.min(), (theta[:, 0] + math.pi - theta[:, -1]).min())
-    if min_step < -_MONOTONE_TOL:
+    if not min_step >= -_MONOTONE_TOL:
         raise ValueError(f"lift not nondecreasing: min step {min_step}")
 
 
 def _s1_rows(theta: np.ndarray, trig=None) -> np.ndarray:
     """S1 of each row of first-half samples, from cos and sin of theta.
 
-    With C = cos theta, S = sin theta and h = n/2 samples, c_1 and c_-1 are
-    (C.cos t +- S.sin t + i (S.cos t -+ C.sin t)) / h, so
+    With C = cos theta, S = sin theta and h samples per row, c_1 and c_-1
+    are (C.cos t +- S.sin t + i (S.cos t -+ C.sin t)) / h, so
     S1 = 2 (|C.e^{it}|^2 + |S.e^{it}|^2) / h^2.  C and S of b rows are
     stacked in `trig` (2b rows) for one product against the mode-1 twiddle
     read as a (h, 2) real matrix.  Stacked, one lift is a matrix product
     too and sums like a block; as a (1, h) row it took a matrix-vector path
-    that differed from the block by up to 7e-15.  cos is taken before sin,
-    so `theta` may be the second half of `trig`.
+    that differed from the block by up to 7e-15.
     """
     b, half = theta.shape
     if trig is None:
@@ -182,6 +206,11 @@ def _s1_rows(theta: np.ndarray, trig=None) -> np.ndarray:
     return 2.0 * (sq[:b] + sq[b:]) / half ** 2
 
 
+def _s1_points(n: int, modes: int) -> int:
+    """Half-period points for S1: the least 2^j >= 64 modes, at most n/2."""
+    return min(1 << (64 * modes - 1).bit_length(), n // 2)
+
+
 def random_odd_lift(seed: int, modes: int, amplitude: float,
                     n: int = DEFAULT_GRID) -> OddLift:
     """theta(t) = t + sum_k a_k sin(2k t + phi_k), k = 1..modes.
@@ -190,8 +219,8 @@ def random_odd_lift(seed: int, modes: int, amplitude: float,
     rescaled if needed so that min theta' >= 0.05, which keeps every
     generated lift strictly increasing.
     """
-    coefs = _lift_coefficients(seed, modes, amplitude)
-    return OddLift(_mirror(_theta_half(coefs[None, :], n)[0]))
+    coefs = _draw_coefficients([seed], [modes], amplitude)
+    return OddLift(_mirror(_theta_half(coefs, n)[0]))
 
 
 def random_odd_S1(seeds, modes, amplitude: float,
@@ -200,27 +229,38 @@ def random_odd_S1(seeds, modes, amplitude: float,
 
     `seeds` and `modes` are equal-length sequences of ints.  The lifts are
     formed in blocks of a few rows, each by one matrix product against the
-    even-mode table, and each block passes the same monotonicity rule as
-    `OddLift` (ValueError otherwise) before its S1 is taken.
+    even-mode table, and every sample of each block passes the same
+    monotonicity rule as `OddLift` (ValueError otherwise).
+
+    S1 is then taken from every stride-th sample: h' = `_s1_points(n, K)`
+    per half-period, K = max(modes).  That is exact.  Every generated lift
+    has phi = theta - t with sum_k 2k a_k <= 0.95, so on Im t = +-1/(2K),
+    where sinh(k/K) <= (k/K) sinh 1, |Im phi| <= 0.95 sinh(1)/(2K) < 0.56.
+    The pi-periodic integrands e^{i phi} (for c_1) and e^{i(phi + 2t)}
+    (for c_-1) thus have Fourier coefficients at e^{2imt} of modulus at
+    most e^{0.56} e^{-(|m| - 1)/K}, and the h'-point trapezoid sum differs
+    from the exact mean only by the aliased ones, m = +-h', +-2h', ...:
+    about 2 e^{0.56} e^{-(h' - 1)/K} <= 3.5 e^{-63} < 2e-27.  The full
+    grid is no closer, so both sums are exact up to rounding.  The bound
+    holds for generated lifts only, not for `extremal_sequence`.
     """
     _check_grid(n)
-    coefs = np.zeros((len(seeds), 2 * max(modes, default=1)))
-    for i, (seed, m) in enumerate(zip(seeds, modes, strict=True)):
-        coefs[i, :2 * m] = _lift_coefficients(seed, m, amplitude)
-    trig_buf = np.empty((2 * _BLOCK, n // 2))
-    s1 = np.empty(len(seeds))
-    for lo in range(0, len(seeds), _BLOCK):
-        b = min(_BLOCK, len(seeds) - lo)
-        trig = trig_buf[:2 * b]
-        theta = _theta_half(coefs[lo:lo + b], n, out=trig[b:])
-        _check_monotone(theta, trig[:b])
-        s1[lo:lo + b] = _s1_rows(theta, trig)
+    coefs = _draw_coefficients(seeds, modes, amplitude)
+    half = n // 2
+    stride = half // _s1_points(n, coefs.shape[1] // 2)
+    work = np.empty((2 * _BLOCK, half))
+    trig_buf = np.empty((2 * _BLOCK, half // stride))
+    s1 = np.empty(len(coefs))
+    for lo in range(0, len(coefs), _BLOCK):
+        b = min(_BLOCK, len(coefs) - lo)
+        theta = _theta_half(coefs[lo:lo + b], n, out=work[b:2 * b])
+        _check_monotone(theta, work[:b])
+        s1[lo:lo + b] = _s1_rows(theta[:, ::stride], trig_buf[:2 * b])
     return s1
 
 
 def identity_lift(n: int = DEFAULT_GRID) -> OddLift:
-    t_half = np.arange(n // 2) * (2.0 * math.pi / n)
-    return OddLift(_mirror(t_half))
+    return OddLift(_mirror(_half_grid(n)))
 
 
 def _erf_steps(x: np.ndarray) -> np.ndarray:
@@ -241,7 +281,7 @@ def extremal_sequence(smoothing: float, n: int = DEFAULT_GRID) -> OddLift:
     """
     if not (0.0 < smoothing <= 0.1):
         raise ValueError(f"smoothing must be in (0, 0.1], got {smoothing}")
-    t_half = np.arange(n // 2) * (2.0 * math.pi / n)
+    t_half = _half_grid(n)
     total = np.zeros_like(t_half)
     # Jumps live at k*pi/2; distant jumps contribute only erf tails.
     for k in range(-8, 10):

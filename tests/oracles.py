@@ -89,13 +89,12 @@ def full_grid_fourier_mode(samples, k: int) -> tuple:
             complex(np.mean(f * np.exp(1j * k * t))))
 
 
-def direct_random_odd_lift(seed: int, modes: int, amplitude: float,
-                           n: int) -> np.ndarray:
-    """Samples of t + sum_k a_k sin(2k t + phi_k) over the full grid.
+def direct_lift_draw(seed: int, modes: int, amplitude: float):
+    """(k, a_k, phi_k), k = 1..modes, of the generated lift `seed`.
 
     Draws a_k and phi_k from `default_rng(seed)` in the order the package
-    documents, applies the same rescaling to min theta' >= 0.05, and sums
-    the sines at every grid node rather than mirroring a half-period.
+    documents, one `uniform` call each, and applies the same rescaling to
+    min theta' >= 0.05.
     """
     rng = np.random.default_rng(seed)
     ks = np.arange(1, modes + 1)
@@ -104,6 +103,17 @@ def direct_random_odd_lift(seed: int, modes: int, amplitude: float,
     deriv_bound = float(np.sum(2.0 * ks * amps))
     if deriv_bound > 0.95:
         amps = amps * (0.95 / deriv_bound)
+    return ks, amps, phases
+
+
+def direct_random_odd_lift(seed: int, modes: int, amplitude: float,
+                           n: int) -> np.ndarray:
+    """Samples of t + sum_k a_k sin(2k t + phi_k) over the full grid.
+
+    Sums the sines of `direct_lift_draw` at every grid node rather than
+    mirroring a half-period.
+    """
+    ks, amps, phases = direct_lift_draw(seed, modes, amplitude)
     t = 2.0 * math.pi * np.arange(n) / n
     return t + sum(a * np.sin(2.0 * k * t + ph)
                    for k, a, ph in zip(ks, amps, phases))

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (direct_autocorrelation, direct_random_odd_lift,
-                     full_grid_fourier_mode)
+from oracles import (direct_autocorrelation, direct_lift_draw,
+                     direct_random_odd_lift, full_grid_fourier_mode)
 from scherk import oddmap
 from scherk.oddmap import (OddLift, _c_at_shifts, _check_monotone,
-                           _mirror, _theta_half, autocorrelation,
-                           extremal_sequence, fourier_S1, fourier_spectrum,
-                           hall_inequality_check, identity_lift,
-                           random_odd_lift, random_odd_S1, snap_shift)
+                           _draw_coefficients, _mirror, _theta_half,
+                           autocorrelation, extremal_sequence, fourier_S1,
+                           fourier_spectrum, hall_inequality_check,
+                           identity_lift, random_odd_lift, random_odd_S1,
+                           snap_shift)
 
 SHARP = 8.0 / math.pi ** 2
 
@@ -196,15 +197,86 @@ def test_random_odd_S1_rejects_decreasing_lift(monkeypatch):
     bad = np.array([2.0, 0.0])
     with pytest.raises(ValueError, match="nondecreasing"):
         OddLift(_mirror(_theta_half(bad[None, :], 1024)[0]))
-    draw = oddmap._lift_coefficients
+    draw = oddmap._draw_coefficients
 
-    def rigged(seed, modes, amplitude):
-        return bad if seed == 12 else draw(seed, modes, amplitude)
+    def rigged(seeds, modes, amplitude):
+        coefs = draw(seeds, modes, amplitude)
+        for row, seed in zip(coefs, seeds):
+            if seed == 12:
+                row[:] = bad
+        return coefs
 
-    monkeypatch.setattr(oddmap, "_lift_coefficients", rigged)
+    monkeypatch.setattr(oddmap, "_draw_coefficients", rigged)
     random_odd_S1(range(12), [1] * 12, 0.3, n=1024)
     with pytest.raises(ValueError, match="nondecreasing"):
         random_odd_S1(range(20), [1] * 20, 0.3, n=1024)  # a later block
+
+
+def spy(monkeypatch, name):
+    """Widths of the sample rows each call of oddmap.`name` receives."""
+    widths = []
+    real = getattr(oddmap, name)
+
+    def recording(theta, *args):
+        widths.append(theta.shape[1])
+        return real(theta, *args)
+
+    monkeypatch.setattr(oddmap, name, recording)
+    return widths
+
+
+@pytest.mark.parametrize("n", [1024, oddmap.DEFAULT_GRID])
+def test_random_odd_S1_checks_every_sample(monkeypatch, n):
+    # The monotonicity rule sees the full half-period, not the S1 subgrid.
+    widths = spy(monkeypatch, "_check_monotone")
+    random_odd_S1(range(9), [1 + seed % 8 for seed in range(9)], 0.3, n=n)
+    assert widths == [n // 2] * 3
+
+
+@pytest.mark.parametrize("n, modes, points", [
+    (oddmap.DEFAULT_GRID, 1, 64), (oddmap.DEFAULT_GRID, 3, 256),
+    (oddmap.DEFAULT_GRID, 5, 512), (oddmap.DEFAULT_GRID, 8, 512),
+    (oddmap.DEFAULT_GRID, 32, 2048), (oddmap.DEFAULT_GRID, 40, 4096),
+    (1024, 8, 512), (1024, 16, 512), (8, 1, 4)])
+def test_random_odd_S1_point_count(monkeypatch, n, modes, points):
+    # S1 reads the least 2^j >= 64 K samples per half-period, K the largest
+    # mode count, or all n/2 of them when there are fewer.
+    widths = spy(monkeypatch, "_s1_rows")
+    random_odd_S1([3, 4, 5], [1, modes, 1], 0.3, n=n)
+    assert widths == [points]
+
+
+@pytest.mark.parametrize("amplitude", [0.01, 0.3])
+def test_draw_coefficients_match_per_seed_draws(rng, amplitude):
+    # One random(2m) per seed, scaled per mode count, is bit for bit the
+    # per-seed uniform draw; 0.01 never rescales, 0.3 sometimes does.
+    seeds = range(2000)
+    modes = rng.integers(1, 9, len(seeds))
+    coefs = _draw_coefficients(seeds, modes, amplitude)
+    assert coefs.shape == (2000, 16)
+    rescaled = 0
+    for seed, m, row in zip(seeds, modes, coefs):
+        ks, amps, phases = direct_lift_draw(seed, m, amplitude)
+        assert (row[0:2 * m:2] == amps * np.cos(phases)).all()
+        assert (row[1:2 * m:2] == amps * np.sin(phases)).all()
+        assert (row[2 * m:] == 0.0).all()
+        rescaled += bool(np.sum(2.0 * ks * amps) > 0.95 - 1e-15)
+    assert (rescaled == 0) if amplitude == 0.01 else (0 < rescaled < 2000)
+
+
+@pytest.mark.parametrize("modes", [1, 8, 16, 32])
+def test_random_odd_S1_exact_at_the_bound(modes):
+    # Amplitude 5 always rescales, so sum 2k a_k = 0.95: the subgrid's
+    # worst case.  It agrees with the full-grid oracle all the same.
+    seeds = range(40, 46)
+    coefs = _draw_coefficients(seeds, [modes] * len(seeds), 5.0)
+    amps = np.hypot(coefs[:, 0::2], coefs[:, 1::2])
+    ks = np.arange(1, modes + 1)
+    assert np.abs(amps @ (2.0 * ks) - 0.95).max() < 1e-15
+    n = oddmap.DEFAULT_GRID
+    batch = random_odd_S1(seeds, [modes] * len(seeds), 5.0)
+    for seed, s1 in zip(seeds, batch):
+        assert abs(s1 - oracle_S1(seed, modes, 5.0, n)) < 1e-14
 
 
 def test_check_monotone_seam():
@@ -219,13 +291,33 @@ def test_check_monotone_seam():
 
 
 def test_random_odd_S1_input_errors():
+    nan, inf = math.nan, math.inf
     for call in (lambda: random_odd_S1([0, 1], [1, 0], 0.3),
                  lambda: random_odd_S1([0], [2], -0.1),
                  lambda: random_odd_S1([0, 1], [2], 0.3),
                  lambda: random_odd_S1([0], [2], 0.3, n=1000),
                  lambda: random_odd_lift(0, 0, 0.3),
-                 lambda: random_odd_lift(0, 2, -0.1)):
+                 lambda: random_odd_lift(0, 2, -0.1),
+                 lambda: OddLift(np.full(16, nan)),
+                 lambda: OddLift(np.where(np.arange(16) == 3, inf,
+                                          identity_lift(16).samples))):
         with pytest.raises(ValueError):
+            call()
+    for call in (lambda: random_odd_S1([0, 1], [2, 3], nan, n=1024),
+                 lambda: random_odd_S1([0, 1], [2, 3], inf, n=1024),
+                 lambda: random_odd_lift(0, 2, nan)):
+        with pytest.raises(ValueError, match="amplitude"):
+            call()
+    for bad in (nan, inf, -inf):
+        theta = np.linspace(0.0, 3.0, 8)[None, :]
+        for j in (0, 3, 7):
+            row = theta.copy()
+            row[0, j] = bad
+            with pytest.raises(ValueError, match="nondecreasing"):
+                _check_monotone(row, np.empty_like(row))
+    for call in (lambda: random_odd_S1([0, 1], [2, 2.5], 0.3),
+                 lambda: random_odd_lift(0, 2.5, 0.3)):
+        with pytest.raises(TypeError):
             call()
     assert random_odd_S1([], [], 0.3).shape == (0,)
 
