@@ -414,15 +414,20 @@ def cmd_odd(args) -> int:
           f"(seed {min_seed}); sharp constant {sharp:.12f}")
     ok = min_s1 >= sharp - args.slack
 
+    collapse = None     # extremal_sequence(0.01), for the Hall check too
     if args.extremal:
         print("extremal convergence (smoothing, S1, S1 - 8/pi^2):")
         for w in (0.1, 0.03, 0.01, 3e-3, 1e-3):
-            s1 = oddmap.fourier_S1(oddmap.extremal_sequence(w))
+            lift = oddmap.extremal_sequence(w)
+            if w == 0.01:
+                collapse = lift
+            s1 = oddmap.fourier_S1(lift)
             print(f"  {w:8.0e}  {s1:.10f}  {s1 - sharp:+.3e}")
 
     hall_lifts = [oddmap.identity_lift(),
                   oddmap.random_odd_lift(args.seed, modes=4, amplitude=0.3),
-                  oddmap.extremal_sequence(0.01)]
+                  collapse if collapse is not None
+                  else oddmap.extremal_sequence(0.01)]
     for lift in hall_lifts:
         rep = oddmap.hall_inequality_check(lift)
         print(f"hall: lhs={rep.lhs:.10f} rhs={rep.rhs:.10f} "

@@ -27,13 +27,16 @@ twiddle exp(i t), cached per grid size on first use.  A generated lift is
 its row of coefficients times one cached table of sin(2kt) and cos(2kt).
 
 `random_odd_S1` gives S1 of many generated lifts without building an
-`OddLift` for each.  It draws every coefficient row in one batch, forms the
-lifts in blocks of four by one matrix product against the table, and
-applies the `OddLift` monotonicity rule to every sample of every row.  S1
-is then taken from every stride-th sample only: for K modes, h' points per
-half-period, the smallest power of two >= 64 K (at most N/2), where the
-trapezoid rule is already exact (see `random_odd_S1`).  `random_odd_lift`
-and `fourier_S1` run the same helpers on a single lift, on the full grid.
+`OddLift` for each.  It seeds the streams of all lifts in one batched pass
+of numpy's seeding hash, so each coefficient row is bit for bit the
+`default_rng(seed)` draw.  It groups the lifts by mode count m, forms each
+group in blocks of four by one matrix product against the first 2m table
+rows, and applies the `OddLift` monotonicity rule to every sample of every
+row.  S1 of a lift with m modes is then taken from every stride-th sample
+only: h' points per half-period, the smallest power of two >= 64 m (at
+most N/2), where the trapezoid rule is already exact (see
+`random_odd_S1`).  `random_odd_lift` and `fourier_S1` run the same helpers
+on a single lift, on the full grid.
 """
 
 from __future__ import annotations
@@ -50,6 +53,13 @@ _MONOTONE_TOL = 1e-12
 _ODD_TOL = 1e-12
 _BLOCK = 4          # lifts per block: theta and steps fill 512 KiB, N = 2^14
 _TABLE_MODES = 8    # the even-mode table covers modes 1..8 at least
+
+# numpy.random.SeedSequence's hash constants and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,28 +136,111 @@ def _even_table(n: int, modes: int) -> np.ndarray:
     return table
 
 
+def _hash_constants(init: int, mult: int):
+    """SeedSequence's running hash constant: (h_j, h_j * mult mod 2^32)."""
+    h = init
+    while True:
+        h_next = h * mult & _MASK32
+        yield np.uint32(h), np.uint32(h_next)
+        h = h_next
+
+
+def _hashmix(word: np.ndarray, consts) -> np.ndarray:
+    """SeedSequence's hashmix of a uint32 column with the next constants."""
+    h, h_next = next(consts)
+    v = (word ^ h) * h_next
+    return v ^ v >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 columns."""
+    v = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return v ^ v >> 16
+
+
+def _pcg64_seeds(seeds) -> np.ndarray:
+    """The 128-bit PCG64 seed (s, i) of `default_rng(seed)`, for each seed.
+
+    Row j is (s_hi, s_lo, i_hi, i_lo) as uint64.  `SeedSequence(seed)`
+    splits the seed into 32-bit words, low first, and hashes them into a
+    pool of four (numpy/random/bit_generator.pyx).  A seed below 2^128 is
+    zero-padded to four words, which is exact: the pool hashes a missing
+    word as 0.  Words past the fourth are then mixed into the pool one by
+    one, masked to the seeds that have them.  The hash constants depend on
+    the word's position only, so each step runs on one uint32 column over
+    all seeds.  The pool's first eight generated words are the row.
+    """
+    seeds = [operator.index(s) for s in seeds]
+    if min(seeds, default=0) < 0:
+        raise ValueError(f"seeds must be >= 0, got {min(seeds)}")
+    lengths = np.array([max(1, -(-s.bit_length() // 32)) for s in seeds])
+    width = max(4, lengths.max(initial=1))
+    words = np.frombuffer(
+        b"".join(s.to_bytes(4 * width, "little") for s in seeds),
+        dtype="<u4").reshape(len(seeds), width).T
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, consts) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for src in range(4, width):
+        live = lengths > src
+        for dst in range(4):
+            mixed = _mix(pool[dst], _hashmix(words[src], consts))
+            pool[dst] = np.where(live, mixed, pool[dst])
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    generated = [_hashmix(pool[j % 4], consts) for j in range(8)]
+    return np.ascontiguousarray(np.transpose(generated),
+                                dtype="<u4").view("<u8")
+
+
+def _mode_counts(modes) -> np.ndarray:
+    """`modes` as an int array, each an integer >= 1."""
+    counts = np.array([operator.index(m) for m in modes], dtype=int)
+    if counts.size and counts.min() < 1:
+        raise ValueError(f"modes must be >= 1, got {counts.min()}")
+    return counts
+
+
+def _mode_groups(modes: np.ndarray) -> list:
+    """(m, indices of the rows with m modes) for each mode count, ascending."""
+    # np.unique would cost 1.6 MB of RSS
+    return [(m, np.flatnonzero(modes == m)) for m in sorted(set(modes.tolist()))]
+
+
 def _draw_coefficients(seeds, modes, amplitude: float) -> np.ndarray:
     """Coefficient rows of the lifts (seed, m), zero-padded to the widest.
 
     Row i is (a_k cos phi_k, a_k sin phi_k), k = 1..m, in `_even_table` row
     order: a sin(2k t + phi) = a cos(phi) sin(2k t) + a sin(phi) cos(2k t).
-    Each seed's `default_rng` gives m draws for a_k = amplitude U(0.2, 1)/k
-    and then m for phi_k = U(0, 2 pi), in one `random(2m)` call.  They are
-    mapped as `Generator.uniform(low, high)` maps them, low + (high - low) d,
-    so every row is bit-identical to two `uniform` calls.
+    Each seed's `default_rng` stream gives m draws for
+    a_k = amplitude U(0.2, 1)/k and then m for phi_k = U(0, 2 pi), in one
+    `random(2m)` call.  No `default_rng` is built: `_pcg64_seeds` hashes
+    all seeds at once, PCG64 starts at ((inc + s) M + inc) mod 2^128 with
+    inc = 2 i + 1 (numpy/random/src/pcg64), and one `Generator` is set to
+    each seed's state in turn.  The draws are mapped as
+    `Generator.uniform(low, high)` maps them, low + (high - low) d, so every
+    row is bit-identical to two `uniform` calls of `default_rng(seed)`.
     The amplitudes are rescaled if needed so that min theta' >= 0.05.  Rows
     are scaled per mode count, so each sum over k sees exactly m terms.
     """
     if not 0.0 <= amplitude < math.inf:
         raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
-    modes = np.array([operator.index(m) for m in modes], dtype=int)
-    if modes.size and modes.min() < 1:
-        raise ValueError(f"modes must be >= 1, got {modes.min()}")
+    modes = _mode_counts(modes)
     coefs = np.zeros((modes.size, 2 * modes.max(initial=1)))
-    for i, (seed, m) in enumerate(zip(seeds, modes, strict=True)):
-        coefs[i, :2 * m] = np.random.default_rng(seed).random(2 * m)
-    for m in sorted(set(modes.tolist())):   # np.unique costs 1.6 MB of RSS
-        rows = np.flatnonzero(modes == m)
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    for i, (row, m) in enumerate(zip(_pcg64_seeds(seeds), modes,
+                                     strict=True)):
+        s_hi, s_lo, i_hi, i_lo = row.tolist()
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        start = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        state["state"] = {"state": start, "inc": inc}
+        bitgen.state = state
+        gen.random(out=coefs[i, :2 * m])
+    for m, rows in _mode_groups(modes):
         d = coefs[rows]     # a copy: the draws are overwritten below
         ks = np.arange(1, m + 1)
         amps = amplitude * (0.2 + (1.0 - 0.2) * d[:, :m]) / ks
@@ -228,34 +321,42 @@ def random_odd_S1(seeds, modes, amplitude: float,
     """fourier_S1(random_odd_lift(seed, m, amplitude, n)) for each pair.
 
     `seeds` and `modes` are equal-length sequences of ints.  The lifts are
-    formed in blocks of a few rows, each by one matrix product against the
-    even-mode table, and every sample of each block passes the same
-    monotonicity rule as `OddLift` (ValueError otherwise).
+    grouped by mode count m and formed in blocks of a few rows, each by one
+    matrix product against the first 2m rows of the even-mode table, as
+    `random_odd_lift` forms its one lift; every sample of each block passes
+    the same monotonicity rule as `OddLift` (ValueError otherwise).
 
-    S1 is then taken from every stride-th sample: h' = `_s1_points(n, K)`
-    per half-period, K = max(modes).  That is exact.  Every generated lift
-    has phi = theta - t with sum_k 2k a_k <= 0.95, so on Im t = +-1/(2K),
-    where sinh(k/K) <= (k/K) sinh 1, |Im phi| <= 0.95 sinh(1)/(2K) < 0.56.
-    The pi-periodic integrands e^{i phi} (for c_1) and e^{i(phi + 2t)}
-    (for c_-1) thus have Fourier coefficients at e^{2imt} of modulus at
-    most e^{0.56} e^{-(|m| - 1)/K}, and the h'-point trapezoid sum differs
-    from the exact mean only by the aliased ones, m = +-h', +-2h', ...:
-    about 2 e^{0.56} e^{-(h' - 1)/K} <= 3.5 e^{-63} < 2e-27.  The full
-    grid is no closer, so both sums are exact up to rounding.  The bound
-    holds for generated lifts only, not for `extremal_sequence`.
+    S1 of a lift with m modes is then taken from every stride-th sample:
+    h' = `_s1_points(n, m)` per half-period.  That is exact.  Every
+    generated lift has phi = theta - t with sum_k 2k a_k <= 0.95, so on
+    Im t = +-1/(2m), where sinh(k/m) <= (k/m) sinh 1,
+    |Im phi| <= 0.95 sinh(1)/(2m) < 0.56.  The pi-periodic integrands
+    e^{i phi} (for c_1) and e^{i(phi + 2t)} (for c_-1) thus have Fourier
+    coefficients at e^{2ijt} of modulus at most e^{0.56} e^{-(|j| - 1)/m},
+    and the h'-point trapezoid sum differs from the exact mean only by the
+    aliased ones, j = +-h', +-2h', ...: about
+    2 e^{0.56} e^{-(h' - 1)/m} <= 3.5 e^{-63} < 2e-27.  The full grid is no
+    closer, so both sums are exact up to rounding.  The bound holds for
+    generated lifts only, not for `extremal_sequence`.
     """
     _check_grid(n)
+    modes = _mode_counts(modes)
     coefs = _draw_coefficients(seeds, modes, amplitude)
     half = n // 2
-    stride = half // _s1_points(n, coefs.shape[1] // 2)
     work = np.empty((2 * _BLOCK, half))
-    trig_buf = np.empty((2 * _BLOCK, half // stride))
     s1 = np.empty(len(coefs))
-    for lo in range(0, len(coefs), _BLOCK):
-        b = min(_BLOCK, len(coefs) - lo)
-        theta = _theta_half(coefs[lo:lo + b], n, out=work[b:2 * b])
-        _check_monotone(theta, work[:b])
-        s1[lo:lo + b] = _s1_rows(theta[:, ::stride], trig_buf[:2 * b])
+    for m, rows in _mode_groups(modes):
+        group = coefs[rows, :2 * m]
+        points = _s1_points(n, m)
+        trig = np.empty((2 * _BLOCK, points))
+        group_s1 = np.empty(len(rows))
+        for lo in range(0, len(rows), _BLOCK):
+            b = min(_BLOCK, len(rows) - lo)
+            theta = _theta_half(group[lo:lo + b], n, out=work[b:2 * b])
+            _check_monotone(theta, work[:b])
+            group_s1[lo:lo + b] = _s1_rows(theta[:, ::half // points],
+                                           trig[:2 * b])
+        s1[rows] = group_s1
     return s1
 
 
@@ -282,9 +383,13 @@ def extremal_sequence(smoothing: float, n: int = DEFAULT_GRID) -> OddLift:
     if not (0.0 < smoothing <= 0.1):
         raise ValueError(f"smoothing must be in (0, 0.1], got {smoothing}")
     t_half = _half_grid(n)
-    total = np.zeros_like(t_half)
-    # Jumps live at k*pi/2; distant jumps contribute only erf tails.
-    for k in range(-8, 10):
+    # Jumps live at k*pi/2, k = -8..9.  Every jump but k = 0, 1, 2 lies at
+    # least pi/2 from [0, pi), i.e. >= 15.7 widths for smoothing <= 0.1,
+    # past the |x| = 6 cutoff where `_erf_steps` returns exactly +-1: jumps
+    # k = -8..-1 add exactly 1.0 each and k = 3..9 exactly 0.0, so the
+    # total starts at 8.0.
+    total = np.full_like(t_half, 8.0)
+    for k in range(3):
         total += 0.5 * (1.0 + _erf_steps((t_half - 0.5 * math.pi * k) / smoothing))
     theta_half = 0.5 * math.pi * total - 4.0 * math.pi
     return OddLift(_mirror(theta_half))

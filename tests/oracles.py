@@ -117,3 +117,19 @@ def direct_random_odd_lift(seed: int, modes: int, amplitude: float,
     t = 2.0 * math.pi * np.arange(n) / n
     return t + sum(a * np.sin(2.0 * k * t + ph)
                    for k, a, ph in zip(ks, amps, phases))
+
+
+def direct_extremal_sequence(smoothing: float, n: int) -> np.ndarray:
+    """Samples of the mollified four-point collapse from all 18 jumps.
+
+    theta = (pi/2) sum_k (1 + erf((t - k pi/2)/smoothing))/2 - 4 pi over
+    k = -8..9 on the first half-period, with `math.erf` at every point and
+    every jump, then mirrored by theta(t + pi) = theta(t) + pi.
+    """
+    t_half = np.arange(n // 2) * (2.0 * math.pi / n)
+    total = np.zeros_like(t_half)
+    for k in range(-8, 10):
+        x = (t_half - 0.5 * math.pi * k) / smoothing
+        total += 0.5 * (1.0 + np.array([math.erf(v) for v in x]))
+    theta_half = 0.5 * math.pi * total - 4.0 * math.pi
+    return np.concatenate([theta_half, theta_half + math.pi])

@@ -1,13 +1,15 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scherk import cli
 from scherk.cli import CSV_HEADER, ROUTE_GAP_BOUND, evaluate_pair, main
-from scherk.oddmap import fourier_S1, random_odd_lift
+from oracles import direct_random_odd_lift, full_grid_fourier_mode
+from scherk.oddmap import DEFAULT_GRID, fourier_S1, random_odd_lift
 from scherk.params import ScherkParams, from_ab, from_angles, threshold_b0
 
 
@@ -474,6 +476,33 @@ def test_odd_deterministic_and_first_minimum(capsys):
     assert first.splitlines()[0] == (
         f"min S1 over 50 lifts: {min_s1:.12f} (seed {min_seed}); "
         f"sharp constant {8.0 / math.pi ** 2:.12f}")
+
+
+def test_odd_seed_past_2_128_matches_oracle(capsys):
+    # Seeds of five 32-bit words take numpy's extra seeding mix.
+    seed = 2 ** 128
+    code, out, _ = run(capsys, "odd", "--trials", "3", "--seed", str(seed))
+    assert code == 0
+    s1 = []
+    for s in range(seed, seed + 3):
+        c1, cm1 = full_grid_fourier_mode(
+            direct_random_odd_lift(s, 1 + s % 8, 0.3, DEFAULT_GRID), 1)
+        s1.append(abs(c1) ** 2 + abs(cm1) ** 2)
+    first = min(range(3), key=s1.__getitem__)
+    assert out.splitlines()[0] == (
+        f"min S1 over 3 lifts: {s1[first]:.12f} (seed {seed + first}); "
+        f"sharp constant {8.0 / math.pi ** 2:.12f}")
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_odd_extremal_golden_output(capsys, seed):
+    # `odd --trials 1000 --extremal` as the committed files print it.
+    golden = Path(__file__).parent / "data" / \
+        f"odd_trials1000_extremal_seed{seed}.txt"
+    code, out, _ = run(capsys, "odd", "--trials", "1000", "--extremal",
+                       "--seed", str(seed))
+    assert code == 0
+    assert out == golden.read_text()
 
 
 def test_odd_rejects_zero_trials(capsys):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (direct_autocorrelation, direct_lift_draw,
-                     direct_random_odd_lift, full_grid_fourier_mode)
+from oracles import (direct_autocorrelation, direct_extremal_sequence,
+                     direct_lift_draw, direct_random_odd_lift,
+                     full_grid_fourier_mode)
 from scherk import oddmap
 from scherk.oddmap import (OddLift, _c_at_shifts, _check_monotone,
                            _draw_coefficients, _mirror, _theta_half,
@@ -212,6 +213,25 @@ def test_random_odd_S1_rejects_decreasing_lift(monkeypatch):
         random_odd_S1(range(20), [1] * 20, 0.3, n=1024)  # a later block
 
 
+def test_random_odd_S1_rejects_a_bad_lift_in_any_group(monkeypatch):
+    # Lifts go in blocks per mode count; a decreasing or non-finite row is
+    # caught in a later block of a later group too.
+    draw = oddmap._draw_coefficients
+    seeds = range(40)
+    modes = [1 + seed % 3 for seed in seeds]
+    random_odd_S1(seeds, modes, 0.3, n=1024)
+    for bad in ([2.0, 0.0], [math.nan, 0.0], [0.0, math.inf]):
+        def rigged(seeds, modes, amplitude):
+            coefs = draw(seeds, modes, amplitude)
+            coefs[38, :2] = bad      # seed 38 has 3 modes: last group
+            return coefs
+
+        monkeypatch.setattr(oddmap, "_draw_coefficients", rigged)
+        with pytest.raises(ValueError, match="nondecreasing"), \
+                np.errstate(invalid="ignore"):     # inf - inf in the check
+            random_odd_S1(seeds, modes, 0.3, n=1024)
+
+
 def spy(monkeypatch, name):
     """Widths of the sample rows each call of oddmap.`name` receives."""
     widths = []
@@ -227,10 +247,12 @@ def spy(monkeypatch, name):
 
 @pytest.mark.parametrize("n", [1024, oddmap.DEFAULT_GRID])
 def test_random_odd_S1_checks_every_sample(monkeypatch, n):
-    # The monotonicity rule sees the full half-period, not the S1 subgrid.
+    # The monotonicity rule sees the full half-period, not the S1 subgrid:
+    # one call per block of each mode count (two lifts with 1 mode, one
+    # each with 2..8), every call n/2 wide.
     widths = spy(monkeypatch, "_check_monotone")
     random_odd_S1(range(9), [1 + seed % 8 for seed in range(9)], 0.3, n=n)
-    assert widths == [n // 2] * 3
+    assert widths == [n // 2] * 8
 
 
 @pytest.mark.parametrize("n, modes, points", [
@@ -239,11 +261,12 @@ def test_random_odd_S1_checks_every_sample(monkeypatch, n):
     (oddmap.DEFAULT_GRID, 32, 2048), (oddmap.DEFAULT_GRID, 40, 4096),
     (1024, 8, 512), (1024, 16, 512), (8, 1, 4)])
 def test_random_odd_S1_point_count(monkeypatch, n, modes, points):
-    # S1 reads the least 2^j >= 64 K samples per half-period, K the largest
-    # mode count, or all n/2 of them when there are fewer.
+    # Each lift's S1 reads the least 2^j >= 64 m samples per half-period,
+    # m its own mode count, or all n/2 of them when there are fewer: the
+    # two 1-mode lifts read 64 points, the `modes` lift `points`.
     widths = spy(monkeypatch, "_s1_rows")
     random_odd_S1([3, 4, 5], [1, modes, 1], 0.3, n=n)
-    assert widths == [points]
+    assert widths == ([points] if modes == 1 else [min(64, n // 2), points])
 
 
 @pytest.mark.parametrize("amplitude", [0.01, 0.3])
@@ -262,6 +285,33 @@ def test_draw_coefficients_match_per_seed_draws(rng, amplitude):
         assert (row[2 * m:] == 0.0).all()
         rescaled += bool(np.sum(2.0 * ks * amps) > 0.95 - 1e-15)
     assert (rescaled == 0) if amplitude == 0.01 else (0 < rescaled < 2000)
+
+
+def test_draw_coefficients_bit_equal_for_any_seed(rng):
+    # The batched seeding hash is default_rng(seed) bit for bit, across the
+    # 32-bit word boundaries, up to 2^128 (four zero-padded words) and past
+    # it (numpy's extra mixing per word); 5000 random seeds of 1 to 256 bits.
+    seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1,
+             2 ** 128, 2 ** 200 + 3]
+    for bits in rng.integers(1, 257, 5000).tolist():
+        seeds.append(int.from_bytes(rng.bytes(32), "little") >> (256 - bits))
+    modes = rng.integers(1, 9, len(seeds))
+    coefs = _draw_coefficients(seeds, modes, 0.3)
+    for seed, m, row in zip(seeds, modes, coefs):
+        _, amps, phases = direct_lift_draw(seed, m, 0.3)
+        assert (row[0:2 * m:2] == amps * np.cos(phases)).all(), seed
+        assert (row[1:2 * m:2] == amps * np.sin(phases)).all(), seed
+    with pytest.raises(ValueError, match="seeds"):
+        _draw_coefficients([3, -1], [2, 2], 0.3)
+
+
+@pytest.mark.parametrize("n", [1024, oddmap.DEFAULT_GRID])
+@pytest.mark.parametrize("smoothing", [0.1, 0.0999, 0.03, 1e-3, 1e-4])
+def test_extremal_sequence_matches_all_jumps(n, smoothing):
+    # Only the three jumps near [0, pi) are evaluated; the others add
+    # exactly 1.0 or 0.0, so the lift is the 18-jump sum bit for bit.
+    want = direct_extremal_sequence(smoothing, n)
+    assert (extremal_sequence(smoothing, n=n).samples == want).all()
 
 
 @pytest.mark.parametrize("modes", [1, 8, 16, 32])
