@@ -28,15 +28,16 @@ its row of coefficients times one cached table of sin(2kt) and cos(2kt).
 
 `random_odd_S1` gives S1 of many generated lifts without building an
 `OddLift` for each.  It seeds the streams of all lifts in one batched pass
-of numpy's seeding hash, so each coefficient row is bit for bit the
-`default_rng(seed)` draw.  It groups the lifts by mode count m, forms each
-group in blocks of four by one matrix product against the first 2m table
-rows, and applies the `OddLift` monotonicity rule to every sample of every
-row.  S1 of a lift with m modes is then taken from every stride-th sample
-only: h' points per half-period, the smallest power of two >= 64 m (at
-most N/2), where the trapezoid rule is already exact (see
-`random_odd_S1`).  `random_odd_lift` and `fourier_S1` run the same helpers
-on a single lift, on the full grid.
+of numpy's seeding hash and computes all their PCG64 draws in one
+vectorised pass, with no `Generator` and without importing `numpy.random`,
+so each coefficient row is bit for bit the `default_rng(seed)` draw.  It
+groups the lifts by mode count m, forms each group in blocks of four by one
+matrix product against the first 2m table rows, and applies the `OddLift`
+monotonicity rule to every sample of every row.  S1 of a lift with m
+modes is then taken from every stride-th sample only: h' points per
+half-period, the smallest power of two >= 64 m (at most N/2), where the
+trapezoid rule is already exact (see `random_odd_S1`).  `random_odd_lift`
+and `fourier_S1` run the same helpers on a single lift, on the full grid.
 """
 
 from __future__ import annotations
@@ -54,12 +55,15 @@ _ODD_TOL = 1e-12
 _BLOCK = 4          # lifts per block: theta and steps fill 512 KiB, N = 2^14
 _TABLE_MODES = 8    # the even-mode table covers modes 1..8 at least
 
-# numpy.random.SeedSequence's hash constants and PCG64's 128-bit multiplier
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+# uint64 constants, so that no word is ever promoted to a Python int
+_1, _11, _32, _58, _63, _64 = map(np.uint64, (1, 11, 32, 58, 63, 64))
+_LOW32 = np.uint64(_MASK32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,6 +213,54 @@ def _mode_groups(modes: np.ndarray) -> list:
     return [(m, np.flatnonzero(modes == m)) for m in sorted(set(modes.tolist()))]
 
 
+def _mul128(hi, lo, c_hi, c_lo):
+    """(hi, lo) * (c_hi, c_lo) mod 2^128 on uint64 word arrays.
+
+    The high word is the high half of lo * c_lo, from 32-bit limbs, plus
+    (lo c_hi + hi c_lo) mod 2^64.
+    """
+    a0, a1 = lo & _LOW32, lo >> _32
+    b0, b1 = c_lo & _LOW32, c_lo >> _32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _32) + (p01 & _LOW32) + (p10 & _LOW32)
+    top = a1 * b1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32)
+    return top + lo * c_hi + hi * c_lo, lo * c_lo
+
+
+def _add128(hi, lo, b_hi, b_lo):
+    """(hi, lo) + (b_hi, b_lo) mod 2^128 on uint64 word arrays."""
+    low = lo + b_lo
+    return hi + b_hi + (low < b_lo), low
+
+
+def _pcg64_draws(seeds, width: int) -> np.ndarray:
+    """Row j: the first `width` doubles of `default_rng(seeds[j]).random`.
+
+    PCG64 (numpy/random/src/pcg64) starts at u M + inc, u = inc + s, with
+    inc = 2 i + 1 and (s, i) from `_pcg64_seeds`; each draw steps the state
+    to state M + inc and outputs the XSL-RR word x = rotr64(hi ^ lo, hi >> 58)
+    as the double (x >> 11) 2^-53.  Draw k's state is thus
+    u M^(k+1) + inc (1 + M + ... + M^k) mod 2^128, so all draws of all seeds
+    come from two 128-bit products of a seed column and a row of constants.
+    Every word is a uint64 array or scalar and wraps without a warning.
+    """
+    s_hi, s_lo, i_hi, i_lo = _pcg64_seeds(seeds).T[:, :, None]
+    inc_hi, inc_lo = i_hi << _1 | i_lo >> _63, i_lo << _1 | _1
+    consts, power, total = [], _PCG_MULT, 1
+    for _ in range(width):
+        total = total + power & _MASK128
+        power = power * _PCG_MULT & _MASK128
+        consts.append((power >> 64, power & _MASK64, total >> 64,
+                       total & _MASK64))
+    p_hi, p_lo, g_hi, g_lo = np.array(consts, dtype=np.uint64).T
+    u_hi, u_lo = _add128(s_hi, s_lo, inc_hi, inc_lo)
+    hi, lo = _add128(*_mul128(u_hi, u_lo, p_hi, p_lo),
+                     *_mul128(inc_hi, inc_lo, g_hi, g_lo))
+    rot, x = hi >> _58, hi ^ lo
+    x = x >> rot | x << (_64 - rot & _63)
+    return (x >> _11) * (1.0 / 9007199254740992.0)
+
+
 def _draw_coefficients(seeds, modes, amplitude: float) -> np.ndarray:
     """Coefficient rows of the lifts (seed, m), zero-padded to the widest.
 
@@ -216,30 +268,20 @@ def _draw_coefficients(seeds, modes, amplitude: float) -> np.ndarray:
     order: a sin(2k t + phi) = a cos(phi) sin(2k t) + a sin(phi) cos(2k t).
     Each seed's `default_rng` stream gives m draws for
     a_k = amplitude U(0.2, 1)/k and then m for phi_k = U(0, 2 pi), in one
-    `random(2m)` call.  No `default_rng` is built: `_pcg64_seeds` hashes
-    all seeds at once, PCG64 starts at ((inc + s) M + inc) mod 2^128 with
-    inc = 2 i + 1 (numpy/random/src/pcg64), and one `Generator` is set to
-    each seed's state in turn.  The draws are mapped as
-    `Generator.uniform(low, high)` maps them, low + (high - low) d, so every
-    row is bit-identical to two `uniform` calls of `default_rng(seed)`.
-    The amplitudes are rescaled if needed so that min theta' >= 0.05.  Rows
-    are scaled per mode count, so each sum over k sees exactly m terms.
+    `random(2m)` call.  No generator is built: `_pcg64_draws` computes the
+    first 2 max(m) doubles of every stream in one vectorised PCG64 pass.
+    The draws are mapped as `Generator.uniform(low, high)` maps them,
+    low + (high - low) d, so every row is bit-identical to two `uniform`
+    calls of `default_rng(seed)`.  The amplitudes are rescaled if needed so
+    that min theta' >= 0.05.  Rows are scaled per mode count, so each sum
+    over k sees exactly m terms.
     """
     if not 0.0 <= amplitude < math.inf:
         raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
     modes = _mode_counts(modes)
-    coefs = np.zeros((modes.size, 2 * modes.max(initial=1)))
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for i, (row, m) in enumerate(zip(_pcg64_seeds(seeds), modes,
-                                     strict=True)):
-        s_hi, s_lo, i_hi, i_lo = row.tolist()
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        start = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        state["state"] = {"state": start, "inc": inc}
-        bitgen.state = state
-        gen.random(out=coefs[i, :2 * m])
+    coefs = _pcg64_draws(seeds, 2 * modes.max(initial=1))
+    if len(coefs) != modes.size:
+        raise ValueError(f"{len(coefs)} seeds but {modes.size} mode counts")
     for m, rows in _mode_groups(modes):
         d = coefs[rows]     # a copy: the draws are overwritten below
         ks = np.arange(1, m + 1)
@@ -250,6 +292,7 @@ def _draw_coefficients(seeds, modes, amplitude: float) -> np.ndarray:
         amps[big] *= (0.95 / deriv_bound[big])[:, None]
         coefs[rows, 0:2 * m:2] = amps * np.cos(phases)
         coefs[rows, 1:2 * m:2] = amps * np.sin(phases)
+        coefs[rows, 2 * m:] = 0.0
     return coefs
 
 
@@ -368,8 +411,7 @@ def _erf_steps(x: np.ndarray) -> np.ndarray:
     """Elementwise erf; beyond |x| = 6 the tail is below double rounding."""
     out = np.sign(x)
     near = np.abs(x) < 6.0
-    out[near] = np.fromiter((math.erf(v) for v in x[near]), dtype=float,
-                            count=int(near.sum()))
+    out[near] = list(map(math.erf, x[near].tolist()))
     return out
 
 

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +310,42 @@ def test_draw_coefficients_bit_equal_for_any_seed(rng):
         _draw_coefficients([3, -1], [2, 2], 0.3)
 
 
+@pytest.mark.parametrize("modes", [[32] * 40, [40] * 40, [1, 40, 7, 32, 2]])
+def test_draw_coefficients_bit_equal_for_many_modes(modes):
+    # 64 and 80 draws per seed, and rows of mixed width in one batch: every
+    # draw position of the PCG64 kernel, each row zero past its own 2m.
+    seeds = [0, 2 ** 128 - 1, 2 ** 200 + 3] + list(range(7, 7 + len(modes) - 3))
+    coefs = _draw_coefficients(seeds, modes, 0.3)
+    assert coefs.shape == (len(modes), 2 * max(modes))
+    for seed, m, row in zip(seeds, modes, coefs):
+        _, amps, phases = direct_lift_draw(seed, m, 0.3)
+        assert (row[0:2 * m:2] == amps * np.cos(phases)).all(), seed
+        assert (row[1:2 * m:2] == amps * np.sin(phases)).all(), seed
+        assert (row[2 * m:] == 0.0).all(), seed
+
+
+@pytest.mark.parametrize("seeds", [[0], [2 ** 128 - 1], range(1000)])
+def test_draw_coefficients_warn_nothing(seeds):
+    # The 128-bit words wrap in uint64 arithmetic, which must stay silent.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _draw_coefficients(seeds, [8] * len(seeds), 0.3)
+
+
+def test_odd_does_not_import_numpy_random():
+    # The draws need no numpy.random, so a `scherk odd` process loads none.
+    probe = ("import sys, numpy; print('numpy.random' in sys.modules); "
+             "from scherk import cli; cli.main(['odd', '--trials', '20', "
+             "'--extremal']); print('numpy.random' in sys.modules)")
+    src = str(Path(oddmap.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    lines = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    if lines[0] == "True":
+        pytest.skip("this numpy loads numpy.random on import")
+    assert lines[-2:] == ["PASS", "False"]
+
+
 @pytest.mark.parametrize("n", [1024, oddmap.DEFAULT_GRID])
 @pytest.mark.parametrize("smoothing", [0.1, 0.0999, 0.03, 1e-3, 1e-4])
 def test_extremal_sequence_matches_all_jumps(n, smoothing):
@@ -345,6 +386,7 @@ def test_random_odd_S1_input_errors():
     for call in (lambda: random_odd_S1([0, 1], [1, 0], 0.3),
                  lambda: random_odd_S1([0], [2], -0.1),
                  lambda: random_odd_S1([0, 1], [2], 0.3),
+                 lambda: random_odd_S1([0], [2, 3], 0.3),
                  lambda: random_odd_S1([0], [2], 0.3, n=1000),
                  lambda: random_odd_lift(0, 0, 0.3),
                  lambda: random_odd_lift(0, 2, -0.1),
