@@ -559,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_odd = sub.add_parser("odd", help="odd-lift coefficient experiments")
     p_odd.add_argument("--trials", type=_int_at_least(1), default=100)
-    # numpy's generators take seeds >= 0
+    # a seed keys its lift's stream by its unsigned 64-bit words: >= 0
     p_odd.add_argument("--seed", type=_int_at_least(0), default=0)
     p_odd.add_argument("--slack", type=_finite_float(False), default=1e-9)
     p_odd.add_argument("--extremal", action="store_true")

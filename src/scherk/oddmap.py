@@ -27,17 +27,16 @@ twiddle exp(i t), cached per grid size on first use.  A generated lift is
 its row of coefficients times one cached table of sin(2kt) and cos(2kt).
 
 `random_odd_S1` gives S1 of many generated lifts without building an
-`OddLift` for each.  It seeds the streams of all lifts in one batched pass
-of numpy's seeding hash and computes all their PCG64 draws in one
-vectorised pass, with no `Generator` and without importing `numpy.random`,
-so each coefficient row is bit for bit the `default_rng(seed)` draw.  It
-groups the lifts by mode count m, forms each group in blocks of four by one
-matrix product against the first 2m table rows, and applies the `OddLift`
-monotonicity rule to every sample of every row.  S1 of a lift with m
-modes is then taken from every stride-th sample only: h' points per
-half-period, the smallest power of two >= 64 m (at most N/2), where the
-trapezoid rule is already exact (see `random_odd_S1`).  `random_odd_lift`
-and `fourier_S1` run the same helpers on a single lift, on the full grid.
+`OddLift` for each.  Every lift's coefficients come from its own SplitMix64
+stream, keyed by its seed; `_splitmix64_draws` computes all draws of all
+streams in one pass of uint64 array arithmetic.  It groups the lifts by mode
+count m, forms each group in blocks of four by one matrix product against
+the first 2m table rows, and applies the `OddLift` monotonicity rule to
+every sample of every row.  S1 of a lift with m modes is then taken from
+every stride-th sample only: h' points per half-period, the smallest power
+of two >= 64 m (at most N/2), where the trapezoid rule is already exact
+(see `random_odd_S1`).  `random_odd_lift` and `fourier_S1` run the same
+helpers on a single lift, on the full grid.
 """
 
 from __future__ import annotations
@@ -55,15 +54,11 @@ _ODD_TOL = 1e-12
 _BLOCK = 4          # lifts per block: theta and steps fill 512 KiB, N = 2^14
 _TABLE_MODES = 8    # the even-mode table covers modes 1..8 at least
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-# uint64 constants, so that no word is ever promoted to a Python int
-_1, _11, _32, _58, _63, _64 = map(np.uint64, (1, 11, 32, 58, 63, 64))
-_LOW32 = np.uint64(_MASK32)
+# SplitMix64's increment and output-mix constants, as uint64 so that no word
+# is ever promoted to a Python int
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_S30, _S27, _S31, _S11 = map(np.uint64, (30, 27, 31, 11))
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,65 +135,6 @@ def _even_table(n: int, modes: int) -> np.ndarray:
     return table
 
 
-def _hash_constants(init: int, mult: int):
-    """SeedSequence's running hash constant: (h_j, h_j * mult mod 2^32)."""
-    h = init
-    while True:
-        h_next = h * mult & _MASK32
-        yield np.uint32(h), np.uint32(h_next)
-        h = h_next
-
-
-def _hashmix(word: np.ndarray, consts) -> np.ndarray:
-    """SeedSequence's hashmix of a uint32 column with the next constants."""
-    h, h_next = next(consts)
-    v = (word ^ h) * h_next
-    return v ^ v >> 16
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of two uint32 columns."""
-    v = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return v ^ v >> 16
-
-
-def _pcg64_seeds(seeds) -> np.ndarray:
-    """The 128-bit PCG64 seed (s, i) of `default_rng(seed)`, for each seed.
-
-    Row j is (s_hi, s_lo, i_hi, i_lo) as uint64.  `SeedSequence(seed)`
-    splits the seed into 32-bit words, low first, and hashes them into a
-    pool of four (numpy/random/bit_generator.pyx).  A seed below 2^128 is
-    zero-padded to four words, which is exact: the pool hashes a missing
-    word as 0.  Words past the fourth are then mixed into the pool one by
-    one, masked to the seeds that have them.  The hash constants depend on
-    the word's position only, so each step runs on one uint32 column over
-    all seeds.  The pool's first eight generated words are the row.
-    """
-    seeds = [operator.index(s) for s in seeds]
-    if min(seeds, default=0) < 0:
-        raise ValueError(f"seeds must be >= 0, got {min(seeds)}")
-    lengths = np.array([max(1, -(-s.bit_length() // 32)) for s in seeds])
-    width = max(4, lengths.max(initial=1))
-    words = np.frombuffer(
-        b"".join(s.to_bytes(4 * width, "little") for s in seeds),
-        dtype="<u4").reshape(len(seeds), width).T
-    consts = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hashmix(word, consts) for word in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
-    for src in range(4, width):
-        live = lengths > src
-        for dst in range(4):
-            mixed = _mix(pool[dst], _hashmix(words[src], consts))
-            pool[dst] = np.where(live, mixed, pool[dst])
-    consts = _hash_constants(_INIT_B, _MULT_B)
-    generated = [_hashmix(pool[j % 4], consts) for j in range(8)]
-    return np.ascontiguousarray(np.transpose(generated),
-                                dtype="<u4").view("<u8")
-
-
 def _mode_counts(modes) -> np.ndarray:
     """`modes` as an int array, each an integer >= 1."""
     counts = np.array([operator.index(m) for m in modes], dtype=int)
@@ -213,52 +149,38 @@ def _mode_groups(modes: np.ndarray) -> list:
     return [(m, np.flatnonzero(modes == m)) for m in sorted(set(modes.tolist()))]
 
 
-def _mul128(hi, lo, c_hi, c_lo):
-    """(hi, lo) * (c_hi, c_lo) mod 2^128 on uint64 word arrays.
+def _fmix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mix of a uint64 array, mod 2^64."""
+    z = (z ^ z >> _S30) * _M1
+    z = (z ^ z >> _S27) * _M2
+    return z ^ z >> _S31
 
-    The high word is the high half of lo * c_lo, from 32-bit limbs, plus
-    (lo c_hi + hi c_lo) mod 2^64.
+
+def _splitmix64_draws(seeds, width: int) -> np.ndarray:
+    """Row j: the first `width` doubles of the SplitMix64 stream of seeds[j].
+
+    The seed is split into 64-bit words w, most significant first, and
+    folded into key = fmix(key ^ w) from key = 0.  fmix(0) = 0, so the
+    leading zero words that pad a seed to the widest of the batch change
+    nothing: a row never depends on the other seeds.  Below 2^64 the key
+    is fmix(seed), a bijection, so no two such seeds share a stream.
+    Draw k = 1, 2, ... is (fmix(key + k gamma) >> 11) 2^-53 with
+    gamma = 0x9E3779B97F4A7C15: the SplitMix64 generator (Steele, Lea &
+    Flood, OOPSLA 2014) started from key.  Every word is a uint64 array or
+    constant and wraps silently.
     """
-    a0, a1 = lo & _LOW32, lo >> _32
-    b0, b1 = c_lo & _LOW32, c_lo >> _32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> _32) + (p01 & _LOW32) + (p10 & _LOW32)
-    top = a1 * b1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32)
-    return top + lo * c_hi + hi * c_lo, lo * c_lo
-
-
-def _add128(hi, lo, b_hi, b_lo):
-    """(hi, lo) + (b_hi, b_lo) mod 2^128 on uint64 word arrays."""
-    low = lo + b_lo
-    return hi + b_hi + (low < b_lo), low
-
-
-def _pcg64_draws(seeds, width: int) -> np.ndarray:
-    """Row j: the first `width` doubles of `default_rng(seeds[j]).random`.
-
-    PCG64 (numpy/random/src/pcg64) starts at u M + inc, u = inc + s, with
-    inc = 2 i + 1 and (s, i) from `_pcg64_seeds`; each draw steps the state
-    to state M + inc and outputs the XSL-RR word x = rotr64(hi ^ lo, hi >> 58)
-    as the double (x >> 11) 2^-53.  Draw k's state is thus
-    u M^(k+1) + inc (1 + M + ... + M^k) mod 2^128, so all draws of all seeds
-    come from two 128-bit products of a seed column and a row of constants.
-    Every word is a uint64 array or scalar and wraps without a warning.
-    """
-    s_hi, s_lo, i_hi, i_lo = _pcg64_seeds(seeds).T[:, :, None]
-    inc_hi, inc_lo = i_hi << _1 | i_lo >> _63, i_lo << _1 | _1
-    consts, power, total = [], _PCG_MULT, 1
-    for _ in range(width):
-        total = total + power & _MASK128
-        power = power * _PCG_MULT & _MASK128
-        consts.append((power >> 64, power & _MASK64, total >> 64,
-                       total & _MASK64))
-    p_hi, p_lo, g_hi, g_lo = np.array(consts, dtype=np.uint64).T
-    u_hi, u_lo = _add128(s_hi, s_lo, inc_hi, inc_lo)
-    hi, lo = _add128(*_mul128(u_hi, u_lo, p_hi, p_lo),
-                     *_mul128(inc_hi, inc_lo, g_hi, g_lo))
-    rot, x = hi >> _58, hi ^ lo
-    x = x >> rot | x << (_64 - rot & _63)
-    return (x >> _11) * (1.0 / 9007199254740992.0)
+    seeds = [operator.index(s) for s in seeds]
+    if min(seeds, default=0) < 0:
+        raise ValueError(f"seeds must be >= 0, got {min(seeds)}")
+    n_words = max(1, -(-max(seeds, default=0).bit_length() // 64))
+    words = np.frombuffer(
+        b"".join(s.to_bytes(8 * n_words, "big") for s in seeds),
+        dtype=">u8").reshape(len(seeds), n_words).astype(np.uint64)
+    key = np.zeros(len(seeds), dtype=np.uint64)
+    for word in words.T:
+        key = _fmix(key ^ word)
+    steps = np.arange(1, width + 1, dtype=np.uint64) * _GAMMA
+    return (_fmix(key[:, None] + steps) >> _S11) * 2.0 ** -53
 
 
 def _draw_coefficients(seeds, modes, amplitude: float) -> np.ndarray:
@@ -266,27 +188,23 @@ def _draw_coefficients(seeds, modes, amplitude: float) -> np.ndarray:
 
     Row i is (a_k cos phi_k, a_k sin phi_k), k = 1..m, in `_even_table` row
     order: a sin(2k t + phi) = a cos(phi) sin(2k t) + a sin(phi) cos(2k t).
-    Each seed's `default_rng` stream gives m draws for
-    a_k = amplitude U(0.2, 1)/k and then m for phi_k = U(0, 2 pi), in one
-    `random(2m)` call.  No generator is built: `_pcg64_draws` computes the
-    first 2 max(m) doubles of every stream in one vectorised PCG64 pass.
-    The draws are mapped as `Generator.uniform(low, high)` maps them,
-    low + (high - low) d, so every row is bit-identical to two `uniform`
-    calls of `default_rng(seed)`.  The amplitudes are rescaled if needed so
-    that min theta' >= 0.05.  Rows are scaled per mode count, so each sum
-    over k sees exactly m terms.
+    The first 2m draws d of the seed's stream (`_splitmix64_draws`, one
+    call for all rows) give a_k = amplitude (0.2 + 0.8 d_k)/k and then
+    phi_k = 2 pi d_{m+k}.  The amplitudes are rescaled if needed so that
+    min theta' >= 0.05.  Rows are scaled per mode count, so each sum over k
+    sees exactly m terms.
     """
     if not 0.0 <= amplitude < math.inf:
         raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
     modes = _mode_counts(modes)
-    coefs = _pcg64_draws(seeds, 2 * modes.max(initial=1))
+    coefs = _splitmix64_draws(seeds, 2 * modes.max(initial=1))
     if len(coefs) != modes.size:
         raise ValueError(f"{len(coefs)} seeds but {modes.size} mode counts")
     for m, rows in _mode_groups(modes):
         d = coefs[rows]     # a copy: the draws are overwritten below
         ks = np.arange(1, m + 1)
-        amps = amplitude * (0.2 + (1.0 - 0.2) * d[:, :m]) / ks
-        phases = 0.0 + (2.0 * math.pi - 0.0) * d[:, m:2 * m]
+        amps = amplitude * (0.2 + 0.8 * d[:, :m]) / ks
+        phases = 2.0 * math.pi * d[:, m:2 * m]
         deriv_bound = (2.0 * ks * amps).sum(axis=1)
         big = deriv_bound > 0.95
         amps[big] *= (0.95 / deriv_bound[big])[:, None]

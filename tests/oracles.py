@@ -89,17 +89,39 @@ def full_grid_fourier_mode(samples, k: int) -> tuple:
             complex(np.mean(f * np.exp(1j * k * t))))
 
 
+def splitmix64_draws(seed: int, count: int) -> list:
+    """The first `count` doubles of the SplitMix64 stream keyed by `seed`.
+
+    Plain Python integers, masked to 64 bits after every step: the key folds
+    the seed's 64-bit words, most significant first, by key = fmix(key ^ w)
+    from 0, and draw k is (fmix(key + k gamma) >> 11) 2^-53.
+    """
+    mask = (1 << 64) - 1
+
+    def fmix(z):
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+        return z ^ z >> 31
+
+    key = 0
+    for shift in reversed(range(0, max(seed.bit_length(), 1), 64)):
+        key = fmix(key ^ seed >> shift & mask)
+    return [(fmix(key + k * 0x9E3779B97F4A7C15 & mask) >> 11) * 2.0 ** -53
+            for k in range(1, count + 1)]
+
+
 def direct_lift_draw(seed: int, modes: int, amplitude: float):
     """(k, a_k, phi_k), k = 1..modes, of the generated lift `seed`.
 
-    Draws a_k and phi_k from `default_rng(seed)` in the order the package
-    documents, one `uniform` call each, and applies the same rescaling to
+    Maps the seed's first 2 modes draws of `splitmix64_draws` in the order
+    the package documents, a_k = amplitude (0.2 + 0.8 d_k)/k and then
+    phi_k = 2 pi d_{modes+k}, and applies the same rescaling to
     min theta' >= 0.05.
     """
-    rng = np.random.default_rng(seed)
+    draws = np.array(splitmix64_draws(seed, 2 * modes))
     ks = np.arange(1, modes + 1)
-    amps = amplitude * rng.uniform(0.2, 1.0, modes) / ks
-    phases = rng.uniform(0.0, 2.0 * math.pi, modes)
+    amps = amplitude * (0.2 + 0.8 * draws[:modes]) / ks
+    phases = 2.0 * math.pi * draws[modes:]
     deriv_bound = float(np.sum(2.0 * ks * amps))
     if deriv_bound > 0.95:
         amps = amps * (0.95 / deriv_bound)

@@ -479,7 +479,7 @@ def test_odd_deterministic_and_first_minimum(capsys):
 
 
 def test_odd_seed_past_2_128_matches_oracle(capsys):
-    # Seeds of five 32-bit words take numpy's extra seeding mix.
+    # A seed of three 64-bit words folds every word into its stream's key.
     seed = 2 ** 128
     code, out, _ = run(capsys, "odd", "--trials", "3", "--seed", str(seed))
     assert code == 0

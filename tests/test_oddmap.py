@@ -13,11 +13,11 @@ from oracles import (direct_autocorrelation, direct_extremal_sequence,
                      full_grid_fourier_mode)
 from scherk import oddmap
 from scherk.oddmap import (OddLift, _c_at_shifts, _check_monotone,
-                           _draw_coefficients, _mirror, _theta_half,
-                           autocorrelation, extremal_sequence, fourier_S1,
-                           fourier_spectrum, hall_inequality_check,
-                           identity_lift, random_odd_lift, random_odd_S1,
-                           snap_shift)
+                           _draw_coefficients, _mirror, _splitmix64_draws,
+                           _theta_half, autocorrelation, extremal_sequence,
+                           fourier_S1, fourier_spectrum,
+                           hall_inequality_check, identity_lift,
+                           random_odd_lift, random_odd_S1, snap_shift)
 
 SHARP = 8.0 / math.pi ** 2
 
@@ -276,8 +276,8 @@ def test_random_odd_S1_point_count(monkeypatch, n, modes, points):
 
 @pytest.mark.parametrize("amplitude", [0.01, 0.3])
 def test_draw_coefficients_match_per_seed_draws(rng, amplitude):
-    # One random(2m) per seed, scaled per mode count, is bit for bit the
-    # per-seed uniform draw; 0.01 never rescales, 0.3 sometimes does.
+    # One batch of draws, scaled per mode count, is bit for bit the per-seed
+    # SplitMix64 draw; 0.01 never rescales, 0.3 sometimes does.
     seeds = range(2000)
     modes = rng.integers(1, 9, len(seeds))
     coefs = _draw_coefficients(seeds, modes, amplitude)
@@ -293,9 +293,9 @@ def test_draw_coefficients_match_per_seed_draws(rng, amplitude):
 
 
 def test_draw_coefficients_bit_equal_for_any_seed(rng):
-    # The batched seeding hash is default_rng(seed) bit for bit, across the
-    # 32-bit word boundaries, up to 2^128 (four zero-padded words) and past
-    # it (numpy's extra mixing per word); 5000 random seeds of 1 to 256 bits.
+    # The batched key fold matches the per-seed one bit for bit, across the
+    # 64-bit word boundaries and for seeds zero-padded to the batch's four
+    # words; 5000 random seeds of 1 to 256 bits.
     seeds = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1,
              2 ** 128, 2 ** 200 + 3]
     for bits in rng.integers(1, 257, 5000).tolist():
@@ -313,7 +313,7 @@ def test_draw_coefficients_bit_equal_for_any_seed(rng):
 @pytest.mark.parametrize("modes", [[32] * 40, [40] * 40, [1, 40, 7, 32, 2]])
 def test_draw_coefficients_bit_equal_for_many_modes(modes):
     # 64 and 80 draws per seed, and rows of mixed width in one batch: every
-    # draw position of the PCG64 kernel, each row zero past its own 2m.
+    # draw position of the stream, each row zero past its own 2m.
     seeds = [0, 2 ** 128 - 1, 2 ** 200 + 3] + list(range(7, 7 + len(modes) - 3))
     coefs = _draw_coefficients(seeds, modes, 0.3)
     assert coefs.shape == (len(modes), 2 * max(modes))
@@ -324,12 +324,28 @@ def test_draw_coefficients_bit_equal_for_many_modes(modes):
         assert (row[2 * m:] == 0.0).all(), seed
 
 
-@pytest.mark.parametrize("seeds", [[0], [2 ** 128 - 1], range(1000)])
+@pytest.mark.parametrize("seeds", [[0], [2 ** 128 - 1], range(1000),
+                                   [2 ** 64 - 1, 2 ** 64]])
 def test_draw_coefficients_warn_nothing(seeds):
-    # The 128-bit words wrap in uint64 arithmetic, which must stay silent.
+    # The 64-bit words wrap in uint64 arithmetic, which must stay silent.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _draw_coefficients(seeds, [8] * len(seeds), 0.3)
+
+
+def test_splitmix64_stream_sanity():
+    # 16 draws for each of seeds 0-9999: every position uniform in mean and
+    # variance, no correlation between consecutive seeds or between any two
+    # positions, and distinct rows across the 2^64 word boundary.
+    draws = _splitmix64_draws(range(10000), 16)
+    assert np.abs(draws.mean(axis=0) - 0.5).max() < 0.015
+    assert np.abs(draws.var(axis=0) - 1.0 / 12.0).max() < 0.005
+    first = draws[:, 0]
+    assert abs(np.corrcoef(first[:-1], first[1:])[0, 1]) < 0.04
+    r = np.corrcoef(draws.T)
+    assert np.abs(r - np.eye(16)).max() < 0.05
+    edge = _splitmix64_draws(range(2 ** 64 - 8, 2 ** 64 + 9), 16)
+    assert len({row.tobytes() for row in edge}) == 17
 
 
 def test_odd_does_not_import_numpy_random():
