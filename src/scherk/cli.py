@@ -13,10 +13,14 @@ Commands
 `check` and `zero` render the `PairRecord` that `evaluate_pair` builds for
 their one pair, through the scalar library path.  A refusal ends the
 pipeline and becomes the status (`not_admissible`, `no_sign_change`,
-`non_convergence`), with `detail` for a solver refusal.  `sweep` evaluates
-the flattened grid in blocks of SWEEP_BLOCK pairs with `evaluate_block`,
-which calls the same closed forms on numpy arrays, and writes each block's
-rows into a temporary file that replaces `--out` once the sweep is done.
+`non_convergence`), with `detail` for a solver refusal.  `sweep` walks the
+flattened grid in blocks of SWEEP_BLOCK pairs and gates each block with
+`admissible_interval`'s predicate L <= R.  Only the admissible pairs go
+on, packed into `evaluate_block` calls of SWEEP_BLOCK pairs (the last call
+takes the rest); `evaluate_block` calls the same closed forms on numpy
+arrays.  A block's rows are formatted in one pass once every admissible
+pair in it is solved, and written into a temporary file that replaces
+`--out` once the sweep is done.  The parser is built once per process.
 `--tol` must be finite and > 0, `--slack` finite and >= 0, and `--out`
 must name a file.
 
@@ -27,6 +31,8 @@ Exit codes: 0 ok, 1 malformed input, 2 not admissible, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
 import os
@@ -67,9 +73,9 @@ CSV_HEADER = ("p,q,A,B,admissible,U,S,margin,"
 STATUSES = ("ok", "not_admissible", "no_sign_change", "non_convergence")
 OK, NOT_ADMISSIBLE, NO_SIGN_CHANGE, NON_CONVERGENCE = range(len(STATUSES))
 
-# Pairs per sweep block.  Each block is evaluated with numpy and its rows
-# are written before the next block starts, so memory does not grow with
-# the grid.
+# Grid pairs per sweep block, and admissible pairs per `evaluate_block`
+# call.  A block is gated and written whole, and at most SWEEP_BLOCK
+# admissible pairs wait for a call, so memory does not grow with the grid.
 SWEEP_BLOCK = 1024
 
 # `logsub` samples z in [-0.5, 0.5]^2, so |z| <= sqrt(0.5), and the
@@ -203,21 +209,21 @@ _ROW_TAILS = {NOT_ADMISSIBLE: ",false,,,,,,,not_admissible\n",
               NO_SIGN_CHANGE: ",true,,,,,,,no_sign_change\n"}
 
 
-def _block_rows(heads: list[str], rec: BlockRecord) -> str:
-    """The block's CSV rows after their "p,q,A,B" heads; floats with 17
+def _lane_tails(rec: BlockRecord) -> list[str]:
+    """Each pair's CSV row after its "p,q,A,B" head; floats with 17
     significant digits."""
-    rows = []
-    for head, status, U, S, margin, wks, wkg, gap in zip(
-            heads, *(col.tolist() for col in rec)):
+    tails = []
+    for status, U, S, margin, wks, wkg, gap in zip(
+            *(col.tolist() for col in rec)):
         if status == OK:
-            rows.append(f"{head},true,{U:.17g},{S:.17g},{margin:.17g},"
-                        f"{wks:.17g},{wkg:.17g},{gap:.17g},ok\n")
+            tails.append(f",true,{U:.17g},{S:.17g},{margin:.17g},"
+                         f"{wks:.17g},{wkg:.17g},{gap:.17g},ok\n")
         elif status == NON_CONVERGENCE:
-            rows.append(f"{head},true,{U:.17g},{S:.17g},{margin:.17g},"
-                        f"{wks:.17g},,,non_convergence\n")
+            tails.append(f",true,{U:.17g},{S:.17g},{margin:.17g},"
+                         f"{wks:.17g},,,non_convergence\n")
         else:
-            rows.append(head + _ROW_TAILS[status])
-    return "".join(rows)
+            tails.append(_ROW_TAILS[status])
+    return tails
 
 
 def _params_from_args(args) -> ScherkParams:
@@ -295,44 +301,101 @@ def cmd_zero(args) -> int:
     return _STATUS_EXIT[rec.status]
 
 
-def _sweep_blocks(grid: int, mode: str):
-    """The grid x grid pairs, row-major, in blocks of SWEEP_BLOCK pairs.
+class _Sweep:
+    """A sweep's grid x grid pairs, row-major, its CSV rows and its tally.
 
-    Yields each block's ScherkParams and the start "p,q,A,B" of each of
-    its CSV rows.  The fields come from the builders of `from_ab` (mode AB)
-    and `from_angles` (mode pq) on ops.ARRAY, so each is the float those
-    constructors give.  Axis values are formatted once.  The grid lies
-    inside both constructors' domains.
+    Flat position k is the pair of axis steps divmod(k, grid) + 1.  The
+    fields come from the builders of `from_ab` (mode AB) and `from_angles`
+    (mode pq) on ops.ARRAY, so each is the float those constructors give.
+    Axis values are formatted once.  The grid lies inside both
+    constructors' domains.
     """
-    steps = range(1, grid + 1)
-    if mode == "AB":
-        values = np.array([i / grid for i in steps])          # A and B
-        axis = ab_params(values, values, ops.ARRAY)
-        v_text, p_text = _texts(axis.A), _texts(axis.p)
 
-        def block(i, j):
-            row, col = axis.take(i), axis.take(j)
-            pairs = ScherkParams(row.A, col.B, row.kappa, col.epsilon,
-                                 row.p, row.p + col.p)   # q as from_ab sums it
-            heads = [f"{p_text[a]},{y:.17g},{v_text[a]},{v_text[b]}"
-                     for a, b, y in zip(i.tolist(), j.tolist(),
-                                        pairs.q.tolist())]
-            return pairs, heads
-    else:
-        angles = np.array([0.5 * math.pi * i / grid for i in steps])
-        p_text = _texts(angles)       # p and q - p are axis values
-        a_text = _texts(angle_params(angles, angles, ops.ARRAY).A)  # A(p)
+    def __init__(self, grid: int, mode: str, tol: float):
+        self.grid, self.ab, self.tol = grid, mode == "AB", tol
+        self.counts = np.zeros(len(STATUSES), int)
+        self.wk_min, self.wk_max = math.inf, -math.inf
+        steps = range(1, grid + 1)
+        if self.ab:
+            values = np.array([i / grid for i in steps])      # A and B
+            self.axis = ab_params(values, values, ops.ARRAY)
+            self.p_text, self.a_text = _texts(self.axis.p), _texts(values)
+        else:
+            self.angles = np.array([0.5 * math.pi * i / grid for i in steps])
+            self.p_text = _texts(self.angles)   # p and q - p: axis values
+            self.a_text = _texts(
+                angle_params(self.angles, self.angles, ops.ARRAY).A)
 
-        def block(i, j):
-            pairs = angle_params(angles[i], angles[i] + angles[j], ops.ARRAY)
-            heads = [f"{p_text[a]},{y:.17g},{a_text[a]},{b:.17g}"
-                     for a, y, b in zip(i.tolist(), pairs.q.tolist(),
-                                        pairs.B.tolist())]
-            return pairs, heads
+    def _blocks(self):
+        """The flat positions and ScherkParams of each SWEEP_BLOCK pairs."""
+        size = self.grid * self.grid
+        for start in range(0, size, SWEEP_BLOCK):
+            flat = np.arange(start, min(start + SWEEP_BLOCK, size))
+            i, j = np.divmod(flat, self.grid)
+            if self.ab:
+                row, col = self.axis.take(i), self.axis.take(j)
+                yield flat, ScherkParams(row.A, col.B, row.kappa, col.epsilon,
+                                         row.p, row.p + col.p)  # q as from_ab
+            else:
+                yield flat, angle_params(self.angles[i],
+                                         self.angles[i] + self.angles[j],
+                                         ops.ARRAY)
 
-    for start in range(0, grid * grid, SWEEP_BLOCK):
-        flat = np.arange(start, min(start + SWEEP_BLOCK, grid * grid))
-        yield block(*np.divmod(flat, grid))
+    def _solved(self):
+        """`evaluate_block` on the admissible pairs only, in grid order, in
+        calls of SWEEP_BLOCK pairs and one last call on the rest.
+
+        The gate is `admissible_interval`'s predicate L <= R.  Yields each
+        call's (flat position, row tail) pairs; tallies every status.
+        """
+        lanes, pairs = np.empty(0, np.intp), ScherkParams(*[np.empty(0)] * 6)
+        for flat, block in self._blocks():
+            with np.errstate(all="ignore"):
+                keep = interval_L(*block[:4]) <= interval_R(*block[:4])
+            self.counts[NOT_ADMISSIBLE] += flat.size - int(keep.sum())
+            lanes = np.concatenate((lanes, flat[keep]))
+            pairs = ScherkParams(*map(np.concatenate,
+                                      zip(pairs, block.take(keep))))
+            while lanes.size >= SWEEP_BLOCK:
+                yield zip(lanes[:SWEEP_BLOCK].tolist(),
+                          self._solve(pairs.take(slice(SWEEP_BLOCK))))
+                lanes, pairs = (lanes[SWEEP_BLOCK:],
+                                pairs.take(slice(SWEEP_BLOCK, None)))
+        if lanes.size:
+            yield zip(lanes.tolist(), self._solve(pairs))
+
+    def _solve(self, pairs: ScherkParams) -> list[str]:
+        rec = evaluate_block(pairs, self.tol)
+        self.counts += np.bincount(rec.status, minlength=len(STATUSES))
+        ok = rec.wk_scalar[rec.status == OK]
+        if ok.size:
+            self.wk_min = min(self.wk_min, float(ok.min()))
+            self.wk_max = max(self.wk_max, float(ok.max()))
+        return _lane_tails(rec)
+
+    def rows(self):
+        """The CSV rows of each block of SWEEP_BLOCK pairs, made once every
+        admissible pair in the block is solved."""
+        lanes = itertools.chain.from_iterable(self._solved())
+        lane = next(lanes, None)
+        for flat, pairs in self._blocks():
+            start = int(flat[0])
+            row_tails = [_ROW_TAILS[NOT_ADMISSIBLE]] * flat.size
+            while lane is not None and lane[0] < start + flat.size:
+                row_tails[lane[0] - start] = lane[1]
+                lane = next(lanes, None)
+            i, j = np.divmod(flat, self.grid)
+            p_text, a_text = self.p_text, self.a_text
+            if self.ab:
+                yield "".join([
+                    f"{p_text[a]},{q:.17g},{a_text[a]},{a_text[b]}{tail}"
+                    for a, b, q, tail in zip(i.tolist(), j.tolist(),
+                                             pairs.q.tolist(), row_tails)])
+            else:
+                yield "".join([
+                    f"{p_text[a]},{q:.17g},{a_text[a]},{b:.17g}{tail}"
+                    for a, q, b, tail in zip(i.tolist(), pairs.q.tolist(),
+                                             pairs.B.tolist(), row_tails)])
 
 
 def _texts(values: np.ndarray) -> list[str]:
@@ -340,22 +403,15 @@ def _texts(values: np.ndarray) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    counts = np.zeros(len(STATUSES), int)
-    wk_min, wk_max = math.inf, -math.inf
+    sweep = _Sweep(args.grid, args.mode, args.tol)
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     try:
         fd, tmp_path = tempfile.mkstemp(dir=out_dir, suffix=".csv.tmp")
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(CSV_HEADER + "\n")
-                for pairs, heads in _sweep_blocks(args.grid, args.mode):
-                    rec = evaluate_block(pairs, args.tol)
-                    fh.write(_block_rows(heads, rec))
-                    counts += np.bincount(rec.status, minlength=len(STATUSES))
-                    ok = rec.wk_scalar[rec.status == OK]
-                    if ok.size:
-                        wk_min = min(wk_min, float(ok.min()))
-                        wk_max = max(wk_max, float(ok.max()))
+                for rows in sweep.rows():
+                    fh.write(rows)
             os.replace(tmp_path, args.out)
         except BaseException:
             os.unlink(tmp_path)
@@ -364,10 +420,11 @@ def cmd_sweep(args) -> int:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
+    counts = sweep.counts
     summary = ", ".join(f"{name}={n}" for name, n in
                         sorted(zip(STATUSES, counts.tolist())) if n)
     if counts[OK]:
-        summary += f"; wk min={wk_min:.12g} max={wk_max:.12g}"
+        summary += f"; wk min={sweep.wk_min:.12g} max={sweep.wk_max:.12g}"
     print(f"sweep {args.grid}x{args.grid} mode={args.mode}: {summary}",
           file=sys.stderr)
     return EXIT_OK
@@ -575,10 +632,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built on the first call of the process: parsing
+    leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad flags; fold into the input-error code.
         return EXIT_BAD_INPUT if exc.code else EXIT_OK

@@ -239,21 +239,31 @@ def test_band_checks_allow_slack_and_no_more():
         assert not band["band_scalar"] and band["band_geometric"]
 
 
+def _record_solver_calls(monkeypatch, fail_on=None):
+    """The pairs of each `cli.evaluate_block` call of the sweep, recorded
+    as they come; call number `fail_on` raises instead."""
+    calls = []
+    evaluate_block = cli.evaluate_block
+
+    def recorded(pairs, tol):
+        calls.append(pairs)
+        if len(calls) == fail_on:
+            raise RuntimeError("evaluation failed")
+        return evaluate_block(pairs, tol)
+
+    monkeypatch.setattr(cli, "evaluate_block", recorded)
+    return calls
+
+
 def test_sweep_failure_leaves_no_temp_file_and_keeps_the_old_csv(
         tmp_path, capsys, monkeypatch):
     out_file = tmp_path / "s.csv"
     out_file.write_bytes(b"previous sweep\n")
-    calls = []
-
-    def failing(pairs, tol):
-        calls.append(pairs)
-        if len(calls) == 2:
-            raise RuntimeError("evaluation failed")
-        return cli.evaluate_block(pairs, tol)
-
-    grid = 40   # 1600 pairs: the first block is written, the second fails
+    # 1144 admissible pairs: the first solver call's rows are written, the
+    # second call fails
+    grid = 90
     assert grid * grid > cli.SWEEP_BLOCK
-    monkeypatch.setattr(cli, "evaluate_block", failing)
+    calls = _record_solver_calls(monkeypatch, fail_on=2)
     with pytest.raises(RuntimeError):
         main(["sweep", "--grid", str(grid), "--out", str(out_file)])
     assert len(calls) == 2
@@ -298,13 +308,12 @@ def _assert_block_matches_scalar(pairs, rec, params):
 def test_block_evaluator_matches_evaluate_pair_on_grids(grid, mode):
     params = _sweep_pairs(grid, mode)
     start = 0
-    blocks = list(cli._sweep_blocks(grid, mode))
-    assert [pairs.A.size for pairs, _ in blocks[:-1]] == [cli.SWEEP_BLOCK] * (
+    blocks = list(cli._Sweep(grid, mode, 1e-12)._blocks())
+    assert [pairs.A.size for _, pairs in blocks[:-1]] == [cli.SWEEP_BLOCK] * (
         len(blocks) - 1)
-    for pairs, heads in blocks:
+    for flat, pairs in blocks:
         stop = start + pairs.A.size
-        assert heads == [f"{x.p:.17g},{x.q:.17g},{x.A:.17g},{x.B:.17g}"
-                         for x in params[start:stop]]
+        assert flat.tolist() == list(range(start, stop))
         _assert_block_matches_scalar(pairs, cli.evaluate_block(pairs),
                                      params[start:stop])
         start = stop
@@ -352,6 +361,44 @@ def test_block_evaluator_matches_evaluate_pair_on_edge_pairs():
     assert cli.evaluate_block(alone).status.tolist() == [cli.NOT_ADMISSIBLE]
 
 
+def _csv_row(rec):
+    """The sweep's CSV row for one pair's record: floats with 17
+    significant digits, empty cells where the pipeline stopped."""
+    x = rec.params
+    cells = [x.p, x.q, x.A, x.B, "true" if rec.interval.nonempty else "false"]
+    values = [""] * 6
+    if rec.zero is not None:
+        values[:4] = rec.zero.U, rec.zero.S, rec.margin, rec.wk_scalar
+    if rec.solution is not None:
+        values[4:] = rec.solution.WK, rec.route_gap
+    cells += values + [rec.status]
+    return ",".join(c if isinstance(c, str) else f"{c:.17g}" for c in cells)
+
+
+@pytest.mark.parametrize("grid, mode, solver_calls", [
+    (90, "AB", 2), (50, "AB", 1), (12, "pq", 1)])
+def test_sweep_csv_is_evaluate_pair_row_by_row(tmp_path, capsys, monkeypatch,
+                                               grid, mode, solver_calls):
+    # Grid 90 has 1144 admissible pairs, grid 50 has 379 in three grid
+    # blocks.
+    calls = _record_solver_calls(monkeypatch)
+    out_file = tmp_path / "s.csv"
+    assert run(capsys, "sweep", "--grid", str(grid), "--mode", mode,
+               "--out", str(out_file))[0] == 0
+    refs = [evaluate_pair(x) for x in _sweep_pairs(grid, mode)]
+    assert out_file.read_text().splitlines() == [CSV_HEADER] + [
+        _csv_row(rec) for rec in refs]
+    # The solver calls take the admissible pairs only, in grid order, at
+    # most SWEEP_BLOCK in a call and exactly that many in each but the last.
+    admissible = [(rec.params.A, rec.params.B) for rec in refs
+                  if rec.interval.nonempty]
+    assert [(a, b) for pairs in calls
+            for a, b in zip(pairs.A.tolist(), pairs.B.tolist())] == admissible
+    sizes = [pairs.A.size for pairs in calls]
+    assert len(sizes) == solver_calls and max(sizes) <= cli.SWEEP_BLOCK
+    assert sizes[:-1] == [cli.SWEEP_BLOCK] * (solver_calls - 1)
+
+
 def test_sweep_grid2(tmp_path, capsys):
     out_file = tmp_path / "s.csv"
     code, _, err = run(capsys, "sweep", "--grid", "2", "--out", str(out_file))
@@ -366,7 +413,7 @@ def test_sweep_grid2(tmp_path, capsys):
 
 
 def test_sweep_deterministic(tmp_path, capsys):
-    # Grid 50 spans three blocks, so block boundaries are crossed too.
+    # Grid 50 spans three grid blocks, so block boundaries are crossed too.
     for flags in (("--grid", "7"), ("--grid", "50"),
                   ("--grid", "50", "--mode", "pq")):
         f1 = tmp_path / "a.csv"
@@ -546,3 +593,32 @@ def test_logsub_rejects_a_bad_step(capsys, h):
 
 def test_unknown_flag_is_input_error(capsys):
     assert run(capsys, "check", "--nope", "1")[0] == 1
+
+
+def test_one_parser_serves_successive_calls(tmp_path, capsys, monkeypatch):
+    # Each command, run after the others in one process, prints and
+    # returns what it does on a parser built for it alone.
+    out_file = tmp_path / "s.csv"
+    sequence = [("sweep", "--grid", "7", "--out", str(out_file)),
+                ("check", "--A", "0.7", "--B", "0.9"),
+                ("check", "--A", "0.7", "--nope", "1"),
+                ("odd", "--trials", "7")]
+
+    def outcome(argv):
+        result = run(capsys, *argv)
+        return result + (out_file.read_bytes(),) if argv[0] == "sweep" \
+            else result
+
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [result[0] for result in fresh] == [0, 0, 1, 0]
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda build=cli.build_parser: built.append(1)
+                        or build())
+    cli._parser.cache_clear()
+    assert [outcome(argv) for argv in sequence] == fresh
+    assert len(built) == 1
