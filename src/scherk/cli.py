@@ -24,6 +24,11 @@ pair in it is solved, and written into a temporary file that replaces
 `--tol` must be finite and > 0, `--slack` finite and >= 0, and `--out`
 must name a file.
 
+numpy is imported only where arrays are made: in `evaluate_block` and
+`_Sweep`, and through `oddmap`, which `odd` binds as the module global
+`oddmap` on its first run.  `certify` imports `bernstein`.  So `check`,
+`zero`, `certify` and `logsub` never load numpy.
+
 Exit codes: 0 ok, 1 malformed input, 2 not admissible, 3 solver failure,
 4 verification failure.
 """
@@ -39,16 +44,21 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-import numpy as np
-
-from . import bernstein, harmonic, oddmap, ops, scalar, weierstrass
+from . import harmonic, ops, scalar, weierstrass
 from .errors import (CertificateMismatch, DomainError, NoSignChange,
                      NonConvergence)
 from .params import (AdmissibleInterval, ScherkParams, ab_params,
                      admissible_interval, angle_params, arc_alpha, from_ab,
                      from_angles, interval_L, interval_R)
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .bernstein import BernsteinForm
+
+# `scherk.oddmap`, which loads numpy, bound by `cmd_odd` on its first run.
+oddmap = None
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -181,6 +191,8 @@ def evaluate_block(pairs: ScherkParams, tol: float = 1e-12) -> BlockRecord:
     first pair with S <= 0 or D0 <= 0.  A lone pair is over ten times
     faster on the scalar path.
     """
+    import numpy as np
+
     status = np.full(pairs.A.size, NOT_ADMISSIBLE, np.int8)
     columns = np.full((6, pairs.A.size), np.nan)
     with np.errstate(all="ignore"):
@@ -312,6 +324,8 @@ class _Sweep:
     """
 
     def __init__(self, grid: int, mode: str, tol: float):
+        import numpy as np
+
         self.grid, self.ab, self.tol = grid, mode == "AB", tol
         self.counts = np.zeros(len(STATUSES), int)
         self.wk_min, self.wk_max = math.inf, -math.inf
@@ -328,6 +342,8 @@ class _Sweep:
 
     def _blocks(self):
         """The flat positions and ScherkParams of each SWEEP_BLOCK pairs."""
+        import numpy as np
+
         size = self.grid * self.grid
         for start in range(0, size, SWEEP_BLOCK):
             flat = np.arange(start, min(start + SWEEP_BLOCK, size))
@@ -348,6 +364,8 @@ class _Sweep:
         The gate is `admissible_interval`'s predicate L <= R.  Yields each
         call's (flat position, row tail) pairs; tallies every status.
         """
+        import numpy as np
+
         lanes, pairs = np.empty(0, np.intp), ScherkParams(*[np.empty(0)] * 6)
         for flat, block in self._blocks():
             with np.errstate(all="ignore"):
@@ -365,6 +383,8 @@ class _Sweep:
             yield zip(lanes.tolist(), self._solve(pairs))
 
     def _solve(self, pairs: ScherkParams) -> list[str]:
+        import numpy as np
+
         rec = evaluate_block(pairs, self.tol)
         self.counts += np.bincount(rec.status, minlength=len(STATUSES))
         ok = rec.wk_scalar[rec.status == OK]
@@ -384,7 +404,7 @@ class _Sweep:
             while lane is not None and lane[0] < start + flat.size:
                 row_tails[lane[0] - start] = lane[1]
                 lane = next(lanes, None)
-            i, j = np.divmod(flat, self.grid)
+            i, j = divmod(flat, self.grid)
             p_text, a_text = self.p_text, self.a_text
             if self.ab:
                 yield "".join([
@@ -430,7 +450,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _print_matrix(name: str, form: bernstein.BernsteinForm) -> None:
+def _print_matrix(name: str, form: BernsteinForm) -> None:
     print(f"{name} (bidegree {form.m}x{form.n}):")
     widths = [max(len(str(form.coeffs[i][j])) for i in range(form.m + 1))
               for j in range(form.n + 1)]
@@ -440,6 +460,8 @@ def _print_matrix(name: str, form: bernstein.BernsteinForm) -> None:
 
 
 def cmd_certify(args) -> int:
+    from . import bernstein
+
     try:
         report = bernstein.verify_appendix_certificates()
     except CertificateMismatch as exc:
@@ -462,6 +484,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_odd(args) -> int:
+    global oddmap
+    if oddmap is None:
+        from . import oddmap
     sharp = 8.0 / math.pi ** 2
     seeds = range(args.seed, args.seed + args.trials)
     s1s = oddmap.random_odd_S1(seeds, [1 + seed % 8 for seed in seeds], 0.3)

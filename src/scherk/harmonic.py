@@ -34,11 +34,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import weierstrass
 from .errors import DegenerateError, DomainError, NonConvergence
-from .ops import ARRAY, FLOAT
+from .ops import FLOAT
 from .params import arc_alpha, mu
 
 if TYPE_CHECKING:
@@ -261,6 +259,9 @@ def solve_zero_point(params: "ScherkParams", scalar_zero: "ScalarZero",
 def solve_zero_point_block(pairs: "ScherkParams", U, V, T, tol: float):
     """(WK, D0, solved) of `solve_zero_point` on a block of pairs; `solved`
     is False where it raises NonConvergence."""
+    import numpy as np
+    from .ops import ARRAY
+
     corner = pairs.A * pairs.B >= 1.0
     mu_ab, alpha = mu(pairs, ARRAY), arc_alpha(pairs, ARRAY)
     r, t = (np.where(corner, 0.0, x)

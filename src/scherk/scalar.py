@@ -26,10 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import NoSignChange, NotAdmissible
-from .ops import ARRAY, FLOAT
+from .ops import FLOAT
 from .params import (AdmissibleInterval, ScherkParams, admissible_interval,
                      from_ab, pole)
 
@@ -191,6 +189,9 @@ def solve_zero_block(pairs: ScherkParams, L, R, tol: float):
     """(U, S, found, steps) of `solve_zero` on a block of admissible pairs,
     by the first branch that applies; `found` is False where it raises.
     The Newton iteration makes the same decisions per pair under masks."""
+    import numpy as np
+    from .ops import ARRAY
+
     g, s, _ = g_s(pairs, ARRAY)
     corner = (pairs.A == 1.0) & (pairs.B == 1.0)
     ga, gb = g(L), g(R)

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from scherk.cli import CSV_HEADER, ROUTE_GAP_BOUND, evaluate_pair, main
 from oracles import direct_random_odd_lift, full_grid_fourier_mode
 from scherk.oddmap import DEFAULT_GRID, fourier_S1, random_odd_lift
 from scherk.params import ScherkParams, from_ab, from_angles, threshold_b0
+from test_docs import readme_library_code
 
 
 def run(capsys, *argv):
@@ -622,3 +626,53 @@ def test_one_parser_serves_successive_calls(tmp_path, capsys, monkeypatch):
     cli._parser.cache_clear()
     assert [outcome(argv) for argv in sequence] == fresh
     assert len(built) == 1
+
+
+# Runs each step of argv[1] (a JSON list: an argv for `cli.main`, or Python
+# source to exec) in one interpreter, and prints per step its exit code,
+# stdout, stderr and which of numpy and scherk.oddmap are loaded.
+_STEPS = """\
+import contextlib, io, json, sys
+import scherk
+from scherk.cli import main
+for step in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = exec(step, {}) if isinstance(step, str) else main(step)
+    print(json.dumps([code, out.getvalue(), err.getvalue(),
+                      [m for m in ("numpy", "scherk.oddmap")
+                       if m in sys.modules]]))
+"""
+
+
+def _run_steps(steps, cwd):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _STEPS, json.dumps(steps)],
+                         cwd=cwd, env=env, check=True, capture_output=True,
+                         text=True).stdout
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def test_numpy_loads_only_with_the_array_commands(tmp_path):
+    # `import scherk` and the scalar commands leave numpy and oddmap
+    # unloaded; the array commands that follow in the same process print
+    # and write what they do in a fresh one.
+    scalar = [["check", "--A", "0.7", "--B", "0.9"],
+              ["zero", "--A", "0.5", "--B", "0.9"],
+              ["certify"], ["logsub", "--samples", "3"],
+              readme_library_code()]
+    arrays = [["sweep", "--grid", "12", "--out", "ab.csv"],
+              ["sweep", "--grid", "12", "--mode", "pq", "--out", "pq.csv"],
+              ["odd", "--trials", "20", "--extremal"]]
+    together, fresh = tmp_path / "together", tmp_path / "fresh"
+    together.mkdir()
+    fresh.mkdir()
+    steps = _run_steps(scalar + arrays, together)
+    assert [code for code, *_ in steps] == [0, 2, 0, 0, None, 0, 0, 0]
+    assert [loaded for *_, loaded in steps] == [[]] * len(scalar) + [
+        ["numpy"], ["numpy"], ["numpy", "scherk.oddmap"]]
+    alone = [_run_steps([argv], fresh)[0] for argv in arrays]
+    assert [step[:3] for step in steps[len(scalar):]] == [
+        step[:3] for step in alone]
+    for name in ("ab.csv", "pq.csv"):
+        assert (together / name).read_bytes() == (fresh / name).read_bytes()
