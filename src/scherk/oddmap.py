@@ -29,14 +29,12 @@ its row of coefficients times one cached table of sin(2kt) and cos(2kt).
 `random_odd_S1` gives S1 of many generated lifts without building an
 `OddLift` for each.  Every lift's coefficients come from its own SplitMix64
 stream, keyed by its seed; `_splitmix64_draws` computes all draws of all
-streams in one pass of uint64 array arithmetic.  It groups the lifts by mode
-count m, forms each group in blocks of four by one matrix product against
-the first 2m table rows, and applies the `OddLift` monotonicity rule to
-every sample of every row.  S1 of a lift with m modes is then taken from
-every stride-th sample only: h' points per half-period, the smallest power
-of two >= 64 m (at most N/2), where the trapezoid rule is already exact
-(see `random_odd_S1`).  `random_odd_lift` and `fourier_S1` run the same
-helpers on a single lift, on the full grid.
+streams in one pass of uint64 array arithmetic.  Each lift is certified
+nondecreasing from its coefficients, and a lift with m modes is formed only
+where S1 reads it: h' points per half-period, the smallest power of two
+>= 64 m (at most N/2), where the trapezoid rule is already exact (see
+`random_odd_S1`).  `random_odd_lift` and `fourier_S1` run the same helpers
+on a single lift, on the full grid.
 """
 
 from __future__ import annotations
@@ -51,7 +49,8 @@ import numpy as np
 DEFAULT_GRID = 2 ** 14
 _MONOTONE_TOL = 1e-12
 _ODD_TOL = 1e-12
-_BLOCK = 4          # lifts per block: theta and steps fill 512 KiB, N = 2^14
+_BLOCK = 4          # fewest rows per S1 chunk: none exceeds 4 x N/2 samples
+_DERIV_BOUND = 0.95  # sum_k 2k |a_k| of a generated lift: theta' >= 0.05
 _TABLE_MODES = 8    # the even-mode table covers modes 1..8 at least
 
 # SplitMix64's increment and output-mix constants, as uint64 so that no word
@@ -191,8 +190,8 @@ def _draw_coefficients(seeds, modes, amplitude: float) -> np.ndarray:
     The first 2m draws d of the seed's stream (`_splitmix64_draws`, one
     call for all rows) give a_k = amplitude (0.2 + 0.8 d_k)/k and then
     phi_k = 2 pi d_{m+k}.  The amplitudes are rescaled if needed so that
-    min theta' >= 0.05.  Rows are scaled per mode count, so each sum over k
-    sees exactly m terms.
+    sum_k 2k a_k <= `_DERIV_BOUND`, hence min theta' >= 0.05.  Rows are
+    scaled per mode count, so each sum over k sees exactly m terms.
     """
     if not 0.0 <= amplitude < math.inf:
         raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
@@ -206,53 +205,67 @@ def _draw_coefficients(seeds, modes, amplitude: float) -> np.ndarray:
         amps = amplitude * (0.2 + 0.8 * d[:, :m]) / ks
         phases = 2.0 * math.pi * d[:, m:2 * m]
         deriv_bound = (2.0 * ks * amps).sum(axis=1)
-        big = deriv_bound > 0.95
-        amps[big] *= (0.95 / deriv_bound[big])[:, None]
+        big = deriv_bound > _DERIV_BOUND
+        amps[big] *= (_DERIV_BOUND / deriv_bound[big])[:, None]
         coefs[rows, 0:2 * m:2] = amps * np.cos(phases)
         coefs[rows, 1:2 * m:2] = amps * np.sin(phases)
         coefs[rows, 2 * m:] = 0.0
     return coefs
 
 
-def _theta_half(coefs: np.ndarray, n: int, out=None) -> np.ndarray:
+def _theta_half(coefs: np.ndarray, n: int) -> np.ndarray:
     """theta on the first half-period, one row per row of coefficients.
 
     Every mode count up to `_TABLE_MODES` reads the first rows of one table.
     """
     width = coefs.shape[1]
     table = _even_table(n, max(width // 2, _TABLE_MODES))[:width]
-    theta = np.matmul(coefs, table, out=out)
+    theta = coefs @ table
     theta += _half_grid(n)
     return theta
 
 
-def _check_monotone(theta: np.ndarray, work: np.ndarray) -> None:
+def _certify_monotone(coefs: np.ndarray) -> None:
+    """Every row's lift is nondecreasing at every t, not only on a grid.
+
+    A row (x_k, y_k) has theta' = 1 + sum_k 2k (x_k cos 2kt - y_k sin 2kt)
+    >= 1 - sum_k 2k hypot(x_k, y_k) >= 0.05 when that sum is at most
+    `_DERIV_BOUND` (+ `_MONOTONE_TOL` for rounding).  NaN and inf fail.
+    """
+    ks = np.arange(1, coefs.shape[1] // 2 + 1)
+    bound = np.hypot(coefs[:, 0::2], coefs[:, 1::2]) @ (2.0 * ks)
+    bad = np.flatnonzero(~(bound <= _DERIV_BOUND + _MONOTONE_TOL))
+    if bad.size:
+        raise ValueError(f"lift not certified nondecreasing: row {bad[0]} "
+                         f"has sum 2k|a_k| = {bound[bad[0]]} > {_DERIV_BOUND}")
+
+
+def _check_monotone(theta: np.ndarray) -> None:
     """OddLift's step rule for rows of first-half samples.
 
     The mirrored lift's steps are the steps within the first half plus
     theta(0) + pi - theta(pi - step), at the seam and at the wrap.  A NaN
     or infinite sample makes some step NaN or -inf, which fails the rule.
     """
-    steps = np.subtract(theta[:, 1:], theta[:, :-1], out=work[:, :-1])
+    steps = theta[:, 1:] - theta[:, :-1]
     min_step = min(steps.min(), (theta[:, 0] + math.pi - theta[:, -1]).min())
     if not min_step >= -_MONOTONE_TOL:
         raise ValueError(f"lift not nondecreasing: min step {min_step}")
 
 
-def _s1_rows(theta: np.ndarray, trig=None) -> np.ndarray:
+def _s1_rows(theta: np.ndarray) -> np.ndarray:
     """S1 of each row of first-half samples, from cos and sin of theta.
 
     With C = cos theta, S = sin theta and h samples per row, c_1 and c_-1
     are (C.cos t +- S.sin t + i (S.cos t -+ C.sin t)) / h, so
     S1 = 2 (|C.e^{it}|^2 + |S.e^{it}|^2) / h^2.  C and S of b rows are
-    stacked in `trig` (2b rows) for one product against the mode-1 twiddle
-    read as a (h, 2) real matrix.  Stacked, one lift is a matrix product
-    too and sums like a block; as a (1, h) row it took a matrix-vector path
-    that differed from the block by up to 7e-15.
+    stacked (2b rows) for one product against the mode-1 twiddle read as
+    a (h, 2) real matrix.  Stacked, one lift is a matrix product too and
+    sums like a block; as a (1, h) row it took a matrix-vector path that
+    differed from the block by up to 7e-15.
     """
     b, half = theta.shape
-    if trig is None:
-        trig = np.empty((2 * b, half))
+    trig = np.empty((2 * b, half))
     np.cos(theta, out=trig[:b])
     np.sin(theta, out=trig[b:])
     sums = trig @ _twiddle(2 * half).view(float).reshape(half, 2)
@@ -281,15 +294,16 @@ def random_odd_S1(seeds, modes, amplitude: float,
                   n: int = DEFAULT_GRID) -> np.ndarray:
     """fourier_S1(random_odd_lift(seed, m, amplitude, n)) for each pair.
 
-    `seeds` and `modes` are equal-length sequences of ints.  The lifts are
-    grouped by mode count m and formed in blocks of a few rows, each by one
-    matrix product against the first 2m rows of the even-mode table, as
-    `random_odd_lift` forms its one lift; every sample of each block passes
-    the same monotonicity rule as `OddLift` (ValueError otherwise).
+    `seeds` and `modes` are equal-length sequences of ints.  Every row must
+    pass `_certify_monotone` (ValueError otherwise).  A lift with m modes
+    is formed only on the h' = `_s1_points(n, m)` half-period samples S1
+    reads, `_theta_half(rows, 2 h')`: bit for bit every stride-th point of
+    the n-point grid.  Rows go in chunks of max(`_BLOCK`, n/(2h')), each
+    one matrix product against the first 2m even-mode table rows; their
+    samples pass the `OddLift` step rule too.
 
-    S1 of a lift with m modes is then taken from every stride-th sample:
-    h' = `_s1_points(n, m)` per half-period.  That is exact.  Every
-    generated lift has phi = theta - t with sum_k 2k a_k <= 0.95, so on
+    S1 from h' points per half-period is exact.  The certificate gives
+    phi = theta - t with sum_k 2k a_k <= 0.95, so on
     Im t = +-1/(2m), where sinh(k/m) <= (k/m) sinh 1,
     |Im phi| <= 0.95 sinh(1)/(2m) < 0.56.  The pi-periodic integrands
     e^{i phi} (for c_1) and e^{i(phi + 2t)} (for c_-1) thus have Fourier
@@ -298,26 +312,21 @@ def random_odd_S1(seeds, modes, amplitude: float,
     aliased ones, j = +-h', +-2h', ...: about
     2 e^{0.56} e^{-(h' - 1)/m} <= 3.5 e^{-63} < 2e-27.  The full grid is no
     closer, so both sums are exact up to rounding.  The bound holds for
-    generated lifts only, not for `extremal_sequence`.
+    certified lifts only, not for `extremal_sequence`.
     """
     _check_grid(n)
     modes = _mode_counts(modes)
     coefs = _draw_coefficients(seeds, modes, amplitude)
-    half = n // 2
-    work = np.empty((2 * _BLOCK, half))
+    _certify_monotone(coefs)
     s1 = np.empty(len(coefs))
     for m, rows in _mode_groups(modes):
-        group = coefs[rows, :2 * m]
         points = _s1_points(n, m)
-        trig = np.empty((2 * _BLOCK, points))
-        group_s1 = np.empty(len(rows))
-        for lo in range(0, len(rows), _BLOCK):
-            b = min(_BLOCK, len(rows) - lo)
-            theta = _theta_half(group[lo:lo + b], n, out=work[b:2 * b])
-            _check_monotone(theta, work[:b])
-            group_s1[lo:lo + b] = _s1_rows(theta[:, ::half // points],
-                                           trig[:2 * b])
-        s1[rows] = group_s1
+        chunk = max(_BLOCK, (n // 2) // points)
+        for lo in range(0, len(rows), chunk):
+            block = rows[lo:lo + chunk]
+            theta = _theta_half(coefs[block, :2 * m], 2 * points)
+            _check_monotone(theta)
+            s1[block] = _s1_rows(theta)
     return s1
 
 

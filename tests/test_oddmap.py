@@ -12,10 +12,10 @@ from oracles import (direct_autocorrelation, direct_extremal_sequence,
                      direct_lift_draw, direct_random_odd_lift,
                      full_grid_fourier_mode)
 from scherk import oddmap
-from scherk.oddmap import (OddLift, _c_at_shifts, _check_monotone,
-                           _draw_coefficients, _mirror, _splitmix64_draws,
-                           _theta_half, autocorrelation, extremal_sequence,
-                           fourier_S1, fourier_spectrum,
+from scherk.oddmap import (OddLift, _c_at_shifts, _certify_monotone,
+                           _check_monotone, _draw_coefficients, _mirror,
+                           _splitmix64_draws, _theta_half, autocorrelation,
+                           extremal_sequence, fourier_S1, fourier_spectrum,
                            hall_inequality_check, identity_lift,
                            random_odd_lift, random_odd_S1, snap_shift)
 
@@ -251,13 +251,46 @@ def spy(monkeypatch, name):
 
 
 @pytest.mark.parametrize("n", [1024, oddmap.DEFAULT_GRID])
-def test_random_odd_S1_checks_every_sample(monkeypatch, n):
-    # The monotonicity rule sees the full half-period, not the S1 subgrid:
-    # one call per block of each mode count (two lifts with 1 mode, one
-    # each with 2..8), every call n/2 wide.
-    widths = spy(monkeypatch, "_check_monotone")
-    random_odd_S1(range(9), [1 + seed % 8 for seed in range(9)], 0.3, n=n)
-    assert widths == [n // 2] * 8
+def test_random_odd_S1_certifies_every_row(monkeypatch, n):
+    # Monotonicity is proved per row from the coefficients, at every t: rows
+    # at sum 2k a_k = 0.95 pass, and the step rule sees exactly the samples
+    # S1 reads.  A row at 0.95 (1 + 1e-9), the last of 25 rows with 8
+    # modes (the last chunk of the last group), is refused although every
+    # sample it would be formed on still increases.
+    for modes in (1, 8, 16, 32):
+        checked = spy(monkeypatch, "_check_monotone")
+        read = spy(monkeypatch, "_s1_rows")
+        random_odd_S1(range(40), [modes] * 40, 5.0, n=n)
+        assert read and checked == read
+        monkeypatch.undo()
+    seeds = range(200)
+    modes = [1 + seed % 8 for seed in seeds]
+    random_odd_S1(seeds, modes, 5.0, n=n)
+    draw = oddmap._draw_coefficients
+
+    def rigged(seeds, modes, amplitude):
+        coefs = draw(seeds, modes, amplitude)
+        coefs[-1] *= 1.0 + 1e-9
+        return coefs
+
+    monkeypatch.setattr(oddmap, "_draw_coefficients", rigged)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        random_odd_S1(seeds, modes, 5.0, n=n)
+
+
+@pytest.mark.parametrize("modes", [1, 8, 16, 32, 40])
+def test_certificate_implies_the_full_grid_step_rule(modes):
+    # The certificate against the sampled rule it replaced, kept as the
+    # oracle: rows at sum 2k a_k = 0.95 pass the step rule on the whole
+    # N = 2^14 grid, every step at least 0.05 grid steps (theta' >= 0.05).
+    coefs = _draw_coefficients(range(40, 46), [modes] * 6, 5.0)
+    _certify_monotone(coefs)
+    n = oddmap.DEFAULT_GRID
+    theta = _theta_half(coefs, n)
+    _check_monotone(theta)
+    steps = np.concatenate([np.diff(theta, axis=1),
+                            theta[:, :1] + math.pi - theta[:, -1:]], axis=1)
+    assert steps.min() >= 0.05 * (2.0 * math.pi / n) * (1.0 - 1e-9)
 
 
 @pytest.mark.parametrize("n, modes, points", [
@@ -390,11 +423,11 @@ def test_check_monotone_seam():
     # Increasing within the half-period, but theta(pi - step) > theta(0) + pi.
     theta = np.linspace(0.0, 3.5, 8)[None, :]
     with pytest.raises(ValueError, match="nondecreasing"):
-        _check_monotone(theta, np.empty_like(theta))
+        _check_monotone(theta)
     with pytest.raises(ValueError):
         OddLift(_mirror(theta[0]))
     ok = np.linspace(0.0, 3.0, 8)[None, :]
-    _check_monotone(ok, np.empty_like(ok))
+    _check_monotone(ok)
 
 
 def test_random_odd_S1_input_errors():
@@ -422,7 +455,7 @@ def test_random_odd_S1_input_errors():
             row = theta.copy()
             row[0, j] = bad
             with pytest.raises(ValueError, match="nondecreasing"):
-                _check_monotone(row, np.empty_like(row))
+                _check_monotone(row)
     for call in (lambda: random_odd_S1([0, 1], [2, 2.5], 0.3),
                  lambda: random_odd_lift(0, 2.5, 0.3)):
         with pytest.raises(TypeError):
