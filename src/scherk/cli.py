@@ -14,13 +14,12 @@ Commands
 their one pair, through the scalar library path.  A refusal ends the
 pipeline and becomes the status (`not_admissible`, `no_sign_change`,
 `non_convergence`), with `detail` for a solver refusal.  `sweep` walks the
-flattened grid in blocks of SWEEP_BLOCK pairs and gates each block with
-`admissible_interval`'s predicate L <= R.  Only the admissible pairs go
-on, packed into `evaluate_block` calls of SWEEP_BLOCK pairs (the last call
-takes the rest); `evaluate_block` calls the same closed forms on numpy
-arrays.  A block's rows are formatted in one pass once every admissible
-pair in it is solved, and written into a temporary file that replaces
-`--out` once the sweep is done.  The parser is built once per process.
+flattened grid once, in blocks of SWEEP_BLOCK pairs, and passes each block
+whole to `evaluate_block`, which gates it with `admissible_interval`'s
+predicate L <= R and calls the same closed forms on numpy arrays.  Each
+row is written as soon as it is formatted, into a temporary file that
+replaces `--out` once the sweep is done.  The parser is built once per
+process.
 `--tol` must be finite and > 0, `--slack` finite and >= 0, and `--out`
 must name a file.
 
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -83,10 +81,10 @@ CSV_HEADER = ("p,q,A,B,admissible,U,S,margin,"
 STATUSES = ("ok", "not_admissible", "no_sign_change", "non_convergence")
 OK, NOT_ADMISSIBLE, NO_SIGN_CHANGE, NON_CONVERGENCE = range(len(STATUSES))
 
-# Grid pairs per sweep block, and admissible pairs per `evaluate_block`
-# call.  A block is gated and written whole, and at most SWEEP_BLOCK
-# admissible pairs wait for a call, so memory does not grow with the grid.
-SWEEP_BLOCK = 1024
+# Grid pairs per sweep block: one `evaluate_block` call each, so memory
+# does not grow with the grid.  4096 is the smallest power of two that
+# takes a grid-50 sweep (2500 pairs) in one call.
+SWEEP_BLOCK = 4096
 
 # `logsub` samples z in [-0.5, 0.5]^2, so |z| <= sqrt(0.5), and the
 # stencil of step h needs |z| < 1 - 4h.
@@ -186,10 +184,12 @@ class BlockRecord(NamedTuple):
 def evaluate_block(pairs: ScherkParams, tol: float = 1e-12) -> BlockRecord:
     """`evaluate_pair` on a block of pairs, with numpy: the sweep's pipeline.
 
-    The scalar path's closed forms, on ops.ARRAY, and the array twins of
-    its solvers give each pair its status and values; DomainError for the
-    first pair with S <= 0 or D0 <= 0.  A lone pair is over ten times
-    faster on the scalar path.
+    The block is gated here, by `admissible_interval`'s predicate L <= R;
+    the sweep passes its grid blocks whole.  The scalar path's closed
+    forms, on ops.ARRAY, and the array twins of its solvers give each
+    admissible pair its status and values; DomainError for the first pair
+    with S <= 0 or D0 <= 0.  A lone pair is over ten times faster on the
+    scalar path.
     """
     import numpy as np
 
@@ -222,19 +222,19 @@ _ROW_TAILS = {NOT_ADMISSIBLE: ",false,,,,,,,not_admissible\n",
 
 
 def _lane_tails(rec: BlockRecord) -> list[str]:
-    """Each pair's CSV row after its "p,q,A,B" head; floats with 17
-    significant digits."""
-    tails = []
-    for status, U, S, margin, wks, wkg, gap in zip(
-            *(col.tolist() for col in rec)):
+    """Each pair's CSV row after its "p,q,A,B" head: the constant text of a
+    refused pair, and a solved pair's floats with 17 significant digits."""
+    codes = rec.status
+    tails = list(map(_ROW_TAILS.get, codes.tolist()))
+    solved = ((codes == OK) | (codes == NON_CONVERGENCE)).nonzero()[0]
+    for k, status, U, S, margin, wks, wkg, gap in zip(
+            solved.tolist(), *(col[solved].tolist() for col in rec)):
         if status == OK:
-            tails.append(f",true,{U:.17g},{S:.17g},{margin:.17g},"
-                         f"{wks:.17g},{wkg:.17g},{gap:.17g},ok\n")
-        elif status == NON_CONVERGENCE:
-            tails.append(f",true,{U:.17g},{S:.17g},{margin:.17g},"
-                         f"{wks:.17g},,,non_convergence\n")
+            tails[k] = (f",true,{U:.17g},{S:.17g},{margin:.17g},"
+                        f"{wks:.17g},{wkg:.17g},{gap:.17g},ok\n")
         else:
-            tails.append(_ROW_TAILS[status])
+            tails[k] = (f",true,{U:.17g},{S:.17g},{margin:.17g},"
+                        f"{wks:.17g},,,non_convergence\n")
     return tails
 
 
@@ -357,65 +357,31 @@ class _Sweep:
                                          self.angles[i] + self.angles[j],
                                          ops.ARRAY)
 
-    def _solved(self):
-        """`evaluate_block` on the admissible pairs only, in grid order, in
-        calls of SWEEP_BLOCK pairs and one last call on the rest.
+    def rows(self):
+        """Each pair's CSV row, in grid order, as soon as it is formatted.
 
-        The gate is `admissible_interval`'s predicate L <= R.  Yields each
-        call's (flat position, row tail) pairs; tallies every status.
+        Each block of SWEEP_BLOCK grid pairs goes whole to `evaluate_block`,
+        which gates it; the block's statuses are tallied.
         """
         import numpy as np
 
-        lanes, pairs = np.empty(0, np.intp), ScherkParams(*[np.empty(0)] * 6)
-        for flat, block in self._blocks():
-            with np.errstate(all="ignore"):
-                keep = interval_L(*block[:4]) <= interval_R(*block[:4])
-            self.counts[NOT_ADMISSIBLE] += flat.size - int(keep.sum())
-            lanes = np.concatenate((lanes, flat[keep]))
-            pairs = ScherkParams(*map(np.concatenate,
-                                      zip(pairs, block.take(keep))))
-            while lanes.size >= SWEEP_BLOCK:
-                yield zip(lanes[:SWEEP_BLOCK].tolist(),
-                          self._solve(pairs.take(slice(SWEEP_BLOCK))))
-                lanes, pairs = (lanes[SWEEP_BLOCK:],
-                                pairs.take(slice(SWEEP_BLOCK, None)))
-        if lanes.size:
-            yield zip(lanes.tolist(), self._solve(pairs))
-
-    def _solve(self, pairs: ScherkParams) -> list[str]:
-        import numpy as np
-
-        rec = evaluate_block(pairs, self.tol)
-        self.counts += np.bincount(rec.status, minlength=len(STATUSES))
-        ok = rec.wk_scalar[rec.status == OK]
-        if ok.size:
-            self.wk_min = min(self.wk_min, float(ok.min()))
-            self.wk_max = max(self.wk_max, float(ok.max()))
-        return _lane_tails(rec)
-
-    def rows(self):
-        """The CSV rows of each block of SWEEP_BLOCK pairs, made once every
-        admissible pair in the block is solved."""
-        lanes = itertools.chain.from_iterable(self._solved())
-        lane = next(lanes, None)
+        p_text, a_text = self.p_text, self.a_text
         for flat, pairs in self._blocks():
-            start = int(flat[0])
-            row_tails = [_ROW_TAILS[NOT_ADMISSIBLE]] * flat.size
-            while lane is not None and lane[0] < start + flat.size:
-                row_tails[lane[0] - start] = lane[1]
-                lane = next(lanes, None)
+            rec = evaluate_block(pairs, self.tol)
+            self.counts += np.bincount(rec.status, minlength=len(STATUSES))
+            ok = rec.wk_scalar[rec.status == OK]
+            if ok.size:
+                self.wk_min = min(self.wk_min, float(ok.min()))
+                self.wk_max = max(self.wk_max, float(ok.max()))
             i, j = divmod(flat, self.grid)
-            p_text, a_text = self.p_text, self.a_text
             if self.ab:
-                yield "".join([
-                    f"{p_text[a]},{q:.17g},{a_text[a]},{a_text[b]}{tail}"
-                    for a, b, q, tail in zip(i.tolist(), j.tolist(),
-                                             pairs.q.tolist(), row_tails)])
+                for a, b, q, tail in zip(i.tolist(), j.tolist(),
+                                         pairs.q.tolist(), _lane_tails(rec)):
+                    yield f"{p_text[a]},{q:.17g},{a_text[a]},{a_text[b]}{tail}"
             else:
-                yield "".join([
-                    f"{p_text[a]},{q:.17g},{a_text[a]},{b:.17g}{tail}"
-                    for a, q, b, tail in zip(i.tolist(), pairs.q.tolist(),
-                                             pairs.B.tolist(), row_tails)])
+                for a, q, b, tail in zip(i.tolist(), pairs.q.tolist(),
+                                         pairs.B.tolist(), _lane_tails(rec)):
+                    yield f"{p_text[a]},{q:.17g},{a_text[a]},{b:.17g}{tail}"
 
 
 def _texts(values: np.ndarray) -> list[str]:
@@ -428,10 +394,12 @@ def cmd_sweep(args) -> int:
     try:
         fd, tmp_path = tempfile.mkstemp(dir=out_dir, suffix=".csv.tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
+            # The rows come one at a time: a 64 KiB buffer, not the file
+            # system's block size (often 4 KiB), sets how often they are
+            # written out.
+            with os.fdopen(fd, "w", buffering=1 << 16) as fh:
                 fh.write(CSV_HEADER + "\n")
-                for rows in sweep.rows():
-                    fh.write(rows)
+                fh.writelines(sweep.rows())
             os.replace(tmp_path, args.out)
         except BaseException:
             os.unlink(tmp_path)

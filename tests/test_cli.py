@@ -263,8 +263,8 @@ def test_sweep_failure_leaves_no_temp_file_and_keeps_the_old_csv(
         tmp_path, capsys, monkeypatch):
     out_file = tmp_path / "s.csv"
     out_file.write_bytes(b"previous sweep\n")
-    # 1144 admissible pairs: the first solver call's rows are written, the
-    # second call fails
+    # Two grid blocks: the first block's rows are written, the second
+    # block's solver call fails
     grid = 90
     assert grid * grid > cli.SWEEP_BLOCK
     calls = _record_solver_calls(monkeypatch, fail_on=2)
@@ -308,7 +308,7 @@ def _assert_block_matches_scalar(pairs, rec, params):
                                       err_msg=where)
 
 
-@pytest.mark.parametrize("grid, mode", [(40, "AB"), (12, "pq")])
+@pytest.mark.parametrize("grid, mode", [(65, "AB"), (12, "pq")])
 def test_block_evaluator_matches_evaluate_pair_on_grids(grid, mode):
     params = _sweep_pairs(grid, mode)
     start = 0
@@ -383,8 +383,7 @@ def _csv_row(rec):
     (90, "AB", 2), (50, "AB", 1), (12, "pq", 1)])
 def test_sweep_csv_is_evaluate_pair_row_by_row(tmp_path, capsys, monkeypatch,
                                                grid, mode, solver_calls):
-    # Grid 90 has 1144 admissible pairs, grid 50 has 379 in three grid
-    # blocks.
+    # Grid 90 spans two grid blocks, grid 50 and grid 12 one each.
     calls = _record_solver_calls(monkeypatch)
     out_file = tmp_path / "s.csv"
     assert run(capsys, "sweep", "--grid", str(grid), "--mode", mode,
@@ -392,14 +391,13 @@ def test_sweep_csv_is_evaluate_pair_row_by_row(tmp_path, capsys, monkeypatch,
     refs = [evaluate_pair(x) for x in _sweep_pairs(grid, mode)]
     assert out_file.read_text().splitlines() == [CSV_HEADER] + [
         _csv_row(rec) for rec in refs]
-    # The solver calls take the admissible pairs only, in grid order, at
-    # most SWEEP_BLOCK in a call and exactly that many in each but the last.
-    admissible = [(rec.params.A, rec.params.B) for rec in refs
-                  if rec.interval.nonempty]
+    # The solver calls take every grid pair, in grid order, exactly
+    # SWEEP_BLOCK in each call but the last.
     assert [(a, b) for pairs in calls
-            for a, b in zip(pairs.A.tolist(), pairs.B.tolist())] == admissible
+            for a, b in zip(pairs.A.tolist(), pairs.B.tolist())] == [
+                (rec.params.A, rec.params.B) for rec in refs]
     sizes = [pairs.A.size for pairs in calls]
-    assert len(sizes) == solver_calls and max(sizes) <= cli.SWEEP_BLOCK
+    assert len(sizes) == solver_calls
     assert sizes[:-1] == [cli.SWEEP_BLOCK] * (solver_calls - 1)
 
 
@@ -417,9 +415,9 @@ def test_sweep_grid2(tmp_path, capsys):
 
 
 def test_sweep_deterministic(tmp_path, capsys):
-    # Grid 50 spans three grid blocks, so block boundaries are crossed too.
-    for flags in (("--grid", "7"), ("--grid", "50"),
-                  ("--grid", "50", "--mode", "pq")):
+    # Grid 65 spans two grid blocks, so a block boundary is crossed too.
+    for flags in (("--grid", "7"), ("--grid", "65"),
+                  ("--grid", "65", "--mode", "pq")):
         f1 = tmp_path / "a.csv"
         f2 = tmp_path / "b.csv"
         assert run(capsys, "sweep", *flags, "--out", str(f1))[0] == 0
