@@ -24,7 +24,9 @@ the phase of the Gauss-map parameter a.
 z0 is found in closed form from the circular level sets of Omega1 and
 Omega2 (see solve_zero_point), and refused only when it lies outside the
 open disk, when alpha rounds to pi, or when it misses its four measures
-by more than the tolerance.
+by more than the tolerance.  The four measures share two half-lengths, so
+`_measures` takes the cos and sin of each once, on floats and on arrays.
+The records are NamedTuples, except DiskPoint, which checks its radius.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import weierstrass
 from .errors import DegenerateError, DomainError, NonConvergence
@@ -55,8 +57,7 @@ class DiskPoint:
             raise DomainError(f"require 0 <= r < 1, got r={self.r}")
 
 
-@dataclass(frozen=True)
-class FourMeasures:
+class FourMeasures(NamedTuple):
     Omega1: float
     Omega2: float
     Omega3: float
@@ -66,8 +67,7 @@ class FourMeasures:
     T: float
 
 
-@dataclass(frozen=True)
-class ZeroSolution:
+class ZeroSolution(NamedTuple):
     """The distinguished zero point with its derived curvature data."""
 
     z: DiskPoint
@@ -91,26 +91,30 @@ class PhaseParam:
     sin_residual: float  # sin(delta-h) + epsilon*sqrt(A)/sqrt((1-AB)(A+B))
 
 
-def _arc(r, t, phi, half, ops=FLOAT):
-    """Harmonic measure at r e^{it} of the arc (phi - half, phi + half).
+def _arc(r, t, phi, cos_half, sin_half, ops=FLOAT):
+    """Harmonic measure at r e^{it} of the arc (phi - half, phi + half),
+    given cos(half) and sin(half).
 
     atan2 on (numerator, denominator) of the cot formula realizes the
     arccot branch mapping R onto (0, pi); the positive denominator pins
     the value inside (0, 1) continuously across cot = 0.
     """
-    num = (1.0 + r * r) * ops.cos(half) - 2.0 * r * ops.cos(t - phi)
-    den = (1.0 - r * r) * ops.sin(half)
+    num = (1.0 + r * r) * cos_half - 2.0 * r * ops.cos(t - phi)
+    den = (1.0 - r * r) * sin_half
     return ops.atan2(den, num) / math.pi
 
 
 def _measures(r, t, alpha, ops=FLOAT) -> FourMeasures:
+    """The four measures; I1, I3 have half-length h = alpha/2 and I2, I4
+    (pi - alpha)/2, and each half-length's cos and sin are taken once."""
     h = 0.5 * alpha
-    half_large = 0.5 * (math.pi - alpha)   # I2, I4; I1, I3 have half h
-    o1, o3 = _arc(r, t, h, h, ops), _arc(r, t, h + math.pi, h, ops)
-    o2 = _arc(r, t, h + 0.5 * math.pi, half_large, ops)
-    o4 = _arc(r, t, h + 1.5 * math.pi, half_large, ops)
-    return FourMeasures(Omega1=o1, Omega2=o2, Omega3=o3, Omega4=o4,
-                        U=o1 + o3, V=o1 - o3, T=o4 - o2)
+    half_large = 0.5 * (math.pi - alpha)
+    ch, sh = ops.cos(h), ops.sin(h)
+    cl, sl = ops.cos(half_large), ops.sin(half_large)
+    o1, o3 = _arc(r, t, h, ch, sh, ops), _arc(r, t, h + math.pi, ch, sh, ops)
+    o2 = _arc(r, t, h + 0.5 * math.pi, cl, sl, ops)
+    o4 = _arc(r, t, h + 1.5 * math.pi, cl, sl, ops)
+    return FourMeasures(o1, o2, o3, o4, o1 + o3, o1 - o3, o4 - o2)
 
 
 def _residual(m: FourMeasures, U, V, T, ops=FLOAT):
@@ -226,8 +230,7 @@ def solve_zero_point(params: "ScherkParams", scalar_zero: "ScalarZero",
         z = DiskPoint(r=0.0, t=0.0)
         m = measures4(z, alpha)
         WK = weierstrass.wk_geometric_value(mu_ab, alpha, 0.0, 0.0, 1.0)[0]
-        return ZeroSolution(z=z, measures=m, D0=1.0, delta=0.0, a_mod=0.0,
-                            WK=WK, master_lhs=1.0, residual=abs(m.U - 0.5))
+        return ZeroSolution(z, m, 1.0, 0.0, 0.0, WK, 1.0, abs(m.U - 0.5))
 
     U, V, T = scalar_zero.U, scalar_zero.V, scalar_zero.T
     r, t = _zero_point(alpha, U, V, T)
@@ -249,11 +252,9 @@ def solve_zero_point(params: "ScherkParams", scalar_zero: "ScalarZero",
         raise DomainError(f"require D0 > 0, got {D0}")
     master_lhs = math.sin(math.pi * m.U) * (
         1.0 - root1m2 * (2.0 * r / (1.0 + r * r)) * cos_term)
-    return ZeroSolution(z=DiskPoint(r=r, t=t), measures=m, D0=D0,
-                        delta=delta, a_mod=abs(complex(ar, ai)),
-                        WK=weierstrass.wk_geometric_value(
-                            mu_ab, alpha, r, t, D0)[0],
-                        master_lhs=master_lhs, residual=resid)
+    WK = weierstrass.wk_geometric_value(mu_ab, alpha, r, t, D0)[0]
+    return ZeroSolution(DiskPoint(r, t), m, D0, delta, abs(complex(ar, ai)),
+                        WK, master_lhs, resid)
 
 
 def solve_zero_point_block(pairs: "ScherkParams", U, V, T, tol: float):

@@ -54,8 +54,7 @@ class ScherkParams(NamedTuple):
         return ScherkParams(*(x[idx] for x in self))
 
 
-@dataclass(frozen=True)
-class AdmissibleInterval:
+class AdmissibleInterval(NamedTuple):
     """Endpoints of the admissible interval and the threshold B0(A)."""
 
     L: float
@@ -198,11 +197,10 @@ def admissible_interval(params: ScherkParams) -> AdmissibleInterval:
     B0(A) rounding decides it: at B = B0(0.2) exactly, L = 0.5000000000000001
     and R = 0.4999999999999956, so that pair is not admissible.
     """
-    A, B = params.A, params.B
-    L = interval_L(A, B, params.kappa, params.epsilon)
-    R = interval_R(A, B, params.kappa, params.epsilon)
-    return AdmissibleInterval(L=L, R=R, nonempty=L <= R,
-                              B0=threshold_b0(A, params.kappa))
+    A, B, kappa, epsilon = params[:4]
+    L = interval_L(A, B, kappa, epsilon)
+    R = interval_R(A, B, kappa, epsilon)
+    return AdmissibleInterval(L, R, L <= R, threshold_b0(A, kappa))
 
 
 def domain_lemma_checks(params: ScherkParams) -> DomainLemmaReport:

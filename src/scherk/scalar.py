@@ -24,20 +24,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import NoSignChange, NotAdmissible
 from .ops import FLOAT
 from .params import (AdmissibleInterval, ScherkParams, admissible_interval,
-                     from_ab, pole)
+                     from_ab, interval_L, interval_R, pole)
 
 _DEGENERATE_WIDTH = 1e-15   # a narrower interval is solved at its midpoint
 _STEP_ULPS = 4      # a Newton step this many ulps or less ends the iteration
 _MAX_STEPS = 100    # evaluations of G; Newton needs ~5, bisection ~60
 
 
-@dataclass(frozen=True)
-class ScalarZero:
+class ScalarZero(NamedTuple):
     """The admissible zero U together with its derived quantities.
 
     V = M(U) and T = -N(U) are the (V, T) targets of the zero point, as
@@ -75,10 +74,16 @@ class BarrierChainReport:
 
 
 def g_s(pair, ops=FLOAT):
-    """G, S and U -> (M, N) of a pair, or of a block on ARRAY."""
+    """G, S, U -> (M, N) and U -> (G, S) of a pair, or of a block on ARRAY.
+
+    The last forms M and N once for both values, with the bits of G and S
+    apart: the coefficients A + B, B*kappa and A*epsilon are hoisted, as
+    `B * kappa * sin(x)` evaluates as `(B*kappa) * sin(x)` anyway.
+    """
     A, B, kappa, epsilon = pair.A, pair.B, pair.kappa, pair.epsilon
     P = pole(pair)
     shift = kappa * kappa / (A * (A + B))
+    ab, bk, ae = A + B, B * kappa, A * epsilon
     pi, cos, sin = math.pi, ops.cos, ops.sin
 
     def mn(U):
@@ -86,13 +91,18 @@ def g_s(pair, ops=FLOAT):
 
     def g(U):
         M, N = mn(U)
-        return B * cos(pi * M) - A * cos(pi * N) - (A + B) * cos(pi * U)
+        return B * cos(pi * M) - A * cos(pi * N) - ab * cos(pi * U)
 
     def s(U):
         M, N = mn(U)
-        return ((A + B) * sin(pi * U) + B * kappa * sin(pi * M)
-                + A * epsilon * sin(pi * N))
-    return g, s, mn
+        return ab * sin(pi * U) + bk * sin(pi * M) + ae * sin(pi * N)
+
+    def gs(U):   # mn inlined: this is the Newton step's one evaluation
+        M, N = kappa * (P - U), epsilon * (U + shift)
+        pm, pn, pu = pi * M, pi * N, pi * U
+        return (B * cos(pm) - A * cos(pn) - ab * cos(pu),
+                ab * sin(pu) + bk * sin(pm) + ae * sin(pn))
+    return g, s, mn, gs
 
 
 def sigma(pair, ops=FLOAT):
@@ -114,7 +124,9 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12,
     gates the sign change.  `steps` counts the evaluations of G after the
     two at the ends.  A*B = 1 is an exact analytic branch (U = 1/2, S = 2),
     where floating-point root isolation would be pointless.  `interval` is
-    `admissible_interval(params)`, built here when not given.
+    `admissible_interval(params)`; when it is not given, only L and R are
+    computed here.  Each Newton step evaluates G and S together, and the
+    record's S is the one evaluated at U.
 
     Raises NotAdmissible for an empty interval and NoSignChange unless
     G(L) <= tol and G(R) >= -tol (NaN fails both; never silently clamped).
@@ -122,27 +134,29 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12,
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if params.A == 1.0 and params.B == 1.0:
-        return ScalarZero(U=0.5, M=0.0, N=0.0, V=0.0, T=0.0, S=2.0,
-                          residual=0.0, steps=0)
+        return ScalarZero(0.5, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0)
 
-    interval = interval or admissible_interval(params)
-    if not interval.nonempty:
+    if interval is None:
+        a, b = interval_L(*params[:4]), interval_R(*params[:4])
+        nonempty = a <= b
+    else:
+        a, b, nonempty = interval.L, interval.R, interval.nonempty
+    if not nonempty:
         raise NotAdmissible(
             f"empty admissible interval for A={params.A}, B={params.B}: "
-            f"L={interval.L} > R={interval.R}")
-    a, b = interval.L, interval.R
-    g, s, mn = g_s(params)
+            f"L={a} > R={b}")
+    g, s, mn, gs = g_s(params)
     ga, gb = g(a), g(b)
 
-    def zero(U: float, residual: float, steps: int) -> ScalarZero:
+    def zero(U: float, S: float, residual: float, steps: int) -> ScalarZero:
         M, N = mn(U)
-        return ScalarZero(U, M, N, M, -N, s(U), residual, steps)
+        return ScalarZero(U, M, N, M, -N, S, residual, steps)
 
     if a == b or b - a < _DEGENERATE_WIDTH:
         mid = 0.5 * (a + b)
-        gm = g(mid)
+        gm, sm = gs(mid)
         if abs(gm) <= tol:
-            return zero(mid, abs(gm), 1)
+            return zero(mid, sm, abs(gm), 1)
         raise NoSignChange(
             f"degenerate interval at A={params.A}, B={params.B} with "
             f"|G| = {abs(gm)} > tol")
@@ -153,28 +167,27 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12,
         raise NoSignChange(
             f"G(R) = {gb} is not >= -tol at A={params.A}, B={params.B}")
     if ga > 0.0:
-        return zero(a, abs(ga), 0)
+        return zero(a, s(a), abs(ga), 0)
     if gb < 0.0:
-        return zero(b, abs(gb), 0)
+        return zero(b, s(b), abs(gb), 0)
 
     lo, hi = a, b
     u = 0.5 * (a + b)
     for steps in range(1, _MAX_STEPS + 1):
-        gu = g(u)
+        gu, su = gs(u)
         if gu == 0.0:
             break
         if gu < 0.0:
             lo = u
         else:
             hi = u
-        su = s(u)
         du = gu / (math.pi * su) if su > 0.0 else math.inf
         if abs(du) <= _STEP_ULPS * math.ulp(u):
             u_last = u - du
-            g_last = g(u_last)
+            g_last, s_last = gs(u_last)
             steps += 1
             if abs(g_last) < abs(gu):
-                u, gu = u_last, g_last
+                u, gu, su = u_last, g_last, s_last
             break
         u_next = u - du
         if not lo < u_next < hi:
@@ -182,7 +195,9 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12,
             if not lo < u_next < hi:
                 break
         u = u_next
-    return zero(u, abs(gu), steps)
+    else:   # the last step moved u past its evaluation
+        su = s(u)
+    return zero(u, su, abs(gu), steps)
 
 
 def solve_zero_block(pairs: ScherkParams, L, R, tol: float):
@@ -192,7 +207,7 @@ def solve_zero_block(pairs: ScherkParams, L, R, tol: float):
     import numpy as np
     from .ops import ARRAY
 
-    g, s, _ = g_s(pairs, ARRAY)
+    g, s, _, gs = g_s(pairs, ARRAY)
     corner = (pairs.A == 1.0) & (pairs.B == 1.0)
     ga, gb = g(L), g(R)
     centre = 0.5 * (L + R)
@@ -207,7 +222,7 @@ def solve_zero_block(pairs: ScherkParams, L, R, tol: float):
     for _ in range(_MAX_STEPS):
         if not active.any():
             break
-        gx, sx = g(u), s(u)
+        gx, sx = gs(u)
         steps += active
         gu = np.where(active, gx, gu)
         below = gx < 0.0

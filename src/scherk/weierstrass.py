@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import DomainError
 from .ops import FLOAT
@@ -55,12 +56,13 @@ class GaussAutomorphism:
         return cmath.exp(1j * self.theta) * (1.0 - abs(self.a) ** 2) / denom
 
 
-@dataclass(frozen=True)
-class NormalizedCurvature:
-    """W^2|K| value and, on the geometric route, the factors it came from."""
+class NormalizedCurvature(NamedTuple):
+    """W^2|K| value and, on the geometric route, the factors it came from;
+    the scalar route has none, and its `components` is a read-only empty
+    mapping."""
 
     value: float
-    components: dict = field(default_factory=dict)
+    components: Mapping[str, float] = MappingProxyType({})
 
 
 @dataclass(frozen=True)

@@ -554,6 +554,22 @@ def test_odd_extremal_golden_output(capsys, seed):
     assert out == golden.read_text()
 
 
+def test_pair_commands_golden_output(capsys):
+    # `check` and `zero` on the committed argv sets, byte for byte.  Each
+    # case in the file is "$ <argv>", "exit <code>" and the command's stdout;
+    # the argv sets cover interior pairs, the (1, 1) corner, the slow
+    # bisection at A = 1, the endpoint and degenerate-interval branches,
+    # not_admissible, non_convergence, --p/--q, --tol/--slack and bad input.
+    # The CI step that diffs the file writes it in the same form.
+    golden = (Path(__file__).parent / "data" / "pair_commands.txt").read_text()
+    head, *cases = golden.split("$ ")
+    assert head == "" and len(cases) >= 50
+    for case in cases:
+        argv = case.partition("\n")[0]
+        code, out, _ = run(capsys, *argv.split())
+        assert f"{argv}\nexit {code}\n{out}" == case, argv
+
+
 def test_odd_rejects_zero_trials(capsys):
     code, out, err = run(capsys, "odd", "--trials", "0")
     assert code == 1 and out == ""

@@ -9,9 +9,10 @@ from scherk.harmonic import (DiskPoint, _arc, cross_ratio_residual,
                              master_inequality_check, measures4,
                              modulus_consistency_residual, phase_param,
                              sinU_identity_residual, solve_zero_point)
-from scherk.params import arc_alpha, from_ab, mu, threshold_b0
+from scherk.params import (admissible_interval, arc_alpha, from_ab, mu,
+                           threshold_b0)
 from scherk.scalar import solve_zero
-from scherk.weierstrass import wk_scalar
+from scherk.weierstrass import wk_geometric, wk_scalar
 
 
 def test_disk_point_rejects_boundary():
@@ -21,18 +22,35 @@ def test_disk_point_rejects_boundary():
         DiskPoint(r=-0.1, t=0.0)
 
 
+def test_pair_records_reject_attribute_assignment():
+    params = from_ab(0.7, 0.9)
+    zero = solve_zero(params)
+    sol = solve_zero_point(params, zero)
+    records = [admissible_interval(params), zero, sol, sol.measures,
+               wk_scalar(params, zero.S), wk_geometric(sol.z, params, sol.D0)]
+    for record in records:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], 0.5)
+    # The scalar route's empty components are shared, so they are read-only.
+    components = wk_scalar(params, zero.S).components
+    assert components == {}
+    with pytest.raises(TypeError):
+        components["num1"] = 1.0
+
+
 def test_arc_measure_at_origin_is_normalized_arclength():
     for s in (0.1, math.pi / 4, 1.0, 3.0):
-        assert _arc(0.0, 0.0, 0.7, s) == pytest.approx(
-            s / math.pi, abs=1e-15)
+        val = _arc(0.0, 0.0, 0.7, math.cos(s), math.sin(s))
+        assert val == pytest.approx(s / math.pi, abs=1e-15)
 
 
 def test_arc_measure_frozen_value():
     # Adaptive Poisson quadrature (and the 50-digit closed form) both give
     # 0.56861166736783072 for this configuration.
-    val = _arc(0.5, 0.0, 0.0, math.pi / 4)
+    half = math.pi / 4
+    val = _arc(0.5, 0.0, 0.0, math.cos(half), math.sin(half))
     assert val == pytest.approx(0.56861166736783072098, abs=1e-13)
-    assert val == pytest.approx(poisson_arc_measure(0.5, 0.0, 0.0, math.pi / 4),
+    assert val == pytest.approx(poisson_arc_measure(0.5, 0.0, 0.0, half),
                                 abs=1e-11)
 
 
@@ -42,7 +60,7 @@ def test_arc_measure_matches_quadrature_oracle(rng):
         t = float(rng.uniform(0.0, 2 * math.pi))
         phi = float(rng.uniform(0.0, 2 * math.pi))
         s = float(rng.uniform(0.05, math.pi - 0.05))
-        val = _arc(r, t, phi, s)
+        val = _arc(r, t, phi, math.cos(s), math.sin(s))
         assert val == pytest.approx(poisson_arc_measure(r, t, phi, s),
                                     abs=1e-9)
 

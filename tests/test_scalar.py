@@ -19,7 +19,7 @@ PYTH += [(k, a) for (a, k) in PYTH]   # both orientations of each triple
 
 
 def test_g_eval_equality_corner():
-    g, _, mn = g_s(from_ab(1.0, 1.0))
+    g, _, mn, _ = g_s(from_ab(1.0, 1.0))
     m, n = mn(0.5)
     assert abs(g(0.5)) < 1e-15   # (A+B)*cos(pi/2) rounds to ~1e-16
     assert m == 0.0 and n == 0.0
@@ -27,7 +27,7 @@ def test_g_eval_equality_corner():
 
 @pytest.mark.parametrize("a", [0.3, 0.5, 0.7, 0.95, 1.0])
 def test_g_vanishes_at_half_for_symmetric_pairs(a):
-    g, _, mn = g_s(from_ab(a, a))
+    g, _, mn, _ = g_s(from_ab(a, a))
     m, n = mn(0.5)
     assert abs(g(0.5)) < 1e-14
     assert m == pytest.approx(n, abs=1e-14)
@@ -48,6 +48,45 @@ def test_s_eval_values():
     s = g_s(from_ab(a, a))[1](0.5)
     assert s == pytest.approx(closed, abs=1e-14)
     assert s == pytest.approx(2.2067874442598013117, abs=1e-13)
+
+
+def test_fused_g_and_s_match_the_separate_evaluations(rng):
+    # gs(u) forms M and N once; its G and S must keep the bits of g(u) and
+    # s(u), on one pair's floats and on a block, which the sweep solves.
+    from scherk.ops import ARRAY
+    pairs = random_admissible(rng, 40)
+    ivs = [admissible_interval(params) for params in pairs]
+    for params, iv in zip(pairs, ivs):
+        g, s, _, gs = g_s(params)
+        for u in rng.uniform(iv.L, iv.R, 8).tolist() + [iv.L, iv.R]:
+            assert repr(gs(u)) == repr((g(u), s(u))), (params, u)
+    block = ScherkParams(*(np.array(values) for values in zip(*pairs)))
+    g, s, _, gs = g_s(block, ARRAY)
+    for _ in range(8):
+        u = rng.uniform([iv.L for iv in ivs], [iv.R for iv in ivs])
+        G, S = gs(u)
+        assert G.tobytes() == g(u).tobytes() and S.tobytes() == s(u).tobytes()
+
+
+def test_solve_zero_builds_the_same_record_without_an_interval(rng):
+    pairs = random_admissible(rng, 100)
+    pairs += [from_ab(a, threshold_b0(a) + gap) for a in (0.3, 0.5, 0.9)
+              for gap in (1e-12, 1e-9, 1e-6)]
+    for params in pairs:
+        try:
+            given = solve_zero(params, 1e-12, admissible_interval(params))
+        except NoSignChange:
+            continue
+        assert repr(solve_zero(params)) == repr(given), params
+
+
+def test_solve_zero_not_admissible_names_the_interval():
+    params = from_ab(0.5, 0.9)
+    iv = admissible_interval(params)
+    with pytest.raises(NotAdmissible) as exc:
+        solve_zero(params)
+    assert str(exc.value) == (f"empty admissible interval for A=0.5, B=0.9: "
+                              f"L={iv.L} > R={iv.R}")
 
 
 def test_solve_zero_equality_corner_is_exact():
@@ -213,7 +252,7 @@ def test_derivative_matches_finite_difference(rng):
         iv = admissible_interval(params)
         u = float(rng.uniform(iv.L + h, iv.R - h)) if iv.R - iv.L > 2 * h \
             else 0.5
-        g, s, _ = g_s(params)
+        g, s, _, _ = g_s(params)
         fd = (g(u + h) - g(u - h)) / (2 * h)
         exact = math.pi * s(u)
         assert fd == pytest.approx(exact, rel=1e-7)
