@@ -155,7 +155,7 @@ def evaluate_pair(params: ScherkParams, tol: float = 1e-12) -> PairRecord:
     if not interval.nonempty:
         return PairRecord(params, interval, "not_admissible")
     try:
-        zero = scalar.solve_zero(params, tol, interval)
+        zero = scalar.solve_zero(params, tol)
     except NoSignChange as exc:
         return PairRecord(params, interval, "no_sign_change", str(exc))
     wks = weierstrass.wk_scalar(params, zero.S).value

@@ -28,8 +28,8 @@ from typing import NamedTuple, Optional
 
 from .errors import NoSignChange, NotAdmissible
 from .ops import FLOAT
-from .params import (AdmissibleInterval, ScherkParams, admissible_interval,
-                     from_ab, interval_L, interval_R, pole)
+from .params import (ScherkParams, admissible_interval, from_ab, interval_L,
+                     interval_R, pole)
 
 _DEGENERATE_WIDTH = 1e-15   # a narrower interval is solved at its midpoint
 _STEP_ULPS = 4      # a Newton step this many ulps or less ends the iteration
@@ -76,9 +76,11 @@ class BarrierChainReport:
 def g_s(pair, ops=FLOAT):
     """G, S, U -> (M, N) and U -> (G, S) of a pair, or of a block on ARRAY.
 
-    The last forms M and N once for both values, with the bits of G and S
-    apart: the coefficients A + B, B*kappa and A*epsilon are hoisted, as
-    `B * kappa * sin(x)` evaluates as `(B*kappa) * sin(x)` anyway.
+    `gs` forms M and N once for both values; S is only ever evaluated
+    through it.  The coefficients A + B, B*kappa and A*epsilon are hoisted,
+    as `B * kappa * sin(x)` evaluates as `(B*kappa) * sin(x)` anyway.  `g`
+    repeats G's formula, bit for bit, for the two endpoint values each
+    solve takes, where gs's three extra sines would be wasted.
     """
     A, B, kappa, epsilon = pair.A, pair.B, pair.kappa, pair.epsilon
     P = pole(pair)
@@ -93,15 +95,14 @@ def g_s(pair, ops=FLOAT):
         M, N = mn(U)
         return B * cos(pi * M) - A * cos(pi * N) - ab * cos(pi * U)
 
-    def s(U):
-        M, N = mn(U)
-        return ab * sin(pi * U) + bk * sin(pi * M) + ae * sin(pi * N)
-
     def gs(U):   # mn inlined: this is the Newton step's one evaluation
         M, N = kappa * (P - U), epsilon * (U + shift)
         pm, pn, pu = pi * M, pi * N, pi * U
         return (B * cos(pm) - A * cos(pn) - ab * cos(pu),
                 ab * sin(pu) + bk * sin(pm) + ae * sin(pn))
+
+    def s(U):
+        return gs(U)[1]
     return g, s, mn, gs
 
 
@@ -110,8 +111,7 @@ def sigma(pair, ops=FLOAT):
     return ops.sqrt(2.0 * (1.0 + pair.A * pair.B))
 
 
-def solve_zero(params: ScherkParams, tol: float = 1e-12,
-               interval: Optional[AdmissibleInterval] = None) -> ScalarZero:
+def solve_zero(params: ScherkParams, tol: float = 1e-12) -> ScalarZero:
     """Find the admissible zero of G on [L, R].
 
     Safeguarded Newton (rtsafe): from the midpoint of [L, R], each
@@ -123,10 +123,10 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12,
     also end it.  The stopping rule does not depend on `tol`, which only
     gates the sign change.  `steps` counts the evaluations of G after the
     two at the ends.  A*B = 1 is an exact analytic branch (U = 1/2, S = 2),
-    where floating-point root isolation would be pointless.  `interval` is
-    `admissible_interval(params)`; when it is not given, only L and R are
-    computed here.  Each Newton step evaluates G and S together, and the
-    record's S is the one evaluated at U.
+    where floating-point root isolation would be pointless.  Only L and R
+    of the admissible interval are computed here, and `L <= R` decides
+    admissibility as in `admissible_interval`.  Each Newton step evaluates
+    G and S together, and the record's S is the one evaluated at U.
 
     Raises NotAdmissible for an empty interval and NoSignChange unless
     G(L) <= tol and G(R) >= -tol (NaN fails both; never silently clamped).
@@ -136,12 +136,8 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12,
     if params.A == 1.0 and params.B == 1.0:
         return ScalarZero(0.5, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0)
 
-    if interval is None:
-        a, b = interval_L(*params[:4]), interval_R(*params[:4])
-        nonempty = a <= b
-    else:
-        a, b, nonempty = interval.L, interval.R, interval.nonempty
-    if not nonempty:
+    a, b = interval_L(*params[:4]), interval_R(*params[:4])
+    if not a <= b:
         raise NotAdmissible(
             f"empty admissible interval for A={params.A}, B={params.B}: "
             f"L={a} > R={b}")
@@ -278,7 +274,7 @@ def barrier_chain_check(params: ScherkParams,
     A, B = params.A, params.B
     k, e = params.kappa, params.epsilon
     interval = admissible_interval(params)
-    zero = solve_zero(params, tol, interval)
+    zero = solve_zero(params, tol)
     L, R = interval.L, interval.R
 
     bound = sigma(params)

@@ -50,34 +50,41 @@ def test_s_eval_values():
     assert s == pytest.approx(2.2067874442598013117, abs=1e-13)
 
 
-def test_fused_g_and_s_match_the_separate_evaluations(rng):
-    # gs(u) forms M and N once; its G and S must keep the bits of g(u) and
-    # s(u), on one pair's floats and on a block, which the sweep solves.
+def test_fused_g_matches_the_endpoint_g(rng):
+    # g repeats the G of gs(u) for the endpoint values; the two must keep
+    # the same bits, on one pair's floats and on a block, which the sweep
+    # solves.
     from scherk.ops import ARRAY
     pairs = random_admissible(rng, 40)
     ivs = [admissible_interval(params) for params in pairs]
     for params, iv in zip(pairs, ivs):
-        g, s, _, gs = g_s(params)
+        g, _, _, gs = g_s(params)
         for u in rng.uniform(iv.L, iv.R, 8).tolist() + [iv.L, iv.R]:
-            assert repr(gs(u)) == repr((g(u), s(u))), (params, u)
+            assert repr(gs(u)[0]) == repr(g(u)), (params, u)
     block = ScherkParams(*(np.array(values) for values in zip(*pairs)))
-    g, s, _, gs = g_s(block, ARRAY)
+    g, _, _, gs = g_s(block, ARRAY)
     for _ in range(8):
         u = rng.uniform([iv.L for iv in ivs], [iv.R for iv in ivs])
-        G, S = gs(u)
-        assert G.tobytes() == g(u).tobytes() and S.tobytes() == s(u).tobytes()
+        assert gs(u)[0].tobytes() == g(u).tobytes()
 
 
-def test_solve_zero_builds_the_same_record_without_an_interval(rng):
-    pairs = random_admissible(rng, 100)
-    pairs += [from_ab(a, threshold_b0(a) + gap) for a in (0.3, 0.5, 0.9)
-              for gap in (1e-12, 1e-9, 1e-6)]
-    for params in pairs:
-        try:
-            given = solve_zero(params, 1e-12, admissible_interval(params))
-        except NoSignChange:
-            continue
-        assert repr(solve_zero(params)) == repr(given), params
+def test_solve_zero_refuses_exactly_the_empty_intervals():
+    # solve_zero decides admissibility by its own L <= R; within a few ulps
+    # of B0(A) it must agree with admissible_interval.
+    for a in (0.2, 0.3, 0.5, 0.9):
+        b0 = threshold_b0(a)
+        for b in (b0 - 1e-12, math.nextafter(b0, 0.0), b0,
+                  math.nextafter(b0, 1.0), b0 + 1e-12, b0 + 1e-9):
+            params = from_ab(a, b)
+            try:
+                solve_zero(params)
+                refused = False
+            except NotAdmissible:
+                refused = True
+            except NoSignChange:
+                refused = False
+            assert refused == (not admissible_interval(params).nonempty), \
+                (a, b)
 
 
 def test_solve_zero_not_admissible_names_the_interval():
