@@ -2,8 +2,9 @@
 
 The package computes W^2|K| at the distinguished zero point of the family
 through two independent routes (geometric and scalar), verifies the
-identities and inequalities connecting them in floating point, and checks
-the two Bernstein positivity certificates in exact rational arithmetic.
+identities and inequalities connecting them in floating point, checks the
+two Bernstein positivity certificates in exact rational arithmetic, and
+proves the algebraic identities of the parameters exactly.
 
 `import scherk` loads no submodule: each public name is imported from its
 home module on first access, so numpy loads only with the code that runs
@@ -17,8 +18,7 @@ __version__ = "0.1.0"
 # Each public name and its home module; `errors` is a module itself.
 _HOME = {name: home for home, names in {
     "params": ("AdmissibleInterval", "ScherkParams", "admissible_interval",
-               "domain_lemma_checks", "from_ab", "from_angles",
-               "threshold_b0"),
+               "from_ab", "from_angles", "threshold_b0"),
     "scalar": ("BarrierChainReport", "ScalarZero", "barrier_chain_check",
                "solve_zero"),
     "harmonic": ("DiskPoint", "FourMeasures", "ZeroSolution",
@@ -26,10 +26,10 @@ _HOME = {name: home for home, names in {
                  "measures4", "phase_param", "sinU_identity_residual",
                  "solve_zero_point"),
     "weierstrass": ("GaussAutomorphism", "NormalizedCurvature",
-                    "log_subharmonicity_check", "lower_identity_residual",
-                    "wk_geometric", "wk_scalar", "zero_control_check"),
-    "bernstein": ("BernsteinForm", "BiPoly", "to_bernstein",
-                  "verify_appendix_certificates"),
+                    "log_subharmonicity_check", "wk_geometric", "wk_scalar",
+                    "zero_control_check"),
+    "bernstein": ("BernsteinForm", "BiPoly", "prove_identities",
+                  "to_bernstein", "verify_appendix_certificates"),
     "oddmap": ("OddLift", "autocorrelation", "extremal_sequence",
                "fourier_S1", "hall_inequality_check", "random_odd_lift"),
     "errors": ("errors",),

@@ -1,4 +1,5 @@
-"""Exact bivariate polynomials and Bernstein positivity certificates.
+"""Exact bivariate polynomials, Bernstein positivity certificates, and exact
+proofs of the parameter identities (`prove_identities`).
 
 All coefficients are fractions.Fraction; nothing here rounds.  A polynomial
 on [0,1]^2 whose Bernstein expansion at some bidegree has only nonnegative
@@ -18,11 +19,11 @@ both after the corner substitution A = 1-t, B = 1-v.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from . import params
 from .errors import CertificateMismatch, DegreeError
 
 _F = Fraction
@@ -269,11 +270,93 @@ def verify_appendix_certificates() -> CertificateReport:
     )
 
 
-def certificate_to_json(form: BernsteinForm) -> str:
-    """Serialize a certificate as exact rational strings, never floats."""
-    doc = {
+def certificate_to_json(form: BernsteinForm) -> dict:
+    """The certificate as a dict of exact rational strings, never floats."""
+    return {
         "bidegree": [form.m, form.n],
         "coeffs": [[str(c) for c in row] for row in form.coeffs],
     }
-    return json.dumps(doc, sort_keys=True)
 
+
+@dataclass(frozen=True)
+class RationalFunction:
+    """num/den over BiPoly, closed under + - * /, with ints and Fractions on
+    either side of + - * and as divisors.  Dividing by the zero polynomial
+    raises, so no residual is 0/0."""
+
+    num: BiPoly
+    den: BiPoly = BiPoly.constant(1)
+
+    def vanishes(self) -> bool:
+        return not any(map(any, self.num.coeffs))
+
+    def __add__(self, other):
+        other = _lift(other)
+        if self.den == other.den:   # keep a shared denominator
+            return RationalFunction(self.num + other.num, self.den)
+        return RationalFunction(self.num * other.den + other.num * self.den,
+                                self.den * other.den)
+
+    def __sub__(self, other):
+        return self + -1 * _lift(other)
+
+    def __rsub__(self, other):
+        return _lift(other) - self
+
+    def __mul__(self, other):
+        other = _lift(other)
+        return RationalFunction(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        other = _lift(other)
+        if other.vanishes():
+            raise ZeroDivisionError("division by the zero polynomial")
+        return RationalFunction(self.num * other.den, self.den * other.num)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _lift(value) -> RationalFunction:
+    return value if isinstance(value, RationalFunction) \
+        else RationalFunction(BiPoly.constant(value))
+
+
+def prove_identities() -> dict[str, bool]:
+    """Whether each identity holds for all (x, y) = (tan(p/2), tan((q-p)/2)).
+    A = 2x/(1+x^2) and kappa = (1-x^2)/(1+x^2), and B, epsilon alike in y,
+    are rational there, and the Fraction-safe L, R and P of `params` run on
+    them unchanged.  lower_band gives S <= 2 sqrt(1+AB) at every U.
+    threshold factors 1/2 - L and B0(A)'s quadratic by F1 = (x+y)^2 +
+    x^2y^2 - 1 and F2 = (1-y^2) + x^2(1+y^2) + 2xy > 0, so L <= 1/2 and
+    B >= B0(A) agree; F1 is symmetric, so by swap R >= 1/2 and L <= R agree
+    too.  h_r needs only kappa^2, epsilon^2 and U in {0, 1}, as it is linear
+    in U, so it runs in plain (A, B).
+    """
+    x, y = RationalFunction(BiPoly.var_t()), RationalFunction(BiPoly.var_v())
+    A, kappa = 2 * x / (1 + x * x), (1 - x * x) / (1 + x * x)
+    B, epsilon = 2 * y / (1 + y * y), (1 - y * y) / (1 + y * y)
+    L = params.interval_L(A, B, kappa, epsilon)
+    R = params.interval_R(A, B, kappa, epsilon)
+    P = params.pole(params.ScherkParams(A, B, kappa, epsilon, None, None))
+    band = A + B + B * kappa + A * epsilon
+    gap = kappa * epsilon + kappa + epsilon - 1 - A * B
+    f12 = ((x + y) * (x + y) + x * x * y * y - 1) * (
+        (1 - y * y) + x * x * (1 + y * y) + 2 * x * y)
+    d = (1 + x * x) * (1 + y * y)
+    quadratic = (1 + kappa) * B * B + A * (1 - kappa) * B - 2 * kappa
+    a, b = x, y   # the same two variables, read as A and B for H_R
+    k2, p_ab = 1 - a * a, params.pole(params.ScherkParams(a, b, *[None] * 4))
+    h_r = [(a + b) * (1 - U) + b * k2 * (p_ab - U)
+           + a * (1 - b * b) * (U + k2 / (a * (a + b)))
+           - b * (2 + a * b - a * a) * (p_ab - U) for U in (0, 1)]
+    residuals = {
+        "lower_band": [4 * (1 + A * B) - band * band - gap * gap],
+        "swap": [1 - R - params.interval_L(B, A, epsilon, kappa)],
+        "p_minus_r": [P - R - epsilon * (A * epsilon + A + B)
+                      / (A * B * (A + B) * (1 + epsilon))],
+        "threshold": [8 * y * (x + y) * (1 + x * y) * (Fraction(1, 2) - L)
+                      - f12, d * d * quadratic - 2 * f12],
+        "h_r": h_r,
+    }
+    return {name: all(r.vanishes() for r in rs)
+            for name, rs in residuals.items()}

@@ -6,7 +6,8 @@ Commands
              curvature routes, band test; JSON on stdout
     zero     full zero-point record for one pair; JSON on stdout
     sweep    grid x grid classification over (A, B) or (p, q); CSV file
-    certify  rebuild and verify the two positivity certificates
+    certify  rebuild and verify the two positivity certificates; prove
+             the parameter identities exactly (`bernstein.prove_identities`)
     odd      Monte-Carlo and extremal runs for the first-coefficient bound
     logsub   finite-difference checks of the two log-Laplacian identities
 
@@ -435,12 +436,13 @@ def cmd_certify(args) -> int:
     except CertificateMismatch as exc:
         print(f"certificate mismatch: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    identities = bernstein.prove_identities()
     if args.json:
         _emit_json({
-            "y": json.loads(bernstein.certificate_to_json(report.y_form)),
-            "two_z": json.loads(
-                bernstein.certificate_to_json(report.two_z_form)),
+            "y": bernstein.certificate_to_json(report.y_form),
+            "two_z": bernstein.certificate_to_json(report.two_z_form),
             "nonnegative": report.all_nonnegative,
+            "identities": identities,
         })
     else:
         _print_matrix("Y(1-t,1-v)", report.y_form)
@@ -448,7 +450,10 @@ def cmd_certify(args) -> int:
         print(f"min coefficients: y={report.y_min}, 2z={report.two_z_min}")
         print("all entries nonnegative" if report.all_nonnegative
               else "NEGATIVE ENTRY PRESENT")
-    return EXIT_OK if report.all_nonnegative else EXIT_CHECK_FAILED
+        for name, proved in identities.items():
+            print(f"identity {name}: {'proved' if proved else 'FAILED'}")
+    ok = report.all_nonnegative and all(identities.values())
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_odd(args) -> int:

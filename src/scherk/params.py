@@ -20,15 +20,13 @@ sin(alpha) = 2*mu/(A + B).  The scalar zero of the family lives in
 which is nonempty exactly when B >= B0(A), the positive root of
 (1 + kappa)*B^2 + A*(1 - kappa)*B - 2*kappa.
 
-The endpoint helpers take (A, B, kappa, epsilon) explicitly and use only
-field arithmetic, so exact inputs (fractions.Fraction on Pythagorean
-parameters) stay exact.
+The endpoint helpers and `pole` use only field arithmetic, so that
+`bernstein.prove_identities` runs them on exact rational functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -63,19 +61,6 @@ class AdmissibleInterval(NamedTuple):
     B0: float
 
 
-@dataclass(frozen=True)
-class DomainLemmaReport:
-    """Residuals and boolean agreements for the admissible-domain lemma."""
-
-    swap_residual: float       # 1 - R(A,B) - L(B,A)
-    nonempty_by_interval: bool  # L <= R
-    nonempty_by_half: bool      # L <= 1/2
-    nonempty_by_threshold: bool  # B >= B0(A)
-    booleans_agree: bool
-    p_minus_r: float           # P - R(A,B), nonnegative
-    p_minus_r_residual: float  # P - R minus its closed form
-
-
 def interval_L(A, B, kappa, epsilon):
     """Left endpoint; pure field arithmetic (Fraction-safe)."""
     return kappa * (1 + A * B) / ((1 + kappa) * B * (A + B))
@@ -84,11 +69,6 @@ def interval_L(A, B, kappa, epsilon):
 def interval_R(A, B, kappa, epsilon):
     """Right endpoint; pure field arithmetic (Fraction-safe)."""
     return (1 - epsilon * kappa * kappa / (A * (A + B))) / (1 + epsilon)
-
-
-def p_minus_r_closed_form(A, B, kappa, epsilon):
-    """Closed form of P - R: epsilon*(A*epsilon + A + B) / (A*B*(A+B)*(1+epsilon))."""
-    return epsilon * (A * epsilon + A + B) / (A * B * (A + B) * (1 + epsilon))
 
 
 def threshold_b0(A: float, kappa: float | None = None) -> float:
@@ -201,30 +181,3 @@ def admissible_interval(params: ScherkParams) -> AdmissibleInterval:
     L = interval_L(A, B, kappa, epsilon)
     R = interval_R(A, B, kappa, epsilon)
     return AdmissibleInterval(L, R, L <= R, threshold_b0(A, kappa))
-
-
-def domain_lemma_checks(params: ScherkParams) -> DomainLemmaReport:
-    """Residuals for the three assertions of the admissible-domain lemma.
-
-    (i)  1 - R(A,B) = L(B,A);
-    (ii) [L <= R] <=> [L <= 1/2] <=> [B >= B0(A)];
-    (iii) P - R = epsilon*(A*epsilon + A + B)/(A*B*(A+B)*(1+epsilon)) >= 0.
-    """
-    A, B, k, e = params.A, params.B, params.kappa, params.epsilon
-    L = interval_L(A, B, k, e)
-    R = interval_R(A, B, k, e)
-    L_swap = interval_L(B, A, e, k)
-    b0 = threshold_b0(A, k)
-    by_interval = L <= R
-    by_half = L <= 0.5
-    by_threshold = B >= b0
-    pmr = pole(params) - R
-    return DomainLemmaReport(
-        swap_residual=1.0 - R - L_swap,
-        nonempty_by_interval=by_interval,
-        nonempty_by_half=by_half,
-        nonempty_by_threshold=by_threshold,
-        booleans_agree=(by_interval == by_half == by_threshold),
-        p_minus_r=pmr,
-        p_minus_r_residual=pmr - p_minus_r_closed_form(A, B, k, e),
-    )

@@ -28,8 +28,7 @@ from typing import NamedTuple, Optional
 
 from .errors import NoSignChange, NotAdmissible
 from .ops import FLOAT
-from .params import (ScherkParams, admissible_interval, from_ab, interval_L,
-                     interval_R, pole)
+from .params import ScherkParams, from_ab, interval_L, interval_R, pole
 
 _DEGENERATE_WIDTH = 1e-15   # a narrower interval is solved at its midpoint
 _STEP_ULPS = 4      # a Newton step this many ulps or less ends the iteration
@@ -62,7 +61,6 @@ class BarrierChainReport:
     x_star: float                # sigma / (2*B*C)
     u_star: float                # P - x_star
     u_star_ge_half: bool
-    hr_identity_max_residual: float  # max |H_R - B*C*(P-U)| on a sample grid
     g_at_u_star: Optional[float]     # None when u_star >= R
     barrier_ok: bool             # G(u_star) >= -slack whenever u_star < R
     hr_at_root: float            # (A+B)*(1-U) + B*kappa*M + A*epsilon*N
@@ -243,49 +241,26 @@ def solve_zero_block(pairs: ScherkParams, L, R, tol: float):
     return U, np.where(corner, 2.0, s(U)), ~refused, steps
 
 
-def hr_identity_residual(A, B, kappa, epsilon, U):
-    """H_R - B*(2+A*B-A^2)*(P-U); identically zero.
-
-    Only kappa^2, epsilon^2 enter, so the expression is rational in
-    (A, B, U) and exact on Fraction inputs with Pythagorean parameters.
-    """
-    P = (1 + A * B) / (B * (A + B))
-    k2 = kappa * kappa
-    e2 = epsilon * epsilon
-    hr = (A + B) * (1 - U) + B * k2 * (P - U) + A * e2 * (U + k2 / (A * (A + B)))
-    return hr - B * (2 + A * B - A * A) * (P - U)
-
-
 def barrier_chain_check(params: ScherkParams,
                         tol: float = 1e-12,
-                        slack: float = 1e-12,
-                        samples: int = 20) -> BarrierChainReport:
+                        slack: float = 1e-12) -> BarrierChainReport:
     """Verify the barrier chain behind the right linear estimate.
 
-    (i)   H_R = B*(2+A*B-A^2)*(P-U) exactly, sampled across [L, R];
-    (ii)  U* = P - sigma/(2*B*C) satisfies U* >= 1/2;
-    (iii) if U* < R then G(U*) >= 0 (the barrier point);
-    (iv)  both linear estimates >= sigma/2 at the solved root;
-    (v)   the swap identity G_{B,A}(1-U) = -G_{A,B}(U).
-    Raises ValueError for samples < 1, which would check nothing in (i).
+    H_R = B*(2+A*B-A^2)*(P-U) is `bernstein.prove_identities`'s h_r.
+    (i)   U* = P - sigma/(2*B*C) satisfies U* >= 1/2;
+    (ii)  if U* < R then G(U*) >= 0 (the barrier point);
+    (iii) both linear estimates >= sigma/2 at the solved root;
+    (iv)  the swap identity G_{B,A}(1-U) = -G_{A,B}(U).
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     A, B = params.A, params.B
     k, e = params.kappa, params.epsilon
-    interval = admissible_interval(params)
+    R = interval_R(A, B, k, e)
     zero = solve_zero(params, tol)
-    L, R = interval.L, interval.R
 
     bound = sigma(params)
     c_factor = 2.0 + A * B - A * A
     x_star = bound / (2.0 * B * c_factor)
     u_star = pole(params) - x_star
-
-    max_resid = 0.0
-    for i in range(samples):
-        u = L + (R - L) * i / (samples - 1) if samples > 1 else L
-        max_resid = max(max_resid, abs(hr_identity_residual(A, B, k, e, u)))
 
     g_at_u_star = None
     barrier_ok = True
@@ -308,7 +283,6 @@ def barrier_chain_check(params: ScherkParams,
         x_star=x_star,
         u_star=u_star,
         u_star_ge_half=u_star >= 0.5 - slack,
-        hr_identity_max_residual=max_resid,
         g_at_u_star=g_at_u_star,
         barrier_ok=barrier_ok,
         hr_at_root=hr_at_root,

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import DomainError
 from .ops import FLOAT
-from .params import arc_alpha, cos_from_sin, mu
+from .params import arc_alpha, mu
 
 if TYPE_CHECKING:
     from .harmonic import DiskPoint
@@ -109,22 +109,6 @@ def wk_scalar(params: "ScherkParams", S: float) -> NormalizedCurvature:
     if S <= 0.0:
         raise DomainError(f"require S > 0, got {S}")
     return NormalizedCurvature(wk_scalar_value(params, S))
-
-
-def lower_identity_residual(A, B, kappa=None, epsilon=None):
-    """4(1+AB) - (A+B+B*kappa+A*epsilon)^2 - (kappa*eps+kappa+eps-1-AB)^2.
-
-    Identically zero; exact on Fraction inputs with Pythagorean kappa,
-    epsilon.  When kappa/epsilon are omitted they are computed in floating
-    point from A, B.
-    """
-    if kappa is None:
-        kappa = cos_from_sin(A)
-    if epsilon is None:
-        epsilon = cos_from_sin(B)
-    lhs = 4 * (1 + A * B) - (A + B + B * kappa + A * epsilon) ** 2
-    rhs = (kappa * epsilon + kappa + epsilon - 1 - A * B) ** 2
-    return lhs - rhs
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from conftest import random_admissible
 from oracles import poisson_arc_measure
 from scherk import cli
 from scherk.bernstein import (CERT_2Z_EXPECTED, CERT_Y_EXPECTED,
-                              verify_appendix_certificates)
+                              prove_identities, verify_appendix_certificates)
 from scherk.errors import NoSignChange, NonConvergence
 from scherk.harmonic import (DiskPoint, cross_ratio_residual, measures4,
                              solve_zero_point)
@@ -22,18 +22,12 @@ from scherk.oddmap import (extremal_sequence, fourier_S1,
                            hall_inequality_check, identity_lift,
                            random_odd_lift)
 from scherk.params import admissible_interval, from_ab
-from scherk.scalar import (barrier_chain_check, hr_identity_residual,
-                           solve_zero)
+from scherk.scalar import barrier_chain_check, solve_zero
 from scherk.weierstrass import (GaussAutomorphism, log_subharmonicity_check,
                                 wk_scalar)
 
 PI2_4 = math.pi ** 2 / 4.0
 PI2_2 = math.pi ** 2 / 2.0
-
-PYTH = [(Fraction(3, 5), Fraction(4, 5)),
-        (Fraction(5, 13), Fraction(12, 13)),
-        (Fraction(8, 17), Fraction(15, 17))]
-PYTH += [(k, a) for (a, k) in PYTH]   # both orientations of each triple
 
 
 def report(n, ok, detail):
@@ -149,13 +143,9 @@ def test_criterion_5_cross_ratio_and_oracle(rng):
 
 
 def test_criterion_6_barrier_chain():
-    for A, kappa in PYTH:
-        for B, epsilon in PYTH:
-            for U in (Fraction(1, 2), Fraction(3, 7), Fraction(5, 9)):
-                assert hr_identity_residual(A, B, kappa, epsilon, U) == 0
+    hr_exact = prove_identities()["h_r"]   # for all pairs and all U
 
     n = 80
-    worst_resid = 0.0
     worst_barrier = 0.0
     checked = 0
     for i in range(1, n + 1):
@@ -165,15 +155,13 @@ def test_criterion_6_barrier_chain():
                 continue
             rep = barrier_chain_check(params)
             checked += 1
-            worst_resid = max(worst_resid, rep.hr_identity_max_residual)
             if rep.g_at_u_star is not None:
                 worst_barrier = min(worst_barrier, rep.g_at_u_star)
             assert rep.u_star_ge_half
             assert rep.hr_linear_ok and rep.hl_linear_ok
-    ok = worst_resid < 1e-12 and worst_barrier >= -1e-12 and checked > 500
-    report(6, ok, f"identity exact on rationals; float residual "
-                  f"{worst_resid:.2e} and min G(U*) {worst_barrier:.2e} "
-                  f"over {checked} admissible pairs")
+    ok = hr_exact and worst_barrier >= -1e-12 and checked > 500
+    report(6, ok, f"H_R identity proved exactly; min G(U*) "
+                  f"{worst_barrier:.2e} over {checked} admissible pairs")
 
 
 def test_criterion_7_odd_estimates():

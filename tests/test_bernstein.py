@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from scherk import params
 from scherk.bernstein import (CERT_2Z_EXPECTED, CERT_Y_EXPECTED, BiPoly,
-                              certificate_to_json, poly_two_z, poly_y,
+                              RationalFunction, certificate_to_json,
+                              poly_two_z, poly_y, prove_identities,
                               to_bernstein, verify_appendix_certificates)
 from scherk.errors import CertificateMismatch, DegreeError
 
@@ -131,10 +133,35 @@ def test_verify_certificates_corruption_hook(corrupt_expected):
 
 def test_certificate_json_round_trip():
     rep = verify_appendix_certificates()
-    text = certificate_to_json(rep.y_form)
-    doc = json.loads(text)
+    doc = json.loads(json.dumps(certificate_to_json(rep.y_form)))
     assert doc["bidegree"] == [3, 3]
     assert doc["coeffs"][1][2] == "20/9"
     assert all(isinstance(s, str) for row in doc["coeffs"] for s in row)
     back = tuple(tuple(F(s) for s in row) for row in doc["coeffs"])
     assert back == rep.y_form.coeffs
+
+
+def test_rational_function_field():
+    x = RationalFunction(BiPoly.var_t())
+    y = RationalFunction(BiPoly.var_v())
+    assert (x / (x * y) * y - 1).vanishes()
+    assert (F(1, 2) - x / 2 - (1 - x) / 2).vanishes()
+    assert not (x - y).vanishes()
+    assert not (x * x / (1 + x) - x).vanishes()
+    with pytest.raises(ZeroDivisionError):
+        y / (x - x)
+
+
+@pytest.mark.parametrize("name, corrupt, fails", [
+    ("interval_L", lambda f: lambda A, B, k, e: f(A, B, k, e) + A * B / 97,
+     {"swap", "threshold"}),
+    ("pole", lambda f: lambda pair: f(pair) - pair.A / 3,
+     {"p_minus_r", "h_r"}),
+], ids=["interval_L", "pole"])
+def test_prove_identities_catches_a_wrong_formula(monkeypatch, name, corrupt,
+                                                  fails):
+    # A wrong term in one shipped closed form fails exactly the identities
+    # that run it (interval_R: test_certify_names_a_failed_identity).
+    monkeypatch.setattr(params, name, corrupt(getattr(params, name)))
+    proved = prove_identities()
+    assert {key for key, ok in proved.items() if not ok} == fails

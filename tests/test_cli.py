@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scherk import cli
+from scherk import cli, params
 from scherk.cli import CSV_HEADER, ROUTE_GAP_BOUND, evaluate_pair, main
 from oracles import direct_random_odd_lift, full_grid_fourier_mode
 from scherk.oddmap import DEFAULT_GRID, fourier_S1, random_odd_lift
@@ -153,7 +153,7 @@ def test_overflowing_interval_pairs_are_input_errors(capsys, argv, bad):
 
 
 def test_evaluate_pair_builds_the_interval_once(monkeypatch):
-    from scherk import params, scalar
+    # Only cli builds the interval record; scalar computes L and R alone.
     built = []
 
     def counted(p):
@@ -161,7 +161,6 @@ def test_evaluate_pair_builds_the_interval_once(monkeypatch):
         return params.admissible_interval(p)
 
     monkeypatch.setattr(cli, "admissible_interval", counted)
-    monkeypatch.setattr(scalar, "admissible_interval", counted)
     for a, b in [(0.6, 0.95), (0.5, 0.5), (1.0, 1.0),
                  (0.5, threshold_b0(0.5) + 1e-6)]:
         built.clear()
@@ -470,6 +469,9 @@ def test_certify(capsys):
     assert code == 0
     assert "20/9" in out and "49/9" in out
     assert "all entries nonnegative" in out
+    assert out.splitlines()[-5:] == [
+        f"identity {name}: proved"
+        for name in ("lower_band", "swap", "p_minus_r", "threshold", "h_r")]
 
 
 def test_certify_corrupt_negative_control(capsys, corrupt_expected):
@@ -481,6 +483,26 @@ def test_certify_corrupt_negative_control(capsys, corrupt_expected):
     code, _, err = run(capsys, "certify")
     assert code == 4
     assert "y[0][0]" in err
+
+
+def test_certify_names_a_failed_identity(capsys, monkeypatch):
+    # A wrong term in a shipped closed form breaks the identities that run
+    # it; the certificates still print and the exit code is 4.
+    interval_R = params.interval_R
+    monkeypatch.setattr(params, "interval_R",
+                        lambda A, B, k, e: interval_R(A, B, k, e) + A / 10)
+    code, out, _ = run(capsys, "certify")
+    assert code == 4 and "all entries nonnegative" in out
+    assert "identity swap: FAILED" in out
+    assert "identity p_minus_r: FAILED" in out
+    assert "identity lower_band: proved" in out
+    code, out, _ = run(capsys, "certify", "--json")
+    assert code == 4
+    doc = load(out)
+    assert doc["nonnegative"] is True
+    assert doc["identities"] == {"lower_band": True, "swap": False,
+                                 "p_minus_r": False, "threshold": True,
+                                 "h_r": True}
 
 
 # `certify` has no option to perturb an entry: any such argv is rejected.
@@ -504,6 +526,9 @@ def test_certify_json(capsys):
     assert doc["two_z"]["bidegree"] == [4, 4]
     assert doc["y"]["coeffs"][1][2] == "20/9"
     assert doc["two_z"]["coeffs"][2][2] == "49/9"
+    assert doc["identities"] == {"lower_band": True, "swap": True,
+                                 "p_minus_r": True, "threshold": True,
+                                 "h_r": True}
 
 
 def test_odd_command(capsys):

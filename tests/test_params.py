@@ -1,16 +1,12 @@
 import math
-from fractions import Fraction
 
 import pytest
 
+from scherk.bernstein import prove_identities
 from scherk.errors import DomainError
-from scherk.params import (admissible_interval, arc_alpha, domain_lemma_checks,
-                           from_ab, from_angles, interval_L, interval_R, mu,
-                           p_minus_r_closed_form, pole, threshold_b0)
-
-PYTHAGOREAN = [(Fraction(3, 5), Fraction(4, 5)),
-               (Fraction(5, 13), Fraction(12, 13)),
-               (Fraction(8, 17), Fraction(15, 17))]
+from scherk.params import (admissible_interval, arc_alpha, from_ab,
+                           from_angles, interval_L, interval_R, mu, pole,
+                           threshold_b0)
 
 
 def test_from_angles_right_angle_corner():
@@ -101,32 +97,44 @@ def test_interval_contains_half_when_nonempty(rng):
             assert iv.L <= 0.5 + 1e-15 <= iv.R + 2e-15
 
 
-def test_domain_lemma_checks_corner_and_generic():
-    rep = domain_lemma_checks(from_ab(1.0, 1.0))
-    assert rep.swap_residual == 0.0
-    assert rep.booleans_agree
-    assert abs(rep.p_minus_r) < 1e-15
+def _domain_lemma_floats(params):
+    """The float residual of 1 - R(A,B) = L(B,A), P - R, and whether
+    L <= R, L <= 1/2 and B >= B0(A) agree, all from `admissible_interval`."""
+    iv = admissible_interval(params)
+    A, B, kappa, epsilon = params[:4]
+    swap = 1.0 - iv.R - interval_L(B, A, epsilon, kappa)
+    agree = iv.nonempty == (iv.L <= 0.5) == (B >= iv.B0)
+    return swap, pole(params) - iv.R, agree
 
-    rep = domain_lemma_checks(from_ab(0.6, 0.95))
-    assert abs(rep.swap_residual) < 1e-12
-    assert rep.booleans_agree
-    assert rep.p_minus_r >= 0.0
-    assert abs(rep.p_minus_r_residual) < 1e-12
+
+def test_domain_lemma_checks_corner_and_generic():
+    swap, p_minus_r, agree = _domain_lemma_floats(from_ab(1.0, 1.0))
+    assert swap == 0.0 and agree
+    assert abs(p_minus_r) < 1e-15
+
+    swap, p_minus_r, agree = _domain_lemma_floats(from_ab(0.6, 0.95))
+    assert abs(swap) < 1e-12 and agree
+    A, B, _, epsilon = from_ab(0.6, 0.95)[:4]
+    closed = epsilon * (A * epsilon + A + B) / (A * B * (A + B) * (1 + epsilon))
+    assert p_minus_r >= 0.0 and abs(p_minus_r - closed) < 1e-12
 
 
 def test_boolean_characterizations_agree(rng):
+    # Exact arithmetic makes the three predicates one (the threshold
+    # identity); in floats they still agree on random pairs.
     for _ in range(10_000):
         a, b = rng.uniform(0.005, 1.0, 2)
-        rep = domain_lemma_checks(from_ab(float(a), float(b)))
-        assert rep.booleans_agree
+        assert _domain_lemma_floats(from_ab(float(a), float(b)))[2]
 
 
 def test_swap_residual_small_everywhere(rng):
     worst = 0.0
     for _ in range(10_000):
         a, b = rng.uniform(0.005, 1.0, 2)
-        rep = domain_lemma_checks(from_ab(float(a), float(b)))
-        worst = max(worst, abs(rep.swap_residual))
+        A, B, kappa, epsilon = from_ab(float(a), float(b))[:4]
+        swap = 1.0 - interval_R(A, B, kappa, epsilon) \
+            - interval_L(B, A, epsilon, kappa)
+        worst = max(worst, abs(swap))
     assert worst < 1e-12
 
 
@@ -140,13 +148,21 @@ def test_threshold_is_quadratic_root(rng):
 
 
 def test_exact_rational_identities():
-    for A, kappa in PYTHAGOREAN:
-        for B, epsilon in PYTHAGOREAN:
-            one = Fraction(1)
-            swap = one - interval_R(A, B, kappa, epsilon) \
-                - interval_L(B, A, epsilon, kappa)
-            assert swap == 0
-            P = (1 + A * B) / (B * (A + B))
-            pmr = P - interval_R(A, B, kappa, epsilon)
-            assert pmr == p_minus_r_closed_form(A, B, kappa, epsilon)
-            assert pmr >= 0
+    # The domain lemma, proved over all pairs on rational functions of the
+    # half-angle coordinates, from the package's own interval_L/R and pole.
+    proved = prove_identities()
+    assert proved["swap"] and proved["p_minus_r"] and proved["threshold"]
+
+
+@pytest.mark.parametrize("A", [0.05, 0.2, 0.5, 0.8, 0.99, 0.999, 0.999999])
+def test_threshold_curve_in_half_angle_coordinates(A):
+    # B = B0(A) is (x + y)^2 + x^2 y^2 = 1 with x = A/(1 + kappa), so
+    # y = (1 - x^2)/(x + sqrt(1 + x^2 - x^4)), where 1 - x^2 is
+    # kappa (1 + x^2), and B = 2y/(1 + y^2).  Near A = 1 threshold_b0
+    # cancels in -A(1 - kappa) + sqrt(disc), so the gap is bounded in ulps
+    # of 1 rather than of B0.
+    kappa = math.sqrt(1.0 - A * A)
+    x = A / (1.0 + kappa)
+    y = kappa * (1.0 + x * x) / (x + math.sqrt(1.0 + x * x - x ** 4))
+    b0 = threshold_b0(A, kappa)
+    assert abs(2.0 * y / (1.0 + y * y) - b0) <= 4 * math.ulp(1.0)

@@ -1,21 +1,16 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import named_check, random_admissible
 from oracles import mp_scalar_root
+from scherk.bernstein import prove_identities
 from scherk.errors import NoSignChange, NotAdmissible
 from scherk.params import (ScherkParams, admissible_interval, from_ab,
                            threshold_b0)
-from scherk.scalar import (barrier_chain_check, g_s, hr_identity_residual,
-                           solve_zero, solve_zero_block)
-
-PYTH = [(Fraction(3, 5), Fraction(4, 5)),
-        (Fraction(5, 13), Fraction(12, 13)),
-        (Fraction(8, 17), Fraction(15, 17))]
-PYTH += [(k, a) for (a, k) in PYTH]   # both orientations of each triple
+from scherk.scalar import (barrier_chain_check, g_s, solve_zero,
+                           solve_zero_block)
 
 
 def test_g_eval_equality_corner():
@@ -291,20 +286,12 @@ def test_derivative_inequality_examples():
 
 def test_barrier_chain_generic_pair():
     rep = barrier_chain_check(from_ab(0.6, 0.95))
-    assert rep.hr_identity_max_residual < 1e-12
     assert rep.u_star_ge_half
     assert rep.barrier_ok
     assert rep.hr_linear_ok and rep.hl_linear_ok
     assert abs(rep.swap_residual) < 1e-12
     if rep.g_at_u_star is not None:
         assert rep.g_at_u_star >= -1e-12
-
-
-@pytest.mark.parametrize("samples", [0, -3])
-def test_barrier_chain_needs_a_sample(samples):
-    with pytest.raises(ValueError, match="samples must be >= 1"):
-        barrier_chain_check(from_ab(0.6, 0.95), samples=samples)
-    assert barrier_chain_check(from_ab(0.6, 0.95), samples=1).root.U > 0
 
 
 def test_barrier_chain_equality_corner():
@@ -315,11 +302,10 @@ def test_barrier_chain_equality_corner():
     assert rep.hr_linear_ok and rep.hl_linear_ok
 
 
-def test_hr_identity_exact_on_pythagorean_rationals():
-    for (A, kappa) in PYTH:
-        for (B, epsilon) in PYTH:
-            for U in (Fraction(1, 2), Fraction(2, 5), Fraction(7, 13)):
-                assert hr_identity_residual(A, B, kappa, epsilon, U) == 0
+def test_hr_identity_exact():
+    # H_R = B*(2+A*B-A^2)*(P-U), behind barrier_chain_check, for all pairs
+    # and all U, proved on rational functions of (A, B).
+    assert prove_identities()["h_r"]
 
 
 def test_sharp_margin_on_grid():

@@ -1,22 +1,16 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import named_check, random_admissible
+from scherk.bernstein import prove_identities
 from scherk.errors import DomainError
 from scherk.harmonic import DiskPoint, solve_zero_point
 from scherk.params import from_ab
 from scherk.scalar import solve_zero
 from scherk.weierstrass import (GaussAutomorphism, log_subharmonicity_check,
-                                lower_identity_residual, wk_geometric,
-                                wk_scalar, zero_control_check)
-
-PYTH = [(Fraction(3, 5), Fraction(4, 5)),
-        (Fraction(5, 13), Fraction(12, 13)),
-        (Fraction(8, 17), Fraction(15, 17))]
-PYTH += [(k, a) for (a, k) in PYTH]   # both orientations of each triple
+                                wk_geometric, wk_scalar, zero_control_check)
 
 
 def test_wk_scalar_values():
@@ -79,18 +73,10 @@ def test_two_sided_band_random(rng):
         assert lo <= check.value <= hi
 
 
-def test_lower_identity_corners_and_random(rng):
-    assert lower_identity_residual(1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
-    assert lower_identity_residual(0.0, 0.0) == pytest.approx(0.0, abs=1e-14)
-    for _ in range(2000):
-        a, b = rng.uniform(0.0, 1.0, 2)
-        assert abs(lower_identity_residual(float(a), float(b))) < 1e-12
-
-
 def test_lower_identity_exact_rational():
-    for A, kappa in PYTH:
-        for B, epsilon in PYTH:
-            assert lower_identity_residual(A, B, kappa, epsilon) == 0
+    # 4(1+AB) - (A+B+B kappa+A eps)^2 = (kappa eps+kappa+eps-1-AB)^2 for
+    # all pairs, proved on rational functions of the half-angle coordinates.
+    assert prove_identities()["lower_band"]
 
 
 def test_zero_control_agrees_with_band(rng):
