@@ -1,12 +1,12 @@
 """Exact bivariate polynomials, Bernstein positivity certificates, and exact
 proofs of the parameter identities (`prove_identities`).
 
-All coefficients are fractions.Fraction; nothing here rounds.  A polynomial
-on [0,1]^2 whose Bernstein expansion at some bidegree has only nonnegative
-coefficients is nonnegative on the square (the basis functions are), so an
-all-nonnegative coefficient matrix is a positivity certificate.  The
-converse fails: a negative entry proves nothing, since the polynomial may
-still be nonnegative.
+All coefficients are int or Fraction, never float; nothing here rounds.
+A polynomial on [0,1]^2 whose Bernstein expansion at some bidegree has
+only nonnegative coefficients is nonnegative on the square (the basis
+functions are), so an all-nonnegative coefficient matrix is a positivity
+certificate.  The converse fails: a negative entry proves nothing, since
+the polynomial may still be nonnegative.
 
 The two certificates shipped with the package cover
 
@@ -29,114 +29,101 @@ from .errors import CertificateMismatch, DegreeError
 _F = Fraction
 
 
-def _as_fraction_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
-    out = []
-    width = None
-    for row in rows:
-        frow = tuple(Fraction(c) for c in row)
-        if width is None:
-            width = len(frow)
-        elif len(frow) != width:
-            raise ValueError("ragged coefficient matrix")
-        out.append(frow)
-    if not out or width == 0:
-        raise ValueError("empty coefficient matrix")
-    return tuple(out)
+def _exact(c):
+    """c as an int when it is whole, else as a Fraction (floats exactly)."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 @dataclass(frozen=True)
 class BiPoly:
-    """Bivariate polynomial sum a[i][j] * t^i * v^j with exact coefficients."""
+    """Bivariate polynomial sum c * t^i * v^j over its nonzero terms
+    {(i, j): c}.  Closed under + - * with ints and Fractions on either side
+    and under ** by a small integer, so `p.evaluate(1 - t, 1 - v)` on the
+    variables t, v is the substitution p(1-t, 1-v).  The terms are never
+    mutated after construction."""
 
-    coeffs: tuple[tuple[Fraction, ...], ...]
+    terms: dict[tuple[int, int], int | Fraction]
 
     @property
     def deg_t(self) -> int:
-        return len(self.coeffs) - 1
+        return max((i for i, _ in self.terms), default=0)
 
     @property
     def deg_v(self) -> int:
-        return len(self.coeffs[0]) - 1
+        return max((j for _, j in self.terms), default=0)
 
     @classmethod
     def from_coeffs(cls, rows) -> "BiPoly":
-        return cls(_as_fraction_rows(rows))
+        """sum rows[i][j] * t^i * v^j; each entry goes through Fraction."""
+        rows = [[_exact(c) for c in row] for row in rows]
+        widths = {len(row) for row in rows}
+        if len(widths) > 1:
+            raise ValueError("ragged coefficient matrix")
+        if widths in (set(), {0}):
+            raise ValueError("empty coefficient matrix")
+        return cls({(i, j): c for i, row in enumerate(rows)
+                    for j, c in enumerate(row) if c})
 
     @classmethod
     def constant(cls, c) -> "BiPoly":
-        return cls(((Fraction(c),),))
+        """c as a polynomial: the one coercion of a scalar coefficient."""
+        c = _exact(c)
+        return cls({(0, 0): c} if c else {})
 
     @classmethod
     def var_t(cls) -> "BiPoly":
-        return cls(((_F(0),), (_F(1),)))
+        return cls({(1, 0): 1})
 
     @classmethod
     def var_v(cls) -> "BiPoly":
-        return cls(((_F(0), _F(1)),))
+        return cls({(0, 1): 1})
 
-    def _padded(self, dt: int, dv: int):
-        rows = []
-        for i in range(dt + 1):
-            row = [_F(0)] * (dv + 1)
-            if i <= self.deg_t:
-                for j, c in enumerate(self.coeffs[i]):
-                    row[j] = c
-            rows.append(row)
-        return rows
+    def __add__(self, other) -> "BiPoly":
+        terms = dict(self.terms)
+        for key, c in _poly(other).terms.items():
+            c += terms.get(key, 0)
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
+        return BiPoly(terms)
 
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        dt = max(self.deg_t, other.deg_t)
-        dv = max(self.deg_v, other.deg_v)
-        a = self._padded(dt, dv)
-        b = other._padded(dt, dv)
-        return BiPoly(tuple(tuple(x + y for x, y in zip(ra, rb))
-                            for ra, rb in zip(a, b)))
+    def __sub__(self, other) -> "BiPoly":
+        return self + -1 * other
 
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-1) * other
+    def __rsub__(self, other) -> "BiPoly":
+        return -1 * self + other
 
-    def __mul__(self, other):
+    def __mul__(self, other) -> "BiPoly":
         if not isinstance(other, BiPoly):
-            c = Fraction(other)
-            return BiPoly(tuple(tuple(c * x for x in row)
-                                for row in self.coeffs))
-        dt = self.deg_t + other.deg_t
-        dv = self.deg_v + other.deg_v
-        acc = [[_F(0)] * (dv + 1) for _ in range(dt + 1)]
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c == 0:
-                    continue
-                for k, orow in enumerate(other.coeffs):
-                    for l, d in enumerate(orow):
-                        if d != 0:
-                            acc[i + k][j + l] += c * d
-        return BiPoly(tuple(tuple(r) for r in acc))
+            return self * BiPoly.constant(other)
+        terms = {}
+        for (i, j), c in self.terms.items():
+            for (k, l), d in other.terms.items():
+                key = (i + k, j + l)
+                terms[key] = terms.get(key, 0) + c * d
+        return BiPoly({key: c for key, c in terms.items() if c})
 
-    __rmul__ = __mul__
+    def __pow__(self, n: int) -> "BiPoly":
+        if n < 0:
+            raise ValueError(f"negative power {n} of a polynomial")
+        out = BiPoly.constant(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    __radd__, __rmul__ = __add__, __mul__
 
     def evaluate(self, t, v):
-        """Exact on Fraction arguments, ordinary float math otherwise."""
-        total = 0
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c != 0:
-                    total += c * t ** i * v ** j
-        return total
+        """Exact on Fraction or BiPoly arguments, float math on floats."""
+        return sum(c * t ** i * v ** j for (i, j), c in self.terms.items())
 
-    def reflect(self) -> "BiPoly":
-        """The polynomial p(1-t, 1-v), expanded exactly."""
-        dt, dv = self.deg_t, self.deg_v
-        acc = [[_F(0)] * (dv + 1) for _ in range(dt + 1)]
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c == 0:
-                    continue
-                for k in range(i + 1):
-                    ck = comb(i, k) * (-1) ** k
-                    for l in range(j + 1):
-                        acc[k][l] += c * ck * comb(j, l) * (-1) ** l
-        return BiPoly(tuple(tuple(r) for r in acc))
+
+def _poly(value) -> BiPoly:
+    return value if isinstance(value, BiPoly) else BiPoly.constant(value)
 
 
 @dataclass(frozen=True)
@@ -170,41 +157,28 @@ def to_bernstein(poly: BiPoly, m: int, n: int) -> BernsteinForm:
         raise DegreeError(
             f"bidegree ({m},{n}) below polynomial degree "
             f"({poly.deg_t},{poly.deg_v})")
-    a = poly.coeffs
-    rows = []
-    for i in range(m + 1):
-        row = []
-        for j in range(n + 1):
-            s = _F(0)
-            for k in range(min(i, poly.deg_t) + 1):
-                ck = _F(comb(i, k), comb(m, k))
-                for l in range(min(j, poly.deg_v) + 1):
-                    if a[k][l] != 0:
-                        s += ck * _F(comb(j, l), comb(n, l)) * a[k][l]
-            row.append(s)
-        rows.append(tuple(row))
-    return BernsteinForm(m=m, n=n, coeffs=tuple(rows))
+    return BernsteinForm(m=m, n=n, coeffs=tuple(
+        tuple(sum((_F(comb(i, k) * comb(j, l), comb(m, k) * comb(n, l)) * a
+                   for (k, l), a in poly.terms.items() if k <= i and l <= j),
+                  _F(0))
+              for j in range(n + 1))
+        for i in range(m + 1)))
 
 
-def poly_y() -> BiPoly:
-    """Y(A,B) = (2+AB-A^2)(2+AB-B^2) - 2(A+B), in the variables (A, B)."""
-    A = BiPoly.var_t()
-    B = BiPoly.var_v()
-    two = BiPoly.constant(2)
-    ca = two + A * B - A * A
-    cb = two + A * B - B * B
-    return ca * cb - 2 * (A + B)
+_T, _V = BiPoly.var_t(), BiPoly.var_v()
 
 
-def poly_two_z() -> BiPoly:
-    """2*Z(A,B) with Z = C*(2*(C-A-B) + (A+B)(1-AB)/2) - (5/2)(1-A^2)(1+AB)."""
-    A = BiPoly.var_t()
-    B = BiPoly.var_v()
-    one = BiPoly.constant(1)
-    c = BiPoly.constant(2) + A * B - A * A
-    inner = 2 * (c - A - B) + Fraction(1, 2) * ((A + B) * (one - A * B))
-    z = c * inner - Fraction(5, 2) * ((one - A * A) * (one + A * B))
-    return 2 * z
+def poly_y(A=_T, B=_V):
+    """Y(A,B) = (2+AB-A^2)(2+AB-B^2) - 2(A+B), by default in (t, v)."""
+    return (2 + A * B - A * A) * (2 + A * B - B * B) - 2 * (A + B)
+
+
+def poly_two_z(A=_T, B=_V):
+    """2*Z(A,B) with Z = C*(2*(C-A-B) + (A+B)(1-AB)/2) - (5/2)(1-A^2)(1+AB),
+    by default in (t, v); the factor 2 clears the halves."""
+    c = 2 + A * B - A * A
+    return c * (4 * (c - A - B) + (A + B) * (1 - A * B)) \
+        - 5 * (1 - A * A) * (1 + A * B)
 
 
 #: Expected Bernstein coefficients of Y(1-t, 1-v) at bidegree (3, 3).
@@ -254,8 +228,8 @@ def verify_appendix_certificates() -> CertificateReport:
     equality with the expected matrices plus nonnegativity of every entry.
     Raises CertificateMismatch naming the first bad entry.
     """
-    y_form = to_bernstein(poly_y().reflect(), 3, 3)
-    tz_form = to_bernstein(poly_two_z().reflect(), 4, 4)
+    y_form = to_bernstein(poly_y(1 - _T, 1 - _V), 3, 3)
+    tz_form = to_bernstein(poly_two_z(1 - _T, 1 - _V), 4, 4)
     _compare("y", y_form, CERT_Y_EXPECTED)
     _compare("2z", tz_form, CERT_2Z_EXPECTED)
 
@@ -288,7 +262,7 @@ class RationalFunction:
     den: BiPoly = BiPoly.constant(1)
 
     def vanishes(self) -> bool:
-        return not any(map(any, self.num.coeffs))
+        return not self.num.terms
 
     def __add__(self, other):
         other = _lift(other)
@@ -318,7 +292,7 @@ class RationalFunction:
 
 def _lift(value) -> RationalFunction:
     return value if isinstance(value, RationalFunction) \
-        else RationalFunction(BiPoly.constant(value))
+        else RationalFunction(_poly(value))
 
 
 def prove_identities() -> dict[str, bool]:
@@ -332,7 +306,7 @@ def prove_identities() -> dict[str, bool]:
     too.  h_r needs only kappa^2, epsilon^2 and U in {0, 1}, as it is linear
     in U, so it runs in plain (A, B).
     """
-    x, y = RationalFunction(BiPoly.var_t()), RationalFunction(BiPoly.var_v())
+    x, y = RationalFunction(_T), RationalFunction(_V)
     A, kappa = 2 * x / (1 + x * x), (1 - x * x) / (1 + x * x)
     B, epsilon = 2 * y / (1 + y * y), (1 - y * y) / (1 + y * y)
     L = params.interval_L(A, B, kappa, epsilon)

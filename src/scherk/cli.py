@@ -204,7 +204,7 @@ def evaluate_block(pairs: ScherkParams, tol: float = 1e-12) -> BlockRecord:
         status[idx[~found]] = NO_SIGN_CHANGE
         idx, U, S, pairs = idx[found], U[found], S[found], pairs.take(found)
         wks = weierstrass.wk_scalar_value(pairs, S)
-        M, N = scalar.g_s(pairs, ops.ARRAY)[2](U)
+        _, _, M, N = scalar.g_s(pairs, ops.ARRAY)(U)
         WK, D0, solved = harmonic.solve_zero_point_block(pairs, U, M, -N, tol)
     bad = np.flatnonzero((S <= 0.0) | (solved & (D0 <= 0.0)))
     if bad.size:

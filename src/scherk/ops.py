@@ -13,7 +13,7 @@ sin, sqrt, hypot and % match libm; elsewhere ARRAY follows CPython:
   puts r an ulp lower at (A, B) = (0.7181383713219818, 0.9574269277339676).
 Products group left to right on both, so `B * kappa * sin(x)` is
 `(B*kappa) * sin(x)`: a coefficient hoisted out of an evaluation, as in
-`scalar.g_s`, keeps every bit.
+`scalar.g_s`'s one closure for G, S, M and N, keeps every bit.
 """
 
 from __future__ import annotations

@@ -72,13 +72,12 @@ class BarrierChainReport:
 
 
 def g_s(pair, ops=FLOAT):
-    """G, S, U -> (M, N) and U -> (G, S) of a pair, or of a block on ARRAY.
+    """U -> (G, S, M, N) of a pair, or of a block on ARRAY.
 
-    `gs` forms M and N once for both values; S is only ever evaluated
-    through it.  The coefficients A + B, B*kappa and A*epsilon are hoisted,
-    as `B * kappa * sin(x)` evaluates as `(B*kappa) * sin(x)` anyway.  `g`
-    repeats G's formula, bit for bit, for the two endpoint values each
-    solve takes, where gs's three extra sines would be wasted.
+    One closure forms M and N once for all four values, so G has one
+    formula and S is only ever evaluated with it.  The coefficients A + B,
+    B*kappa and A*epsilon are hoisted, as `B * kappa * sin(x)` evaluates as
+    `(B*kappa) * sin(x)` anyway.
     """
     A, B, kappa, epsilon = pair.A, pair.B, pair.kappa, pair.epsilon
     P = pole(pair)
@@ -86,22 +85,12 @@ def g_s(pair, ops=FLOAT):
     ab, bk, ae = A + B, B * kappa, A * epsilon
     pi, cos, sin = math.pi, ops.cos, ops.sin
 
-    def mn(U):
-        return kappa * (P - U), epsilon * (U + shift)
-
-    def g(U):
-        M, N = mn(U)
-        return B * cos(pi * M) - A * cos(pi * N) - ab * cos(pi * U)
-
-    def gs(U):   # mn inlined: this is the Newton step's one evaluation
+    def evaluate(U):
         M, N = kappa * (P - U), epsilon * (U + shift)
         pm, pn, pu = pi * M, pi * N, pi * U
         return (B * cos(pm) - A * cos(pn) - ab * cos(pu),
-                ab * sin(pu) + bk * sin(pm) + ae * sin(pn))
-
-    def s(U):
-        return gs(U)[1]
-    return g, s, mn, gs
+                ab * sin(pu) + bk * sin(pm) + ae * sin(pn), M, N)
+    return evaluate
 
 
 def sigma(pair, ops=FLOAT):
@@ -123,8 +112,9 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12) -> ScalarZero:
     two at the ends.  A*B = 1 is an exact analytic branch (U = 1/2, S = 2),
     where floating-point root isolation would be pointless.  Only L and R
     of the admissible interval are computed here, and `L <= R` decides
-    admissibility as in `admissible_interval`.  Each Newton step evaluates
-    G and S together, and the record's S is the one evaluated at U.
+    admissibility as in `admissible_interval`.  Every evaluation, at the
+    ends and at each Newton step, gives G, S, M and N together, so the
+    record's S, M, N and residual all belong to the U it returns.
 
     Raises NotAdmissible for an empty interval and NoSignChange unless
     G(L) <= tol and G(R) >= -tol (NaN fails both; never silently clamped).
@@ -139,21 +129,22 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12) -> ScalarZero:
         raise NotAdmissible(
             f"empty admissible interval for A={params.A}, B={params.B}: "
             f"L={a} > R={b}")
-    g, s, mn, gs = g_s(params)
-    ga, gb = g(a), g(b)
+    evaluate = g_s(params)
 
-    def zero(U: float, S: float, residual: float, steps: int) -> ScalarZero:
-        M, N = mn(U)
-        return ScalarZero(U, M, N, M, -N, S, residual, steps)
+    def zero(U: float, at_U, steps: int) -> ScalarZero:
+        G, S, M, N = at_U
+        return ScalarZero(U, M, N, M, -N, S, abs(G), steps)
 
-    if a == b or b - a < _DEGENERATE_WIDTH:
+    if b - a < _DEGENERATE_WIDTH:
         mid = 0.5 * (a + b)
-        gm, sm = gs(mid)
-        if abs(gm) <= tol:
-            return zero(mid, sm, abs(gm), 1)
+        at_mid = evaluate(mid)
+        if abs(at_mid[0]) <= tol:
+            return zero(mid, at_mid, 1)
         raise NoSignChange(
             f"degenerate interval at A={params.A}, B={params.B} with "
-            f"|G| = {abs(gm)} > tol")
+            f"|G| = {abs(at_mid[0])} > tol")
+    at_a, at_b = evaluate(a), evaluate(b)
+    ga, gb = at_a[0], at_b[0]
     if not ga <= tol:   # NaN included
         raise NoSignChange(
             f"G(L) = {ga} is not <= tol at A={params.A}, B={params.B}")
@@ -161,14 +152,15 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12) -> ScalarZero:
         raise NoSignChange(
             f"G(R) = {gb} is not >= -tol at A={params.A}, B={params.B}")
     if ga > 0.0:
-        return zero(a, s(a), abs(ga), 0)
+        return zero(a, at_a, 0)
     if gb < 0.0:
-        return zero(b, s(b), abs(gb), 0)
+        return zero(b, at_b, 0)
 
     lo, hi = a, b
     u = 0.5 * (a + b)
     for steps in range(1, _MAX_STEPS + 1):
-        gu, su = gs(u)
+        at_u = evaluate(u)
+        gu, su, _, _ = at_u
         if gu == 0.0:
             break
         if gu < 0.0:
@@ -178,10 +170,10 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12) -> ScalarZero:
         du = gu / (math.pi * su) if su > 0.0 else math.inf
         if abs(du) <= _STEP_ULPS * math.ulp(u):
             u_last = u - du
-            g_last, s_last = gs(u_last)
+            at_last = evaluate(u_last)
             steps += 1
-            if abs(g_last) < abs(gu):
-                u, gu, su = u_last, g_last, s_last
+            if abs(at_last[0]) < abs(gu):
+                u, at_u = u_last, at_last
             break
         u_next = u - du
         if not lo < u_next < hi:
@@ -190,8 +182,8 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12) -> ScalarZero:
                 break
         u = u_next
     else:   # the last step moved u past its evaluation
-        su = s(u)
-    return zero(u, su, abs(gu), steps)
+        at_u = evaluate(u)
+    return zero(u, at_u, steps)
 
 
 def solve_zero_block(pairs: ScherkParams, L, R, tol: float):
@@ -201,12 +193,13 @@ def solve_zero_block(pairs: ScherkParams, L, R, tol: float):
     import numpy as np
     from .ops import ARRAY
 
-    g, s, _, gs = g_s(pairs, ARRAY)
+    evaluate = g_s(pairs, ARRAY)
     corner = (pairs.A == 1.0) & (pairs.B == 1.0)
-    ga, gb = g(L), g(R)
+    ga, gb = evaluate(L)[0], evaluate(R)[0]
     centre = 0.5 * (L + R)
-    degenerate = (L == R) | (R - L < _DEGENERATE_WIDTH)
-    refused = ~corner & ~np.where(degenerate, np.abs(g(centre)) <= tol,
+    degenerate = R - L < _DEGENERATE_WIDTH
+    refused = ~corner & ~np.where(degenerate,
+                                  np.abs(evaluate(centre)[0]) <= tol,
                                   (ga <= tol) & (gb >= -tol))
     newton = ~(corner | degenerate | refused | (ga > 0.0) | (gb < 0.0))
     lo, hi, u = L, R, centre
@@ -216,7 +209,7 @@ def solve_zero_block(pairs: ScherkParams, L, R, tol: float):
     for _ in range(_MAX_STEPS):
         if not active.any():
             break
-        gx, sx = gs(u)
+        gx, sx, _, _ = evaluate(u)
         steps += active
         gu = np.where(active, gx, gu)
         below = gx < 0.0
@@ -235,10 +228,11 @@ def solve_zero_block(pairs: ScherkParams, L, R, tol: float):
         u = np.where(active, u_next, u)
     u_last = u - du
     steps += last_step
-    u = np.where(last_step & (np.abs(g(u_last)) < np.abs(gu)), u_last, u)
+    u = np.where(last_step & (np.abs(evaluate(u_last)[0]) < np.abs(gu)),
+                 u_last, u)
     U = np.select([corner, degenerate, ga > 0.0, gb < 0.0],
                   [0.5, centre, L, R], u)
-    return U, np.where(corner, 2.0, s(U)), ~refused, steps
+    return U, np.where(corner, 2.0, evaluate(U)[1]), ~refused, steps
 
 
 def barrier_chain_check(params: ScherkParams,
@@ -256,6 +250,7 @@ def barrier_chain_check(params: ScherkParams,
     k, e = params.kappa, params.epsilon
     R = interval_R(A, B, k, e)
     zero = solve_zero(params, tol)
+    evaluate = g_s(params)
 
     bound = sigma(params)
     c_factor = 2.0 + A * B - A * A
@@ -265,7 +260,7 @@ def barrier_chain_check(params: ScherkParams,
     g_at_u_star = None
     barrier_ok = True
     if u_star < R:
-        g_at_u_star = g_s(params)[0](u_star)
+        g_at_u_star = evaluate(u_star)[0]
         barrier_ok = g_at_u_star >= -slack
 
     def _h(front: float) -> float:
@@ -275,7 +270,7 @@ def barrier_chain_check(params: ScherkParams,
     hl_at_root = _h(zero.U)
 
     swapped = from_ab(B, A)
-    swap_residual = g_s(swapped)[0](1.0 - zero.U) + g_s(params)[0](zero.U)
+    swap_residual = g_s(swapped)(1.0 - zero.U)[0] + evaluate(zero.U)[0]
 
     return BarrierChainReport(
         sigma=bound,

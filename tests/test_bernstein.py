@@ -19,6 +19,85 @@ def random_bipoly(rng, deg_t, deg_v):
     return BiPoly.from_coeffs(rows)
 
 
+def sparse_bipoly(rng, deg_t, deg_v):
+    # About half the entries are zero, so sums and products cancel terms.
+    rows = [[F(int(rng.integers(-3, 4)), int(rng.integers(1, 5)))
+             * int(rng.integers(0, 2))
+             for _ in range(deg_v + 1)] for _ in range(deg_t + 1)]
+    return BiPoly.from_coeffs(rows)
+
+
+def random_point(rng):
+    return (F(int(rng.integers(-20, 21)), int(rng.integers(1, 13))),
+            F(int(rng.integers(-20, 21)), int(rng.integers(1, 13))))
+
+
+def exact_and_sparse(p):
+    return all(type(c) in (int, F) and c != 0 for c in p.terms.values())
+
+
+def test_substitution_agrees_with_evaluation(rng):
+    # p(1-t, 1-v), formed by evaluating p at polynomials, takes the value
+    # p(1-a, 1-b) at every point (a, b).
+    t, v = BiPoly.var_t(), BiPoly.var_v()
+    for _ in range(50):
+        p = sparse_bipoly(rng, int(rng.integers(0, 5)),
+                          int(rng.integers(0, 5)))
+        reflected = p.evaluate(1 - t, 1 - v)
+        assert isinstance(reflected, BiPoly) and exact_and_sparse(reflected)
+        assert reflected.deg_t <= p.deg_t and reflected.deg_v <= p.deg_v
+        for _ in range(5):
+            a, b = random_point(rng)
+            assert reflected.evaluate(a, b) == p.evaluate(1 - a, 1 - b)
+        assert reflected.evaluate(1 - t, 1 - v) == p
+
+
+def test_evaluation_is_a_ring_homomorphism(rng):
+    for _ in range(100):
+        p, q = (sparse_bipoly(rng, int(rng.integers(0, 4)),
+                              int(rng.integers(0, 4))) for _ in range(2))
+        c = F(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+        k = int(rng.integers(0, 4))
+        a, b = random_point(rng)
+        pa, qa = p.evaluate(a, b), q.evaluate(a, b)
+        for r, value in ((p + q, pa + qa), (p - q, pa - qa),
+                         (p * q, pa * qa), (c * p, c * pa), (p * c, pa * c),
+                         (c + p, c + pa), (p - c, pa - c), (c - p, c - pa),
+                         (3 * p - q, 3 * pa - qa), (p ** k, pa ** k)):
+            assert exact_and_sparse(r)
+            assert r.evaluate(a, b) == value
+        assert (p - p).terms == {} and (0 * q).terms == {}
+    with pytest.raises(ValueError):
+        BiPoly.var_t() ** -1
+
+
+def test_trailing_zero_rows_and_columns_are_trimmed():
+    padded = BiPoly.from_coeffs([[1, "1/2", 0], [0, 3, 0], [0, 0, 0]])
+    trimmed = BiPoly.from_coeffs([[1, F(1, 2)], [0, 3]])
+    assert padded == trimmed
+    assert (padded.deg_t, padded.deg_v) == (1, 1)
+    assert to_bernstein(padded, 1, 1) == to_bernstein(trimmed, 1, 1)
+    zero = BiPoly.from_coeffs([[0, 0], [0, 0]])
+    assert zero.terms == {} and (zero.deg_t, zero.deg_v) == (0, 0)
+    assert to_bernstein(zero, 0, 0).coeffs == ((0,),)
+
+
+def test_from_coeffs_coerces_exactly():
+    p = BiPoly.from_coeffs([[0.5, "2/3", F(4, 2), 7]])
+    assert p.terms == {(0, 0): F(1, 2), (0, 1): F(2, 3), (0, 2): 2,
+                       (0, 3): 7}
+    assert type(p.terms[(0, 2)]) is int and exact_and_sparse(p)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 2], [3]], "ragged"), ([[1], [2, 3]], "ragged"),
+    ([], "empty"), ([[]], "empty"), ([[], []], "empty"),
+])
+def test_from_coeffs_rejects_ragged_and_empty(rows, message):
+    with pytest.raises(ValueError, match=message):
+        BiPoly.from_coeffs(rows)
+
+
 def test_constant_partition_of_unity():
     one = BiPoly.constant(1)
     for m, n in ((0, 0), (3, 2), (5, 5)):

@@ -579,20 +579,33 @@ def test_odd_extremal_golden_output(capsys, seed):
     assert out == golden.read_text()
 
 
-def test_pair_commands_golden_output(capsys):
-    # `check` and `zero` on the committed argv sets, byte for byte.  Each
-    # case in the file is "$ <argv>", "exit <code>" and the command's stdout;
-    # the argv sets cover interior pairs, the (1, 1) corner, the slow
-    # bisection at A = 1, the endpoint and degenerate-interval branches,
-    # not_admissible, non_convergence, --p/--q, --tol/--slack and bad input.
-    # The CI step that diffs the file writes it in the same form.
-    golden = (Path(__file__).parent / "data" / "pair_commands.txt").read_text()
+def _replay_golden(capsys, name):
+    """Run every case of tests/data/<name> and compare it byte for byte.
+    Each case is "$ <argv>", "exit <code>" and the command's stdout; the
+    CI steps that diff these files write them in the same form.  Returns
+    the number of cases."""
+    golden = (Path(__file__).parent / "data" / name).read_text()
     head, *cases = golden.split("$ ")
-    assert head == "" and len(cases) >= 50
+    assert head == ""
     for case in cases:
         argv = case.partition("\n")[0]
         code, out, _ = run(capsys, *argv.split())
         assert f"{argv}\nexit {code}\n{out}" == case, argv
+    return len(cases)
+
+
+def test_pair_commands_golden_output(capsys):
+    # `check` and `zero` on the committed argv sets.  They cover interior
+    # pairs, the (1, 1) corner, the slow bisection at A = 1, the endpoint
+    # and degenerate-interval branches, not_admissible, non_convergence,
+    # --p/--q, --tol/--slack and bad input.
+    assert _replay_golden(capsys, "pair_commands.txt") >= 50
+
+
+def test_certify_golden_output(capsys):
+    # `certify` and `certify --json`: both certificate matrices, their
+    # minima and every identity proof.
+    assert _replay_golden(capsys, "certify.txt") == 2
 
 
 def test_odd_rejects_zero_trials(capsys):

@@ -14,53 +14,33 @@ from scherk.scalar import (barrier_chain_check, g_s, solve_zero,
 
 
 def test_g_eval_equality_corner():
-    g, _, mn, _ = g_s(from_ab(1.0, 1.0))
-    m, n = mn(0.5)
-    assert abs(g(0.5)) < 1e-15   # (A+B)*cos(pi/2) rounds to ~1e-16
+    g, _, m, n = g_s(from_ab(1.0, 1.0))(0.5)
+    assert abs(g) < 1e-15   # (A+B)*cos(pi/2) rounds to ~1e-16
     assert m == 0.0 and n == 0.0
 
 
 @pytest.mark.parametrize("a", [0.3, 0.5, 0.7, 0.95, 1.0])
 def test_g_vanishes_at_half_for_symmetric_pairs(a):
-    g, _, mn, _ = g_s(from_ab(a, a))
-    m, n = mn(0.5)
-    assert abs(g(0.5)) < 1e-14
+    g, _, m, n = g_s(from_ab(a, a))(0.5)
+    assert abs(g) < 1e-14
     assert m == pytest.approx(n, abs=1e-14)
 
 
 def test_g_eval_frozen_value():
     # 50-digit evaluation of the three cosine terms.
-    g = g_s(from_ab(0.6, 0.95))[0](0.5)
+    g = g_s(from_ab(0.6, 0.95))(0.5)[0]
     assert g == pytest.approx(-0.096698030138343262333, abs=1e-14)
 
 
 def test_s_eval_values():
-    assert g_s(from_ab(1.0, 1.0))[1](0.5) == pytest.approx(2.0, abs=1e-15)
+    assert g_s(from_ab(1.0, 1.0))(0.5)[1] == pytest.approx(2.0, abs=1e-15)
     # Symmetric closed form S = 2A + 2*A*kappa*sin(pi*kappa/(2A^2)).
     a = 0.95
     k = math.sqrt(1 - a * a)
     closed = 2 * a + 2 * a * k * math.sin(math.pi * k / (2 * a * a))
-    s = g_s(from_ab(a, a))[1](0.5)
+    s = g_s(from_ab(a, a))(0.5)[1]
     assert s == pytest.approx(closed, abs=1e-14)
     assert s == pytest.approx(2.2067874442598013117, abs=1e-13)
-
-
-def test_fused_g_matches_the_endpoint_g(rng):
-    # g repeats the G of gs(u) for the endpoint values; the two must keep
-    # the same bits, on one pair's floats and on a block, which the sweep
-    # solves.
-    from scherk.ops import ARRAY
-    pairs = random_admissible(rng, 40)
-    ivs = [admissible_interval(params) for params in pairs]
-    for params, iv in zip(pairs, ivs):
-        g, _, _, gs = g_s(params)
-        for u in rng.uniform(iv.L, iv.R, 8).tolist() + [iv.L, iv.R]:
-            assert repr(gs(u)[0]) == repr(g(u)), (params, u)
-    block = ScherkParams(*(np.array(values) for values in zip(*pairs)))
-    g, _, _, gs = g_s(block, ARRAY)
-    for _ in range(8):
-        u = rng.uniform([iv.L for iv in ivs], [iv.R for iv in ivs])
-        assert gs(u)[0].tobytes() == g(u).tobytes()
 
 
 def test_solve_zero_refuses_exactly_the_empty_intervals():
@@ -146,7 +126,7 @@ def test_solve_zero_degenerate_interval():
     iv = admissible_interval(params)
     assert 0.0 <= iv.R - iv.L < 1e-12
     z = solve_zero(params)
-    assert abs(g_s(params)[0](z.U)) <= 1e-12
+    assert abs(g_s(params)(z.U)[0]) <= 1e-12
 
 
 def test_solve_zero_rejects_nonpositive_tol():
@@ -174,9 +154,9 @@ def _iterated(params) -> bool:
     """True where the zero comes from the Newton iteration: a sign change
     strictly inside a non-degenerate [L, R], not one of its branches."""
     iv = admissible_interval(params)
-    g = g_s(params)[0]
+    evaluate = g_s(params)
     return (iv.R - iv.L >= 1e-15 and not params.A == params.B == 1.0
-            and g(iv.L) <= 0.0 <= g(iv.R))
+            and evaluate(iv.L)[0] <= 0.0 <= evaluate(iv.R)[0])
 
 
 def test_newton_steps_on_the_grid_match_the_block_solver():
@@ -227,14 +207,28 @@ def test_zero_does_not_depend_on_tol(rng):
         assert fine.steps == coarse.steps
 
 
+def test_step_limit_record_describes_its_u(monkeypatch, rng):
+    # A solve cut by the step limit evaluates once more at the U it
+    # returns, so its residual, S, M and N all belong to that U.
+    monkeypatch.setattr("scherk.scalar._MAX_STEPS", 2)
+    cut = 0
+    for params in random_admissible(rng, 100):
+        z = solve_zero(params)
+        g, s, m, n = g_s(params)(z.U)
+        assert (z.residual, z.S, z.M, z.N, z.V, z.T) == (abs(g), s, m, n,
+                                                         m, -n)
+        cut += z.steps == 2
+    assert cut > 50
+
+
 def test_monotonicity_on_admissible_interval(rng):
     for params in random_admissible(rng, 1000):
         iv = admissible_interval(params)
         u1, u2 = sorted(rng.uniform(iv.L, iv.R, 2))
         if u1 == u2:
             continue
-        g = g_s(params)[0]
-        assert g(u1) < g(u2) + 1e-15
+        evaluate = g_s(params)
+        assert evaluate(u1)[0] < evaluate(u2)[0] + 1e-15
 
 
 def test_root_bracketing_and_mn_bounds(rng):
@@ -254,9 +248,9 @@ def test_derivative_matches_finite_difference(rng):
         iv = admissible_interval(params)
         u = float(rng.uniform(iv.L + h, iv.R - h)) if iv.R - iv.L > 2 * h \
             else 0.5
-        g, s, _, _ = g_s(params)
-        fd = (g(u + h) - g(u - h)) / (2 * h)
-        exact = math.pi * s(u)
+        evaluate = g_s(params)
+        fd = (evaluate(u + h)[0] - evaluate(u - h)[0]) / (2 * h)
+        exact = math.pi * evaluate(u)[1]
         assert fd == pytest.approx(exact, rel=1e-7)
 
 
@@ -265,8 +259,8 @@ def test_swap_relation_between_roots(rng):
     for params in random_admissible(rng, 200, margin=1e-6):
         z = solve_zero(params, tol)
         swapped = from_ab(params.B, params.A)
-        g_sw = g_s(swapped)[0](1.0 - z.U)
-        assert abs(g_sw + g_s(params)[0](z.U)) < 1e-12
+        g_sw = g_s(swapped)(1.0 - z.U)[0]
+        assert abs(g_sw + g_s(params)(z.U)[0]) < 1e-12
         z_sw = solve_zero(swapped, tol)
         assert abs(z_sw.U - (1.0 - z.U)) < 2 * 1e-9
 
