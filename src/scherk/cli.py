@@ -200,11 +200,12 @@ def evaluate_block(pairs: ScherkParams, tol: float = 1e-12) -> BlockRecord:
         L, R = interval_L(*pairs[:4]), interval_R(*pairs[:4])   # A..epsilon
         idx = np.flatnonzero(L <= R)
         pairs = pairs.take(idx)
-        U, S, found, _ = scalar.solve_zero_block(pairs, L[idx], R[idx], tol)
+        U, (S, M, N), found, _ = scalar.solve_zero_block(pairs, L[idx],
+                                                          R[idx], tol)
         status[idx[~found]] = NO_SIGN_CHANGE
-        idx, U, S, pairs = idx[found], U[found], S[found], pairs.take(found)
+        idx, pairs = idx[found], pairs.take(found)
+        U, S, M, N = U[found], S[found], M[found], N[found]
         wks = weierstrass.wk_scalar_value(pairs, S)
-        _, _, M, N = scalar.g_s(pairs, ops.ARRAY)(U)
         WK, D0, solved = harmonic.solve_zero_point_block(pairs, U, M, -N, tol)
     bad = np.flatnonzero((S <= 0.0) | (solved & (D0 <= 0.0)))
     if bad.size:

@@ -32,9 +32,9 @@ stream, keyed by its seed; `_splitmix64_draws` computes all draws of all
 streams in one pass of uint64 array arithmetic.  Each lift is certified
 nondecreasing from its coefficients, and a lift with m modes is formed only
 where S1 reads it: h' points per half-period, the smallest power of two
->= 64 m (at most N/2), where the trapezoid rule is already exact (see
-`random_odd_S1`).  `random_odd_lift` and `fourier_S1` run the same helpers
-on a single lift, on the full grid.
+>= 12 m + 16 (at most N/2), where the trapezoid rule is already exact to
+< 5e-29 (see `random_odd_S1`).  `random_odd_lift` and `fourier_S1` run the
+same helpers on a single lift, on the full grid.
 """
 
 from __future__ import annotations
@@ -274,8 +274,9 @@ def _s1_rows(theta: np.ndarray) -> np.ndarray:
 
 
 def _s1_points(n: int, modes: int) -> int:
-    """Half-period points for S1: the least 2^j >= 64 modes, at most n/2."""
-    return min(1 << (64 * modes - 1).bit_length(), n // 2)
+    """Half-period points for S1: the least 2^j >= 12 modes + 16, at most
+    n/2 (the bound is in `random_odd_S1`)."""
+    return min(1 << (12 * modes + 15).bit_length(), n // 2)
 
 
 def random_odd_lift(seed: int, modes: int, amplitude: float,
@@ -303,16 +304,17 @@ def random_odd_S1(seeds, modes, amplitude: float,
     samples pass the `OddLift` step rule too.
 
     S1 from h' points per half-period is exact.  The certificate gives
-    phi = theta - t with sum_k 2k a_k <= 0.95, so on
-    Im t = +-1/(2m), where sinh(k/m) <= (k/m) sinh 1,
-    |Im phi| <= 0.95 sinh(1)/(2m) < 0.56.  The pi-periodic integrands
+    phi = theta - t with sum_k 2k |a_k| <= 0.95 (+1e-12), so on the strip
+    Im t = +-3/m, where sinh(6k/m) <= (k/m) sinh 6 for k <= m,
+    |Im phi| <= 0.95 sinh(6)/(2m) < 96/m.  The pi-periodic integrands
     e^{i phi} (for c_1) and e^{i(phi + 2t)} (for c_-1) thus have Fourier
-    coefficients at e^{2ijt} of modulus at most e^{0.56} e^{-(|j| - 1)/m},
+    coefficients at e^{2ijt} of modulus at most e^{96/m} e^{-6(|j| - 1)/m},
     and the h'-point trapezoid sum differs from the exact mean only by the
-    aliased ones, j = +-h', +-2h', ...: about
-    2 e^{0.56} e^{-(h' - 1)/m} <= 3.5 e^{-63} < 2e-27.  The full grid is no
-    closer, so both sums are exact up to rounding.  The bound holds for
-    certified lifts only, not for `extremal_sequence`.
+    aliased ones, j = +-h', +-2h', ...  As h' >= 12m + 16, 6h'/m >= 72 +
+    96/m and their sum is at most 2 e^{-66}/(1 - e^{-72}) < 5e-29 for
+    every m >= 1.  The full grid is no closer, so both sums are exact up to
+    rounding.  The bound holds for certified lifts only, not for
+    `extremal_sequence`.
     """
     _check_grid(n)
     modes = _mode_counts(modes)

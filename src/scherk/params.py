@@ -72,11 +72,20 @@ def interval_R(A, B, kappa, epsilon):
 
 
 def threshold_b0(A: float, kappa: float | None = None) -> float:
-    """Positive root of (1+kappa)*B^2 + A*(1-kappa)*B - 2*kappa in B."""
+    """Positive root of (1+kappa)*B^2 + A*(1-kappa)*B - 2*kappa in B.
+
+    In the half-angle coordinates x = tan(p/2) = A/(1 + kappa) and
+    y = tan((q - p)/2) the curve B = B0(A) is (x + y)^2 + x^2 y^2 = 1.
+    Its root y = (1 - x^2)/(x + sqrt(1 + x^2 - x^4)), with 1 - x^2 written
+    kappa (1 + x^2), has no cancellation, and B0 = 2y/(1 + y^2) is within
+    a few ulps of the exact root.  The quadratic's own form
+    -A(1 - kappa) + sqrt(disc) cancels near A = 1 (~800 ulps at 0.999).
+    """
     if kappa is None:
         kappa = cos_from_sin(A)
-    disc = A * A * (1 - kappa) ** 2 + 8 * kappa * (1 + kappa)
-    return (-A * (1 - kappa) + math.sqrt(disc)) / (2 * (1 + kappa))
+    x = A / (1 + kappa)
+    y = kappa * (1 + x * x) / (x + math.sqrt(1 + x * x - x ** 4))
+    return 2 * y / (1 + y * y)
 
 
 def arc_alpha(pair, ops=FLOAT):
@@ -174,8 +183,9 @@ def admissible_interval(params: ScherkParams) -> AdmissibleInterval:
 
     `L <= R` is the one admissibility predicate; B >= B0(A) and L <= 1/2
     are equivalent to it in exact arithmetic only.  Within a few ulps of
-    B0(A) rounding decides it: at B = B0(0.2) exactly, L = 0.5000000000000001
-    and R = 0.4999999999999956, so that pair is not admissible.
+    B0(A) rounding decides it: at B = 0.9938643518264029, one ulp below the
+    double nearest B0(0.2), L = 0.5000000000000001 and R =
+    0.4999999999999956, so that pair is not admissible.
     """
     A, B, kappa, epsilon = params[:4]
     L = interval_L(A, B, kappa, epsilon)

@@ -187,9 +187,10 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12) -> ScalarZero:
 
 
 def solve_zero_block(pairs: ScherkParams, L, R, tol: float):
-    """(U, S, found, steps) of `solve_zero` on a block of admissible pairs,
-    by the first branch that applies; `found` is False where it raises.
-    The Newton iteration makes the same decisions per pair under masks."""
+    """(U, (S, M, N), found, steps) of `solve_zero` on a block of
+    admissible pairs, by the first branch that applies; `found` is False
+    where it raises.  The Newton iteration makes the same decisions per
+    pair under masks.  S, M and N come from one evaluation at U."""
     import numpy as np
     from .ops import ARRAY
 
@@ -232,7 +233,8 @@ def solve_zero_block(pairs: ScherkParams, L, R, tol: float):
                  u_last, u)
     U = np.select([corner, degenerate, ga > 0.0, gb < 0.0],
                   [0.5, centre, L, R], u)
-    return U, np.where(corner, 2.0, evaluate(U)[1]), ~refused, steps
+    _, S, M, N = evaluate(U)
+    return U, (np.where(corner, 2.0, S), M, N), ~refused, steps
 
 
 def barrier_chain_check(params: ScherkParams,

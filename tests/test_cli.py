@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -77,13 +78,14 @@ def test_check_bad_inputs(capsys):
 
 
 def test_check_on_the_threshold_curve_is_decided_by_rounding(capsys):
-    # At B = B0(0.2) exactly, L lands one ulp above 1/2 and R below it.
-    b = threshold_b0(0.2)
+    # At B = 0.9938643518264029, one ulp below the double nearest B0(0.2),
+    # L lands one ulp above 1/2 and R below it.
+    b = 0.9938643518264029
     code, out, _ = run(capsys, "check", "--A", "0.2", "--B", repr(b))
     assert code == 2
     rec = load(out)
     assert rec["status"] == "not_admissible" and rec["admissible"] is False
-    assert rec["B0"] == b
+    assert rec["B0"] == threshold_b0(0.2) == 0.9938643518264031
     assert rec["L"] == 0.5000000000000001 and rec["R"] == 0.4999999999999956
 
 
@@ -324,18 +326,18 @@ def test_block_evaluator_matches_evaluate_pair_on_grids(grid, mode):
 
 
 def test_block_evaluator_matches_evaluate_pair_on_edge_pairs():
-    # The corner, a pair on B0(A) that rounding makes not admissible, a
-    # refused zero point and two solved ones near B0(A), then pairs whose
-    # scalar zero comes from the G(L) > 0 end, the degenerate-interval
-    # midpoint and the G(R) < 0 end of `solve_zero`.  Then three pairs on
-    # which the paths part by an ulp if `math.hypot`, x*x or numpy's arctan
-    # stands in for libm's hypot, pow or atan, a B so small that alpha
-    # rounds to pi, and one so small that P overflows.  Last, two pairs on
-    # which Newton steps leave the bracket [L, R] and bisection steps
-    # stand in: three times at (0.005, 1), ten times at (1, 1e-9), whose
-    # zero point then misses its measures.
+    # The corner, a pair within an ulp of B0(A) that rounding makes not
+    # admissible, a refused zero point and two solved ones near B0(A), then
+    # pairs whose scalar zero comes from the G(L) > 0 end, the
+    # degenerate-interval midpoint and the G(R) < 0 end of `solve_zero`.
+    # Then three pairs on which the paths part by an ulp if `math.hypot`,
+    # x*x or numpy's arctan stands in for libm's hypot, pow or atan, a B so
+    # small that alpha rounds to pi, and one so small that P overflows.
+    # Last, two pairs on which Newton steps leave the bracket [L, R] and
+    # bisection steps stand in: three times at (0.005, 1), ten times at
+    # (1, 1e-9), whose zero point then misses its measures.
     params = [from_ab(a, b) for a, b in [
-        (1.0, 1.0), (0.2, threshold_b0(0.2)),
+        (1.0, 1.0), (0.2, 0.9938643518264029),
         (0.5, threshold_b0(0.5) + 1e-6), (0.52, 0.94), (0.94, 0.52),
         (0.08603685184259213, 0.9989909331760518),
         (0.09, 0.9988913694662622),
@@ -575,6 +577,20 @@ def test_odd_extremal_golden_output(capsys, seed):
         f"odd_trials1000_extremal_seed{seed}.txt"
     code, out, _ = run(capsys, "odd", "--trials", "1000", "--extremal",
                        "--seed", str(seed))
+    assert code == 0
+    assert out == golden.read_text()
+
+
+@pytest.mark.parametrize("trials, seed", [(20, 2 ** 128), (4, 2 ** 64 - 2)])
+def test_odd_multiword_seed_golden_output(capsys, trials, seed):
+    # Seeds of three 64-bit words and across the 2^64 word boundary, with
+    # uint64 overflow warnings as errors, print the committed files.
+    golden = Path(__file__).parent / "data" / \
+        f"odd_trials{trials}_seed{seed}.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run(capsys, "odd", "--trials", str(trials),
+                           "--seed", str(seed))
     assert code == 0
     assert out == golden.read_text()
 

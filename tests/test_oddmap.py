@@ -5,6 +5,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -294,17 +295,19 @@ def test_certificate_implies_the_full_grid_step_rule(modes):
 
 
 @pytest.mark.parametrize("n, modes, points", [
-    (oddmap.DEFAULT_GRID, 1, 64), (oddmap.DEFAULT_GRID, 3, 256),
-    (oddmap.DEFAULT_GRID, 5, 512), (oddmap.DEFAULT_GRID, 8, 512),
-    (oddmap.DEFAULT_GRID, 32, 2048), (oddmap.DEFAULT_GRID, 40, 4096),
-    (1024, 8, 512), (1024, 16, 512), (8, 1, 4)])
+    (oddmap.DEFAULT_GRID, 1, 32), (oddmap.DEFAULT_GRID, 3, 64),
+    (oddmap.DEFAULT_GRID, 4, 64), (oddmap.DEFAULT_GRID, 5, 128),
+    (oddmap.DEFAULT_GRID, 8, 128), (oddmap.DEFAULT_GRID, 20, 256),
+    (oddmap.DEFAULT_GRID, 21, 512), (oddmap.DEFAULT_GRID, 32, 512),
+    (oddmap.DEFAULT_GRID, 40, 512), (1024, 8, 128), (1024, 16, 256),
+    (64, 8, 32), (8, 1, 4)])
 def test_random_odd_S1_point_count(monkeypatch, n, modes, points):
-    # Each lift's S1 reads the least 2^j >= 64 m samples per half-period,
-    # m its own mode count, or all n/2 of them when there are fewer: the
-    # two 1-mode lifts read 64 points, the `modes` lift `points`.
+    # Each lift's S1 reads the least 2^j >= 12 m + 16 samples per
+    # half-period, m its own mode count, or all n/2 of them when there are
+    # fewer: the two 1-mode lifts read 32 points, the `modes` lift `points`.
     widths = spy(monkeypatch, "_s1_rows")
     random_odd_S1([3, 4, 5], [1, modes, 1], 0.3, n=n)
-    assert widths == ([points] if modes == 1 else [min(64, n // 2), points])
+    assert widths == ([points] if modes == 1 else [min(32, n // 2), points])
 
 
 @pytest.mark.parametrize("amplitude", [0.01, 0.3])
@@ -404,10 +407,11 @@ def test_extremal_sequence_matches_all_jumps(n, smoothing):
     assert (extremal_sequence(smoothing, n=n).samples == want).all()
 
 
-@pytest.mark.parametrize("modes", [1, 8, 16, 32])
+@pytest.mark.parametrize("modes", [1, 4, 8, 16, 20, 32])
 def test_random_odd_S1_exact_at_the_bound(modes):
     # Amplitude 5 always rescales, so sum 2k a_k = 0.95: the subgrid's
-    # worst case.  It agrees with the full-grid oracle all the same.
+    # worst case.  It agrees with the full-grid oracle all the same, also
+    # at 4 and 20 modes, where h' = 12 m + 16 exactly.
     seeds = range(40, 46)
     coefs = _draw_coefficients(seeds, [modes] * len(seeds), 5.0)
     amps = np.hypot(coefs[:, 0::2], coefs[:, 1::2])
@@ -417,6 +421,39 @@ def test_random_odd_S1_exact_at_the_bound(modes):
     batch = random_odd_S1(seeds, [modes] * len(seeds), 5.0)
     for seed, s1 in zip(seeds, batch):
         assert abs(s1 - oracle_S1(seed, modes, 5.0, n)) < 1e-14
+
+
+def _mp_trapezoid_S1(coefs, points):
+    """S1 of the lift with coefficient row `coefs` from the `points`-point
+    trapezoid rule on the half-period, at the working mpmath precision.
+
+    theta = t + phi, phi = sum_k x_k sin 2kt + y_k cos 2kt, so c_1 and
+    c_-1 are the means of e^{i phi} and e^{i phi} e^{2it}.
+    """
+    c1 = cm1 = 0
+    for j in range(points):
+        z = mpmath.expj(2 * mpmath.pi * j / points)    # e^{2it}
+        zk, phi = 1, 0
+        for x, y in zip(coefs[0::2], coefs[1::2]):
+            zk *= z
+            phi += x * zk.imag + y * zk.real
+        f = mpmath.expj(phi)
+        c1, cm1 = c1 + f, cm1 + f * z
+    return (abs(c1) ** 2 + abs(cm1) ** 2) / points ** 2
+
+
+@pytest.mark.parametrize("modes", [1, 4, 20])
+def test_s1_points_aliasing_bound(modes):
+    # The trapezoid rule itself, without double rounding: at sum 2k a_k =
+    # 0.95, the edge of the certificate, S1 on h' points and on 2h' points
+    # agree to the < 5e-29 aliasing bound, in 40-digit arithmetic.  At 4
+    # and 20 modes h' = 12 m + 16 exactly.
+    coefs = _draw_coefficients([40], [modes], 5.0)[0].tolist()
+    points = oddmap._s1_points(oddmap.DEFAULT_GRID, modes)
+    with mpmath.workdps(40):
+        gap = abs(_mp_trapezoid_S1(coefs, points)
+                  - _mp_trapezoid_S1(coefs, 2 * points))
+    assert gap < 1e-28
 
 
 def test_check_monotone_seam():

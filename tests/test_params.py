@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from scherk.bernstein import prove_identities
@@ -154,15 +155,19 @@ def test_exact_rational_identities():
     assert proved["swap"] and proved["p_minus_r"] and proved["threshold"]
 
 
-@pytest.mark.parametrize("A", [0.05, 0.2, 0.5, 0.8, 0.99, 0.999, 0.999999])
+@pytest.mark.parametrize("A", [0.05, 0.2, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999,
+                               0.999999, 0.999999998381498, 1.0 - 2.0 ** -40,
+                               1.0 - 2.0 ** -53])
 def test_threshold_curve_in_half_angle_coordinates(A):
-    # B = B0(A) is (x + y)^2 + x^2 y^2 = 1 with x = A/(1 + kappa), so
-    # y = (1 - x^2)/(x + sqrt(1 + x^2 - x^4)), where 1 - x^2 is
-    # kappa (1 + x^2), and B = 2y/(1 + y^2).  Near A = 1 threshold_b0
-    # cancels in -A(1 - kappa) + sqrt(disc), so the gap is bounded in ulps
-    # of 1 rather than of B0.
+    # threshold_b0 takes the root of the curve (x + y)^2 + x^2 y^2 = 1 in
+    # the half-angle coordinates, which does not cancel near A = 1.
+    # Against the 40-digit root of the quadratic it is within a few ulps of
+    # B0 itself, also where B0 -> 0; 0.999999998381498 was the worst of
+    # 150,000 sampled A in [0.9, 1).
     kappa = math.sqrt(1.0 - A * A)
-    x = A / (1.0 + kappa)
-    y = kappa * (1.0 + x * x) / (x + math.sqrt(1.0 + x * x - x ** 4))
-    b0 = threshold_b0(A, kappa)
-    assert abs(2.0 * y / (1.0 + y * y) - b0) <= 4 * math.ulp(1.0)
+    with mpmath.workdps(40):
+        a, k = mpmath.mpf(A), mpmath.mpf(kappa)
+        b = a * (1 - k)
+        root = (-b + mpmath.sqrt(b * b + 8 * k * (1 + k))) / (2 * (1 + k))
+        b0 = threshold_b0(A, kappa)
+        assert abs(b0 - root) <= 5 * math.ulp(b0)
