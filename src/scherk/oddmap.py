@@ -15,8 +15,9 @@ autocorrelation
 
 the pointwise bound J(tau) <= tau, and the weighted averaging inequality
 with weight M(tau) = cos(2 tau) on [0, pi/4].  At grid shift m, C is the
-real part of the circular autocorrelation of F at lag 2m (Wiener-Khinchin),
-so the Hall check gets C at every shift from one FFT.
+real part of the circular autocorrelation of F at lag 2m (Wiener-Khinchin).
+F has only odd modes, so the Hall check gets C at every shift from the
+first half-period: one N/2-point FFT and one N/4-point inverse FFT.
 
 Lifts are sampled on a uniform grid of N = 2^14 points (power of two,
 divisible by 8 so that pi/4-aligned quadrature nodes are exact grid
@@ -92,9 +93,15 @@ class OddLift:
         return 2.0 * math.pi / self.n
 
     def shifted(self, m: int) -> np.ndarray:
-        """theta(t_k + m*step) for all k, unwrapped by theta(t+2pi)=theta+2pi."""
-        idx = np.arange(self.n) + m
-        return self.samples[idx % self.n] + 2.0 * math.pi * (idx // self.n)
+        """theta(t_k + m*step) for all k, unwrapped by theta(t+2pi)=theta+2pi.
+
+        With m = w n + m0, 0 <= m0 < n, index k + m is k + m0 in turn w for
+        k < n - m0 and k + m0 - n in turn w + 1 after: two slices.
+        """
+        w, m0 = divmod(m, self.n)
+        s = self.samples
+        return np.concatenate([s[m0:] + 2.0 * math.pi * w,
+                               s[:m0] + 2.0 * math.pi * (w + 1)])
 
 
 def _check_grid(n: int) -> None:
@@ -398,17 +405,36 @@ def autocorrelation(lift: OddLift, t: float) -> tuple[float, float]:
 
 
 def _c_at_shifts(lift: OddLift, ms: np.ndarray) -> np.ndarray:
-    """C at grid shifts ms from one FFT (Wiener-Khinchin).
+    """C at grid shifts ms (any integers) from the first half-period.
 
     C(m) = Re R(2m) with R(l) = mean_s F(s+l) conj(F(s)), the circular
-    autocorrelation of F = exp(i theta), which is N-periodic on the grid.
-    Agrees with the direct mean of cosines to rounding, so C(0) = mean |F|^2
-    is 1 only up to rounding.
+    autocorrelation of F = exp(i theta) on the N-point grid, and by
+    Wiener-Khinchin R(l) = sum_k |X_k|^2 e^{2 pi i k l/N} / N^2 with X the
+    N-point DFT of F.  An odd lift has F(s + N/2) = -F(s), so X_k =
+    (1 - (-1)^k) sum_{s<N/2} F(s) e^{-2 pi i k s/N}: every even bin is 0
+    and X_{2j+1} = 2 Y_j, Y the N/2-point DFT of F(s) e^{-2 pi i s/N},
+    s < N/2.  At l = 2m, e^{2 pi i (2j+1) 2m/N} = e^{4 pi i m/N}
+    e^{2 pi i j m/q} with q = N/4, so with P_j = |Y_j|^2 folded mod q,
+    P'_r = P_r + P_{r+q}, and z the q-point inverse DFT of P',
+
+        C(m) = Re(e^{4 pi i m/N} z[m mod q]) / N
+             = (-1)^{floor(m/q)} Re(e^{4 pi i r/N} z[r]) / N,  r = m mod q,
+
+    as e^{4 pi i q/N} = -1.  e^{4 pi i r/N} is `_twiddle(N)`[2r], bit for
+    bit `_twiddle(N/2)`[r] (the same double angle, as doubling is exact), so
+    no second table is cached.  The second half of the samples is not
+    read: `OddLift` enforces theta(s + N/2) = theta(s) + pi to 1e-12.
+    Agrees with the direct mean of cosines to rounding, so C(0) =
+    mean |F|^2 is 1 only up to rounding.
     """
     n = lift.n
-    spec = np.fft.fft(np.exp(1j * lift.samples))
-    acf = np.fft.ifft(spec.real ** 2 + spec.imag ** 2).real / n
-    return acf[(2 * ms) % n]
+    q = n // 4
+    half = lift.samples[:n // 2]
+    y = np.fft.fft(np.exp(1j * half) * _twiddle(n).conj())
+    p = y.real ** 2 + y.imag ** 2
+    z = np.fft.ifft(p[:q] + p[q:]) * _twiddle(n)[::2]
+    sign = 1 - 2 * ((ms // q) & 1)
+    return sign * z.real[ms % q] / n
 
 
 @dataclass(frozen=True)
@@ -426,8 +452,10 @@ def hall_inequality_check(lift: OddLift, slack: float = 1e-9) -> HallReport:
 
     The weight vanishes beyond pi/4, so both integrals stop there; the
     pointwise bound J <= tau is checked on nodes covering all of [0, pi/2].
-    J comes from the FFT autocorrelation of `_c_at_shifts`, so J(0) and
-    `max_j_minus_tau` are rounding-level (about 1e-16) rather than exact 0.
+    J comes from the half-period FFTs of `_c_at_shifts`, so J(0) is
+    rounding-level (about 1e-16, of either sign) rather than exact 0, and
+    so is `max_j_minus_tau`, which J(0) attains on the lifts `scherk odd`
+    checks.
     """
     n4 = lift.n // 4   # pi/2 = n4 * step
     n8 = lift.n // 8   # pi/4

@@ -80,6 +80,19 @@ def direct_autocorrelation(samples, m: int) -> float:
     return float(np.mean(np.cos(theta(idx + m) - theta(idx - m))))
 
 
+def full_grid_c_at_shifts(samples, ms) -> np.ndarray:
+    """C at grid shifts ms by Wiener-Khinchin on the full grid.
+
+    C(m) = Re R(2m), R the circular autocorrelation of F = exp(i theta)
+    from one N-point FFT and inverse FFT; no use of the odd symmetry.
+    """
+    samples = np.asarray(samples, dtype=float)
+    n = samples.size
+    spec = np.fft.fft(np.exp(1j * samples))
+    acf = np.fft.ifft(spec.real ** 2 + spec.imag ** 2).real / n
+    return acf[(2 * np.asarray(ms)) % n]
+
+
 def full_grid_fourier_mode(samples, k: int) -> tuple:
     """(c_k, c_-k) of exp(i theta) as plain means over the full grid."""
     samples = np.asarray(samples, dtype=float)

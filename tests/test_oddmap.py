@@ -11,7 +11,7 @@ import pytest
 
 from oracles import (direct_autocorrelation, direct_extremal_sequence,
                      direct_lift_draw, direct_random_odd_lift,
-                     full_grid_fourier_mode)
+                     full_grid_c_at_shifts, full_grid_fourier_mode)
 from scherk import oddmap
 from scherk.oddmap import (OddLift, _c_at_shifts, _certify_monotone,
                            _check_monotone, _draw_coefficients, _mirror,
@@ -129,12 +129,49 @@ def test_hall_extremal_approaches_equality():
     assert rep.rhs - rep.lhs < 2e-3   # averaged bound tightens
 
 
+def hall_lifts(seed=0):
+    """The three lifts `scherk odd` runs the Hall check on."""
+    return (identity_lift(), random_odd_lift(seed, modes=4, amplitude=0.3),
+            extremal_sequence(0.01))
+
+
 def test_c_at_shifts_matches_direct_sum():
-    for lift in small_lifts():
-        ms = np.arange(lift.n // 4 + 1)
+    # Every shift in -n-3 .. n+4: the fold mod N/4, the sign flip at each
+    # multiple of N/4, negative shifts and shifts past a whole period.
+    for lift in small_lifts(8) + small_lifts(16) + small_lifts(1024):
+        n = lift.n
+        ms = np.arange(-n - 3, n + 5)
         direct = np.array([direct_autocorrelation(lift.samples, m)
                            for m in ms])
-        assert np.abs(_c_at_shifts(lift, ms) - direct).max() < 1e-13
+        assert np.abs(_c_at_shifts(lift, ms) - direct).max() <= 2e-15
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_c_at_shifts_matches_full_grid_formula(seed):
+    # The half-period form against one N-point FFT of the whole lift.
+    for lift in hall_lifts(seed):
+        n = lift.n
+        ms = np.concatenate([np.arange(n // 4 + 1), [-1, -n // 4, n + 3]])
+        want = full_grid_c_at_shifts(lift.samples, ms)
+        assert np.abs(_c_at_shifts(lift, ms) - want).max() <= 2e-15
+
+
+def test_c_at_shifts_quarter_period_antisymmetry():
+    # C(N/4 - m) = -C(m): the shift pi/2 - t against t.
+    for lift in hall_lifts():
+        ms = np.arange(lift.n // 4 + 1)
+        c = _c_at_shifts(lift, ms)
+        assert np.abs(c[::-1] + c).max() <= 1e-15
+
+
+def test_shifted_matches_index_formula():
+    # Two slices, bit for bit the unwrapped index form.
+    for lift in small_lifts(64):
+        n = lift.n
+        for m in (-n - 3, -n, -1, 0, 1, n // 2, n, n + 5):
+            idx = np.arange(n) + m
+            want = lift.samples[idx % n] + 2.0 * math.pi * (idx // n)
+            assert np.array_equal(lift.shifted(m), want), m
 
 
 def test_hall_and_folding_match_direct_sums():
