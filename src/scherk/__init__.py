@@ -26,8 +26,7 @@ _HOME = {name: home for home, names in {
                  "measures4", "phase_param", "sinU_identity_residual",
                  "solve_zero_point"),
     "weierstrass": ("GaussAutomorphism", "NormalizedCurvature",
-                    "log_subharmonicity_check", "wk_geometric", "wk_scalar",
-                    "zero_control_check"),
+                    "log_subharmonicity_check", "wk_scalar"),
     "bernstein": ("BernsteinForm", "BiPoly", "prove_identities",
                   "to_bernstein", "verify_appendix_certificates"),
     "oddmap": ("OddLift", "autocorrelation", "extremal_sequence",

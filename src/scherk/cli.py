@@ -70,7 +70,7 @@ _STATUS_EXIT = {"ok": EXIT_OK, "not_admissible": EXIT_NOT_ADMISSIBLE,
                 "non_convergence": EXIT_SOLVER_FAILURE}
 
 # Largest |wk_scalar - wk_geometric| that `check` accepts as route agreement.
-ROUTE_GAP_BOUND = 1e-8
+ROUTE_GAP_BOUND = 1e-12
 
 # The two-sided band pi^2/4 <= W^2|K| <= pi^2/2 on both routes.
 BAND = (math.pi ** 2 / 4.0, math.pi ** 2 / 2.0)

@@ -17,9 +17,11 @@ satisfy the cross-ratio identity
         = tan^2(alpha/2)
 
 for every z.  The distinguished point z0 is the one whose measures realize
-the (U, V, T) data of the scalar zero; at z0 the slope-normalized curvature
-follows from D0 = 1 + r^2 - 2*sqrt(1-mu^2)*r*cos(t0-delta), where delta is
-the phase of the Gauss-map parameter a.
+the (U, V, T) data of the scalar zero.  At z0 the geometric route reads
+S_geo = (A+B) sin(pi*U) D0/(1+r^2), with U measured at z0 and
+D0 = 1 + r^2 - 2*sqrt(1-mu^2)*r*cos(t0-delta), where delta is the phase of
+the Gauss-map parameter a; `weierstrass` derives W^2|K| = pi^2 (1+A*B) /
+S_geo^2.  `_master_lhs` is S_geo/(A+B), on floats and on arrays.
 
 z0 is found in closed form from the circular level sets of Omega1 and
 Omega2 (see solve_zero_point), and refused only when it lies outside the
@@ -156,10 +158,14 @@ def _phase(pair, mu, ops=FLOAT):
 
 
 def _d0(mu, r, t, delta, ops=FLOAT):
-    """D0 = 1 + r^2 - 2 sqrt(1-mu^2) r cos(t-delta) and its two factors."""
+    """D0 = 1 + r^2 - 2 sqrt(1-mu^2) r cos(t-delta)."""
     root1m2 = ops.sqrt(ops.maximum(0.0, 1.0 - mu * mu))
-    cos_term = ops.cos(t - delta)
-    return 1.0 + r * r - 2.0 * root1m2 * r * cos_term, root1m2, cos_term
+    return 1.0 + r * r - 2.0 * root1m2 * r * ops.cos(t - delta)
+
+
+def _master_lhs(U, r, D0, ops=FLOAT):
+    """sin(pi U) D0 / (1 + r^2) = S_geo/(A+B), U measured at z0."""
+    return ops.sin(math.pi * U) * D0 / (1.0 + r * r)
 
 
 def phase_param(params: "ScherkParams") -> PhaseParam:
@@ -229,8 +235,9 @@ def solve_zero_point(params: "ScherkParams", scalar_zero: "ScalarZero",
         # Full symmetry: z0 is the origin, mu = 1 removes the phase term.
         z = DiskPoint(r=0.0, t=0.0)
         m = measures4(z, alpha)
-        WK = weierstrass.wk_geometric_value(mu_ab, alpha, 0.0, 0.0, 1.0)[0]
-        return ZeroSolution(z, m, 1.0, 0.0, 0.0, WK, 1.0, abs(m.U - 0.5))
+        lhs = _master_lhs(m.U, 0.0, 1.0)
+        WK = weierstrass.wk_scalar_value(params, (A + B) * lhs)
+        return ZeroSolution(z, m, 1.0, 0.0, 0.0, WK, lhs, abs(m.U - 0.5))
 
     U, V, T = scalar_zero.U, scalar_zero.V, scalar_zero.T
     r, t = _zero_point(alpha, U, V, T)
@@ -247,12 +254,11 @@ def solve_zero_point(params: "ScherkParams", scalar_zero: "ScalarZero",
                              f"tol {tol} (A={A}, B={B})")
 
     ar, ai, delta = _phase(params, mu_ab)
-    D0, root1m2, cos_term = _d0(mu_ab, r, t, delta)
-    if D0 <= 0.0:   # the guard of weierstrass.wk_geometric; r < 1 holds
+    D0 = _d0(mu_ab, r, t, delta)
+    if D0 <= 0.0:   # D0 >= (1 - r)^2 > 0 as r < 1; only rounding fails it
         raise DomainError(f"require D0 > 0, got {D0}")
-    master_lhs = math.sin(math.pi * m.U) * (
-        1.0 - root1m2 * (2.0 * r / (1.0 + r * r)) * cos_term)
-    WK = weierstrass.wk_geometric_value(mu_ab, alpha, r, t, D0)[0]
+    master_lhs = _master_lhs(m.U, r, D0)
+    WK = weierstrass.wk_scalar_value(params, (A + B) * master_lhs)
     return ZeroSolution(DiskPoint(r, t), m, D0, delta, abs(complex(ar, ai)),
                         WK, master_lhs, resid)
 
@@ -267,10 +273,12 @@ def solve_zero_point_block(pairs: "ScherkParams", U, V, T, tol: float):
     mu_ab, alpha = mu(pairs, ARRAY), arc_alpha(pairs, ARRAY)
     r, t = (np.where(corner, 0.0, x)
             for x in _zero_point(alpha, U, V, T, ARRAY))
-    resid = _residual(_measures(r, t, alpha, ARRAY), U, V, T, ARRAY)
+    m = _measures(r, t, alpha, ARRAY)
+    resid = _residual(m, U, V, T, ARRAY)
     delta = _phase(pairs, mu_ab, ARRAY)[2]
-    D0 = np.where(corner, 1.0, _d0(mu_ab, r, t, delta, ARRAY)[0])
-    WK = weierstrass.wk_geometric_value(mu_ab, alpha, r, t, D0, ARRAY)[0]
+    D0 = np.where(corner, 1.0, _d0(mu_ab, r, t, delta, ARRAY))
+    S_geo = (pairs.A + pairs.B) * _master_lhs(m.U, r, D0, ARRAY)
+    WK = weierstrass.wk_scalar_value(pairs, S_geo)
     return WK, D0, corner | ((r < 1.0) & (resid <= tol))
 
 
@@ -278,8 +286,8 @@ def master_inequality_check(sol: ZeroSolution, params: "ScherkParams",
                             slack: float = 1e-9):
     """The reduced sharp bound at the solved zero point.
 
-    lhs = sin(pi U)(1 - sqrt(1-mu^2) (2r/(1+r^2)) cos(t0-delta)) must
-    dominate rhs = sqrt(2(1+mu^2))/(A+B).
+    lhs = sin(pi U) D0/(1+r^2) = S_geo/(A+B) must dominate
+    rhs = sqrt(2(1+mu^2))/(A+B): the geometric route's S_geo >= sigma.
     """
     mu_ab = mu(params)
     mu2 = mu_ab * mu_ab   # not A*B, whose bits differ

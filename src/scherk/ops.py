@@ -7,7 +7,6 @@ sin, sqrt, hypot and % match libm; elsewhere ARRAY follows CPython:
   inputs, and near B0(A) ~1/(1 - r) times an ulp can move a pair past tol.
 - asin is `math`'s: numpy's arcsin differs on ~8% of uniform inputs in
   (0, 1], and asin gives p and q, which the sweep prints.
-- pow is libm pow (np.float_power), as `**` is; x*x differs on ~0.1%.
 - complex division is Smith's method, as in CPython.
 - FLOAT's hypot is abs(complex), libm's; `math.hypot` is CPython's own and
   puts r an ulp lower at (A, B) = (0.7181383713219818, 0.9574269277339676).
@@ -29,7 +28,7 @@ def _complex_div(ar, ai, br, bi):
 
 FLOAT = SimpleNamespace(cos=math.cos, sin=math.sin, sqrt=math.sqrt,
                         asin=math.asin, atan=math.atan, atan2=math.atan2,
-                        pow=pow, maximum=max, div=_complex_div,
+                        maximum=max, div=_complex_div,
                         hypot=lambda x, y: abs(complex(x, y)))
 
 
@@ -51,6 +50,6 @@ def __getattr__(name):
 
     ARRAY = SimpleNamespace(cos=np.cos, sin=np.sin, sqrt=np.sqrt,
                             asin=libm(math.asin), atan=libm(math.atan),
-                            atan2=libm(math.atan2), pow=np.float_power,
-                            maximum=np.maximum, div=smith_div, hypot=np.hypot)
+                            atan2=libm(math.atan2), maximum=np.maximum,
+                            div=smith_div, hypot=np.hypot)
     return ARRAY

@@ -5,14 +5,19 @@ For Weierstrass data (g, phi) of an upward minimal graph,
     K = -4|g'|^2 / (|phi|^2 (1+|g|^2)^4),   W = (1+|g|^2)/(1-|g|^2),
 
 so the slope-normalized curvature is W^2|K| = 4|g'|^2/(|phi|^2 (1-|g|^4)^2).
-At the distinguished zero z0 of the fixed-arc family this collapses to two
-equivalent closed forms:
+At the distinguished zero z0 = r e^{it} of the fixed-arc family the
+harmonic measures give sin(pi U) = (1-r^4) sin(alpha) / (|1-z0^2|
+|e^{2 i alpha}-z0^2|), with U = Omega1 + Omega3 measured at z0, and
+sin(alpha) = 2 sqrt(A*B)/(A+B).  Substituted, they give the geometric route
 
-    geometric:  (pi^2/4) (1+mu^2)/mu^2
-                * |1-z0^2|^2 |z0^2-e^{2 i alpha}|^2 / ((1-r^2)^2 D0^2),
-    scalar:     pi^2 (1+A*B) / S^2,
+    W^2|K| = pi^2 (1+A*B) / S_geo^2,   S_geo = (A+B) sin(pi U) D0 / (1+r^2),
 
-whose agreement is the computational content of the phase elimination.
+with D0 as in `harmonic`.  S_geo stays well conditioned as z0 nears the arc
+endpoint e^{i alpha}, where |1-z0^2| |z0^2-e^{2 i alpha}| / (1-r^2) is a
+0/0.  The scalar route is the same formula with the derivative value S of
+the scalar zero, so both call `wk_scalar_value`.  S_geo = S only where U is
+the zero's: that agreement is the computational content of the phase
+elimination.
 Both routes land in the band [pi^2/4, pi^2/2] on admissible parameters.
 """
 
@@ -21,15 +26,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
-from .ops import FLOAT
-from .params import arc_alpha, mu
 
 if TYPE_CHECKING:
-    from .harmonic import DiskPoint
     from .params import ScherkParams
 
 
@@ -57,12 +58,9 @@ class GaussAutomorphism:
 
 
 class NormalizedCurvature(NamedTuple):
-    """W^2|K| value and, on the geometric route, the factors it came from;
-    the scalar route has none, and its `components` is a read-only empty
-    mapping."""
+    """W^2|K| value of `wk_scalar`."""
 
     value: float
-    components: Mapping[str, float] = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -75,33 +73,9 @@ class LaplacianCheck:
     lapK_exact: float  # -16|g'|^2/(1+|g|^2)^2
 
 
-def wk_geometric_value(mu, alpha, r, t, D0, ops=FLOAT):
-    """(W^2|K|, |1 - z0^2|, |z0^2 - e^{2 i alpha}|), z0 = r e^{it}."""
-    mu2 = mu * mu
-    xr, xi = r * ops.cos(t), r * ops.sin(t)
-    wr, wi = xr * xr - xi * xi, xr * xi + xi * xr          # w = z0^2
-    num1 = ops.hypot(1.0 - wr, -wi)
-    num2 = ops.hypot(wr - ops.cos(2.0 * alpha), wi - ops.sin(2.0 * alpha))
-    value = ((math.pi ** 2 / 4.0) * ((1.0 + mu2) / mu2)
-             * ops.pow(num1 * num2, 2) / (ops.pow(1.0 - r * r, 2) * D0 * D0))
-    return value, num1, num2
-
-
 def wk_scalar_value(pair, S):
     """The scalar route pi^2 (1+A*B) / S^2, on floats or arrays."""
     return math.pi ** 2 * (1.0 + pair.A * pair.B) / (S * S)
-
-
-def wk_geometric(z: "DiskPoint", params: "ScherkParams",
-                 D0: float) -> NormalizedCurvature:
-    """Geometric route at the zero point z, given D0 = D(z0) > 0."""
-    if D0 <= 0.0:
-        raise DomainError(f"require D0 > 0, got {D0}")
-    if z.r >= 1.0:
-        raise DomainError(f"require r < 1, got {z.r}")
-    value, num1, num2 = wk_geometric_value(
-        mu(params), arc_alpha(params), z.r, z.t, D0)
-    return NormalizedCurvature(value, {"num1": num1, "num2": num2})
 
 
 def wk_scalar(params: "ScherkParams", S: float) -> NormalizedCurvature:
@@ -109,32 +83,6 @@ def wk_scalar(params: "ScherkParams", S: float) -> NormalizedCurvature:
     if S <= 0.0:
         raise DomainError(f"require S > 0, got {S}")
     return NormalizedCurvature(wk_scalar_value(params, S))
-
-
-@dataclass(frozen=True)
-class ZeroControlCheck:
-    """The zero-control inequality next to the band test, for agreement."""
-
-    lhs: float           # |1-z0^2| |z0^2-e^{2 i alpha}|
-    rhs: float           # sqrt(2 mu^2/(1+mu^2)) (1-r^2) D0
-    control_holds: bool  # lhs <= rhs + slack
-    wk: float
-    band_holds: bool     # wk <= pi^2/2 + slack
-
-
-def zero_control_check(z: "DiskPoint", params: "ScherkParams", D0: float,
-                       slack: float = 1e-9) -> ZeroControlCheck:
-    """Boolean agreement of the zero-control form with wk <= pi^2/2."""
-    curv = wk_geometric(z, params, D0)
-    lhs = curv.components["num1"] * curv.components["num2"]
-    mu_ab = mu(params)
-    mu2 = mu_ab * mu_ab   # not A*B, whose bits differ
-    rhs = math.sqrt(2.0 * mu2 / (1.0 + mu2)) * (1.0 - z.r ** 2) * D0
-    return ZeroControlCheck(
-        lhs=lhs, rhs=rhs,
-        control_holds=lhs <= rhs + slack,
-        wk=curv.value,
-        band_holds=curv.value <= math.pi ** 2 / 2.0 + slack)
 
 
 def _log_wk(g: GaussAutomorphism, z: complex) -> float:

@@ -12,7 +12,8 @@ import pytest
 
 from scherk import cli, params
 from scherk.cli import CSV_HEADER, ROUTE_GAP_BOUND, evaluate_pair, main
-from oracles import direct_random_odd_lift, full_grid_fourier_mode
+from oracles import (direct_random_odd_lift, full_grid_fourier_mode,
+                     mp_scalar_root)
 from scherk.oddmap import DEFAULT_GRID, fourier_S1, random_odd_lift
 from scherk.params import ScherkParams, from_ab, from_angles, threshold_b0
 from test_docs import readme_library_code
@@ -54,7 +55,7 @@ def test_check_generic_pair(capsys):
     assert code == 0
     rec = load(out)
     assert rec["wk_scalar"] == pytest.approx(2.5403881748537801, abs=1e-10)
-    assert rec["route_gap"] < 1e-8
+    assert rec["route_gap"] <= ROUTE_GAP_BOUND
     assert rec["master_ok"] and rec["in_band"]
     assert 1 <= rec["steps"] <= 8   # evaluations of G for U
 
@@ -325,14 +326,54 @@ def test_block_evaluator_matches_evaluate_pair_on_grids(grid, mode):
     assert start == grid * grid
 
 
+def _threshold_pairs():
+    """Pairs at B0(A) + 1, 2 and 3 ulp and B0(A) + 1e-12 for fixed A, then
+    three pairs just above B0(A) that `pair_commands.txt` and an earlier
+    defect report name."""
+    out = []
+    for a in (0.001, 0.01, 0.05, 0.1, 0.15, 0.1975, 0.2, 0.25, 0.3, 0.4,
+              0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99, 0.9975):
+        b = b0 = threshold_b0(a)
+        for _ in range(3):
+            b = math.nextafter(b, 2.0)
+            out.append((a, b))
+        out.append((a, b0 + 1e-12))
+    return out + [(0.1975, 0.9940325801725397),
+                  (0.9975, 0.13225811292499762), (0.2, 0.9938643518264031)]
+
+
+THRESHOLD_PAIRS = _threshold_pairs()
+
+
+def test_threshold_pairs_answer_the_oracle_or_refuse():
+    # Next to B = B0(A) the zero point nears the arc endpoint.  Each pair
+    # refuses, or answers on both routes with the 50-digit scalar zero's
+    # W^2|K|.  Where the oracle finds no sign change the exact pair lies
+    # on or under the curve, and the answer is the curve's value pi^2/4.
+    answered = 0
+    for a, b in THRESHOLD_PAIRS:
+        rec = evaluate_pair(from_ab(a, b))
+        if rec.status != "ok":
+            continue
+        answered += 1
+        try:
+            expect = math.pi ** 2 * (1.0 + a * b) / mp_scalar_root(a, b)[1] ** 2
+        except ValueError:
+            expect = math.pi ** 2 / 4.0
+        where = f"A={a!r}, B={b!r}"
+        assert rec.route_gap <= ROUTE_GAP_BOUND, where
+        assert rec.solution.WK == pytest.approx(expect, rel=1e-12), where
+    assert answered >= 20
+
+
 def test_block_evaluator_matches_evaluate_pair_on_edge_pairs():
     # The corner, a pair within an ulp of B0(A) that rounding makes not
     # admissible, a refused zero point and two solved ones near B0(A), then
     # pairs whose scalar zero comes from the G(L) > 0 end, the
     # degenerate-interval midpoint and the G(R) < 0 end of `solve_zero`.
-    # Then three pairs on which the paths part by an ulp if `math.hypot`,
-    # x*x or numpy's arctan stands in for libm's hypot, pow or atan, a B so
-    # small that alpha rounds to pi, and one so small that P overflows.
+    # Then three pairs on which the paths have parted by an ulp, when
+    # `math.hypot`, x*x or numpy's arctan stood in for libm, a B so small
+    # that alpha rounds to pi, and one so small that P overflows.
     # Last, two pairs on which Newton steps leave the bracket [L, R] and
     # bisection steps stand in: three times at (0.005, 1), ten times at
     # (1, 1e-9), whose zero point then misses its measures.
@@ -360,6 +401,11 @@ def test_block_evaluator_matches_evaluate_pair_on_edge_pairs():
             0.5 * (refs[1].interval.L + refs[1].interval.R),
             refs[2].interval.R]
     assert [ref.zero.U for ref in refs] == ends == rec.U[5:8].tolist()
+
+    # The pairs next to B = B0(A), as one block.
+    threshold = [from_ab(a, b) for a, b in THRESHOLD_PAIRS]
+    pairs = _stack(threshold)
+    _assert_block_matches_scalar(pairs, cli.evaluate_block(pairs), threshold)
 
     # A block with no admissible pair runs every stage on empty arrays.
     alone = _stack(params[1:2])

@@ -4,6 +4,8 @@ import pytest
 
 from conftest import random_admissible
 from oracles import poisson_arc_measure
+from scherk import harmonic
+from scherk.cli import ROUTE_GAP_BOUND
 from scherk.errors import DegenerateError, DomainError, NonConvergence
 from scherk.harmonic import (DiskPoint, _arc, cross_ratio_residual,
                              master_inequality_check, measures4,
@@ -11,8 +13,8 @@ from scherk.harmonic import (DiskPoint, _arc, cross_ratio_residual,
                              sinU_identity_residual, solve_zero_point)
 from scherk.params import (admissible_interval, arc_alpha, from_ab, mu,
                            threshold_b0)
-from scherk.scalar import solve_zero
-from scherk.weierstrass import wk_geometric, wk_scalar
+from scherk.scalar import ScalarZero, g_s, solve_zero
+from scherk.weierstrass import wk_scalar
 
 
 def test_disk_point_rejects_boundary():
@@ -27,15 +29,10 @@ def test_pair_records_reject_attribute_assignment():
     zero = solve_zero(params)
     sol = solve_zero_point(params, zero)
     records = [admissible_interval(params), zero, sol, sol.measures,
-               wk_scalar(params, zero.S), wk_geometric(sol.z, params, sol.D0)]
+               wk_scalar(params, zero.S)]
     for record in records:
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], 0.5)
-    # The scalar route's empty components are shared, so they are read-only.
-    components = wk_scalar(params, zero.S).components
-    assert components == {}
-    with pytest.raises(TypeError):
-        components["num1"] = 1.0
 
 
 def test_arc_measure_at_origin_is_normalized_arclength():
@@ -183,6 +180,29 @@ def test_zero_point_equality_corner():
     m = sol.measures
     for om in (m.Omega1, m.Omega2, m.Omega3, m.Omega4):
         assert om == pytest.approx(0.25, abs=1e-15)
+
+
+def test_zero_point_rejects_nonpositive_d0(monkeypatch):
+    # D0 >= (1 - r)^2 > 0 inside the disk, so only a broken D0 reaches the
+    # guard; it raises rather than divide by it.
+    params = from_ab(0.9, 0.9)
+    zero = solve_zero(params)
+    monkeypatch.setattr(harmonic, "_d0", lambda *args: 0.0)
+    with pytest.raises(DomainError):
+        solve_zero_point(params, zero)
+
+
+def test_route_gap_tests_the_zero():
+    # S_geo = S holds only at the zero point of the true U: a U off by
+    # 1e-6, with M, N and S of that U, moves the geometric route away
+    # from the scalar one by far more than the route-gap bound.
+    params = from_ab(0.7, 0.9)
+    U = solve_zero(params).U + 1e-6
+    G, S, M, N = g_s(params)(U)
+    shifted = ScalarZero(U, M, N, M, -N, S, abs(G), 0)
+    sol = solve_zero_point(params, shifted, tol=1.0)
+    gap = abs(sol.WK - wk_scalar(params, S).value)
+    assert gap > ROUTE_GAP_BOUND
 
 
 def test_zero_point_symmetric():

@@ -5,12 +5,13 @@ import pytest
 
 from conftest import named_check, random_admissible
 from scherk.bernstein import prove_identities
+from scherk.cli import ROUTE_GAP_BOUND
 from scherk.errors import DomainError
-from scherk.harmonic import DiskPoint, solve_zero_point
-from scherk.params import from_ab
+from scherk.harmonic import solve_zero_point, solve_zero_point_block
+from scherk.params import ScherkParams, from_ab
 from scherk.scalar import solve_zero
 from scherk.weierstrass import (GaussAutomorphism, log_subharmonicity_check,
-                                wk_geometric, wk_scalar, zero_control_check)
+                                wk_scalar)
 
 
 def test_wk_scalar_values():
@@ -33,14 +34,21 @@ def test_wk_scalar_rejects_nonpositive_s():
 
 
 def test_wk_geometric_equality_corner():
+    # The geometric route at A = B = 1: z0 = 0, D0 = 1 and S_geo = 2, so
+    # W^2|K| is pi^2/2, on one pair and on a block of pairs alike.
     params = from_ab(1.0, 1.0)
-    val = wk_geometric(DiskPoint(r=0.0, t=0.0), params, 1.0).value
-    assert val == pytest.approx(math.pi ** 2 / 2, abs=1e-15)
-
-
-def test_wk_geometric_rejects_bad_d0():
-    with pytest.raises(DomainError):
-        wk_geometric(DiskPoint(r=0.1, t=0.0), from_ab(0.9, 0.9), 0.0)
+    zero = solve_zero(params)
+    sol = solve_zero_point(params, zero)
+    S_geo = (params.A + params.B) * sol.master_lhs
+    assert S_geo == 2.0
+    assert wk_scalar(params, S_geo).value == pytest.approx(
+        math.pi ** 2 / 2, abs=1e-15)
+    block = ScherkParams(*(np.array([x]) for x in params))
+    with np.errstate(all="ignore"):
+        WK, D0, solved = solve_zero_point_block(
+            block, *(np.array([x]) for x in (zero.U, zero.V, zero.T)), 1e-9)
+    assert solved[0] and D0[0] == 1.0
+    assert WK[0] == pytest.approx(math.pi ** 2 / 2, abs=1e-15)
 
 
 def test_route_equivalence_specific_pairs():
@@ -49,7 +57,7 @@ def test_route_equivalence_specific_pairs():
         zero = solve_zero(params)
         sol = solve_zero_point(params, zero)
         scal = wk_scalar(params, zero.S).value
-        assert abs(sol.WK - scal) < 1e-8
+        assert abs(sol.WK - scal) <= ROUTE_GAP_BOUND
 
 
 def test_two_sided_band():
@@ -79,13 +87,14 @@ def test_lower_identity_exact_rational():
     assert prove_identities()["lower_band"]
 
 
-def test_zero_control_agrees_with_band(rng):
+def test_geometric_upper_band_is_the_master_inequality(rng):
+    # W^2|K| <= pi^2/2 on the geometric route reads S_geo >= sigma, as the
+    # master inequality does.
     for params in random_admissible(rng, 60, margin=5e-3):
-        zero = solve_zero(params)
-        sol = solve_zero_point(params, zero)
-        chk = zero_control_check(sol.z, params, sol.D0)
-        assert chk.control_holds == chk.band_holds
-        assert chk.control_holds
+        band = named_check(params, "band_geometric")
+        master = named_check(params, "master_inequality")
+        assert band.ok and master.ok
+        assert master.value >= master.bound
 
 
 def test_gauss_automorphism_basics():
