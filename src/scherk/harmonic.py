@@ -42,9 +42,9 @@ from . import weierstrass
 from .errors import DegenerateError, DomainError, NonConvergence
 from .ops import FLOAT
 from .params import arc_alpha, mu
+from .scalar import ScalarZero, sigma
 
 if TYPE_CHECKING:
-    from .scalar import ScalarZero
     from .params import ScherkParams
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ def _zero_point(alpha, U, V, T, ops=FLOAT):
     return ops.hypot(zr, zi), ops.atan2(zi, zr) % (2.0 * math.pi)
 
 
-def solve_zero_point(params: "ScherkParams", scalar_zero: "ScalarZero",
+def solve_zero_point(params: "ScherkParams", scalar_zero: ScalarZero,
                      tol: float = 1e-12) -> ZeroSolution:
     """Locate z0 whose four harmonic measures realize the scalar-zero data.
 
@@ -287,11 +287,9 @@ def master_inequality_check(sol: ZeroSolution, params: "ScherkParams",
     """The reduced sharp bound at the solved zero point.
 
     lhs = sin(pi U) D0/(1+r^2) = S_geo/(A+B) must dominate
-    rhs = sqrt(2(1+mu^2))/(A+B): the geometric route's S_geo >= sigma.
+    rhs = sigma/(A+B): the geometric route's S_geo >= sigma.
     """
-    mu_ab = mu(params)
-    mu2 = mu_ab * mu_ab   # not A*B, whose bits differ
-    rhs = math.sqrt(2.0 * (1.0 + mu2)) / (params.A + params.B)
+    rhs = sigma(params) / (params.A + params.B)
     return sol.master_lhs, rhs, sol.master_lhs >= rhs - slack
 
 

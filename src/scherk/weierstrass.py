@@ -45,10 +45,6 @@ class GaussAutomorphism:
         if abs(self.a) >= 1.0:
             raise DomainError(f"require |a| < 1, got |a|={abs(self.a)}")
 
-    @property
-    def delta(self) -> float:
-        return cmath.phase(self.a)
-
     def __call__(self, z: complex) -> complex:
         return cmath.exp(1j * self.theta) * (z - self.a) / (1.0 - self.a.conjugate() * z)
 

@@ -16,6 +16,7 @@ from oracles import (direct_random_odd_lift, full_grid_fourier_mode,
                      mp_scalar_root)
 from scherk.oddmap import DEFAULT_GRID, fourier_S1, random_odd_lift
 from scherk.params import ScherkParams, from_ab, from_angles, threshold_b0
+from scherk.scalar import sigma
 from test_docs import readme_library_code
 
 
@@ -73,6 +74,9 @@ def test_check_bad_inputs(capsys):
     assert code == 1
     code, _, _ = run(capsys, "check", "--A", "0.5")
     assert code == 1
+    code, out, err = run(capsys, "check", "--p", "0.5")
+    assert code == 1 and out == ""
+    assert "both --p and --q are required" in err
     code, _, _ = run(capsys, "check", "--A", "0.5", "--B", "0.5",
                      "--p", "1.0", "--q", "2.0")
     assert code == 1
@@ -220,18 +224,19 @@ def test_record_checks_follow_the_pipeline():
     rec = evaluate_pair(from_ab(0.6, 0.95))
     assert rec.status == "ok" and rec.detail is None
     checks = {c.name: c for c in rec.checks(1e-9)}
-    assert list(checks) == ["derivative_margin", "band_scalar",
-                            "band_geometric", "route_gap",
-                            "master_inequality"]
+    assert list(checks) == ["band_scalar", "band_geometric", "route_gap"]
     assert all(c.ok for c in checks.values())
+    assert checks["band_scalar"].value == rec.wk_scalar
+    assert checks["band_geometric"].value == rec.solution.WK
     assert checks["route_gap"].bound == ROUTE_GAP_BOUND
     assert checks["route_gap"].value == abs(rec.wk_scalar - rec.solution.WK)
-    assert checks["master_inequality"].value == rec.solution.master_lhs
+    # S_geo = (A+B) master_lhs clears sigma, as the geometric band says.
+    x = rec.params
+    assert rec.solution.master_lhs >= sigma(x) / (x.A + x.B)
 
     refused = evaluate_pair(from_ab(0.5, threshold_b0(0.5) + 1e-6))
     assert refused.status == "non_convergence" and refused.solution is None
-    assert [c.name for c in refused.checks(1e-9)] == ["derivative_margin",
-                                                       "band_scalar"]
+    assert [c.name for c in refused.checks(1e-9)] == ["band_scalar"]
     assert evaluate_pair(from_ab(0.5, 0.5)).checks(1e-9) == []
 
 
@@ -327,9 +332,11 @@ def test_block_evaluator_matches_evaluate_pair_on_grids(grid, mode):
 
 
 def _threshold_pairs():
-    """Pairs at B0(A) + 1, 2 and 3 ulp and B0(A) + 1e-12 for fixed A, then
+    """Pairs at B0(A) + 1, 2 and 3 ulp and B0(A) + 1e-12 for fixed A, and
     three pairs just above B0(A) that `pair_commands.txt` and an earlier
-    defect report name."""
+    defect report name.  Then A = 1 - 2^-k with B down to 1e-12, where
+    alpha nears pi, and the corner's neighbours (1 - 2^-k, 1) and
+    (1 - 2^-k, 1 - 2^-k).  Last, the swap (B, A) of each pair."""
     out = []
     for a in (0.001, 0.01, 0.05, 0.1, 0.15, 0.1975, 0.2, 0.25, 0.3, 0.4,
               0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99, 0.9975):
@@ -338,8 +345,12 @@ def _threshold_pairs():
             b = math.nextafter(b, 2.0)
             out.append((a, b))
         out.append((a, b0 + 1e-12))
-    return out + [(0.1975, 0.9940325801725397),
-                  (0.9975, 0.13225811292499762), (0.2, 0.9938643518264031)]
+    out += [(0.1975, 0.9940325801725397), (0.9975, 0.13225811292499762),
+            (0.2, 0.9938643518264031)]
+    for k in range(1, 53, 3):
+        a = 1.0 - 2.0 ** -k
+        out += [(a, b) for b in (1e-3, 1e-6, 1e-9, 1e-12, 1.0, a)]
+    return list(dict.fromkeys(out + [(b, a) for a, b in out]))
 
 
 THRESHOLD_PAIRS = _threshold_pairs()
@@ -348,8 +359,9 @@ THRESHOLD_PAIRS = _threshold_pairs()
 def test_threshold_pairs_answer_the_oracle_or_refuse():
     # Next to B = B0(A) the zero point nears the arc endpoint.  Each pair
     # refuses, or answers on both routes with the 50-digit scalar zero's
-    # W^2|K|.  Where the oracle finds no sign change the exact pair lies
-    # on or under the curve, and the answer is the curve's value pi^2/4.
+    # W^2|K| and passes every check.  Where the oracle finds no sign change
+    # the exact pair lies on or under the curve, and the answer is the
+    # curve's value pi^2/4.
     answered = 0
     for a, b in THRESHOLD_PAIRS:
         rec = evaluate_pair(from_ab(a, b))
@@ -363,6 +375,7 @@ def test_threshold_pairs_answer_the_oracle_or_refuse():
         where = f"A={a!r}, B={b!r}"
         assert rec.route_gap <= ROUTE_GAP_BOUND, where
         assert rec.solution.WK == pytest.approx(expect, rel=1e-12), where
+        assert all(c.ok for c in rec.checks(1e-9)), where
     assert answered >= 20
 
 
@@ -410,6 +423,20 @@ def test_block_evaluator_matches_evaluate_pair_on_edge_pairs():
     # A block with no admissible pair runs every stage on empty arrays.
     alone = _stack(params[1:2])
     assert cli.evaluate_block(alone).status.tolist() == [cli.NOT_ADMISSIBLE]
+
+
+def test_lane_tails_write_a_non_convergence_row():
+    # A refused zero point keeps the scalar route's columns and leaves the
+    # geometric ones empty.
+    x = from_ab(0.5, threshold_b0(0.5) + 1e-6)
+    rec = cli.evaluate_block(_stack([from_ab(0.6, 0.95), x]))
+    ref = evaluate_pair(x)
+    assert ref.status == "non_convergence"
+    tails = cli._lane_tails(rec)
+    assert tails[0].endswith(",ok\n")
+    assert tails[1] == (f",true,{ref.zero.U:.17g},{ref.zero.S:.17g},"
+                        f"{ref.margin:.17g},{ref.wk_scalar:.17g},,,"
+                        "non_convergence\n")
 
 
 def _csv_row(rec):

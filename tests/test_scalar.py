@@ -6,6 +6,7 @@ import pytest
 from conftest import named_check, random_admissible
 from oracles import mp_scalar_root
 from scherk.bernstein import prove_identities
+from scherk.cli import evaluate_pair
 from scherk.errors import NoSignChange, NotAdmissible
 from scherk.params import (ScherkParams, admissible_interval, from_ab,
                            threshold_b0)
@@ -132,6 +133,24 @@ def test_solve_zero_degenerate_interval():
 def test_solve_zero_rejects_nonpositive_tol():
     with pytest.raises(ValueError):
         solve_zero(from_ab(0.9, 0.9), tol=0.0)
+
+
+def test_a_tiny_tol_refuses_the_edge_branches():
+    # At tol = 1e-12 these pairs take the degenerate-interval midpoint and
+    # the G(R) < 0 end.  At tol = 1e-300 neither |G| is within tol, so
+    # `solve_zero` names each refusal and `solve_zero_block` refuses both.
+    pairs = [from_ab(0.09, 0.9988913694662622),
+             from_ab(1.0, 1.1102230246251565e-16)]
+    with pytest.raises(NoSignChange, match="degenerate interval"):
+        solve_zero(pairs[0], tol=1e-300)
+    with pytest.raises(NoSignChange, match=r"G\(R\) = .* is not >= -tol"):
+        solve_zero(pairs[1], tol=1e-300)
+    ivs = [admissible_interval(x) for x in pairs]
+    block = ScherkParams(*(np.array(values) for values in zip(*pairs)))
+    L, R = np.array([iv.L for iv in ivs]), np.array([iv.R for iv in ivs])
+    with np.errstate(all="ignore"):
+        assert solve_zero_block(block, L, R, 1e-12)[2].tolist() == [True] * 2
+        assert solve_zero_block(block, L, R, 1e-300)[2].tolist() == [False] * 2
 
 
 def test_solve_zero_matches_oracle_on_random_pairs(rng):
@@ -266,16 +285,14 @@ def test_swap_relation_between_roots(rng):
 
 
 def test_derivative_inequality_examples():
-    check = named_check(from_ab(1.0, 1.0), "derivative_margin")
-    assert check.value == 0.0 and check.bound == 0.0 and check.ok
-
-    check = named_check(from_ab(0.95, 0.95), "derivative_margin")
-    assert check.value == pytest.approx(0.25614652394668535395, abs=1e-12)
-    assert check.ok
-
-    check = named_check(from_ab(0.6, 0.95), "derivative_margin")
-    assert check.value == pytest.approx(0.69772651164370431196, abs=1e-12)
-    assert check.ok
+    # The margin S - sigma at the zero, within the scalar band that bounds
+    # it from below; exactly 0 at the corner.
+    for (a, b), margin in (((1.0, 1.0), 0.0),
+                           ((0.95, 0.95), 0.25614652394668535395),
+                           ((0.6, 0.95), 0.69772651164370431196)):
+        rec = evaluate_pair(from_ab(a, b))
+        assert rec.margin == pytest.approx(margin, abs=1e-12 if margin else 0)
+        assert rec.margin >= 0.0 and named_check(rec.params, "band_scalar").ok
 
 
 def test_barrier_chain_generic_pair():
@@ -303,15 +320,15 @@ def test_hr_identity_exact():
 
 
 def test_sharp_margin_on_grid():
-    n = 60
+    n, slack = 60, 1e-9
     seen_near_zero = False
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             params = from_ab(i / n, j / n)
             if not admissible_interval(params).nonempty:
                 continue
-            check = named_check(params, "derivative_margin")
-            assert check.ok, (params.A, params.B, check.value)
-            if check.value < 1e-6:
+            rec = evaluate_pair(params)
+            assert rec.margin >= -slack, (params.A, params.B, rec.margin)
+            if rec.margin < 1e-6:
                 seen_near_zero = True
     assert seen_near_zero  # margin -> 0 toward (1, 1)

@@ -7,7 +7,8 @@ from conftest import named_check, random_admissible
 from scherk.bernstein import prove_identities
 from scherk.cli import ROUTE_GAP_BOUND
 from scherk.errors import DomainError
-from scherk.harmonic import solve_zero_point, solve_zero_point_block
+from scherk.harmonic import (master_inequality_check, solve_zero_point,
+                             solve_zero_point_block)
 from scherk.params import ScherkParams, from_ab
 from scherk.scalar import solve_zero
 from scherk.weierstrass import (GaussAutomorphism, log_subharmonicity_check,
@@ -92,9 +93,11 @@ def test_geometric_upper_band_is_the_master_inequality(rng):
     # master inequality does.
     for params in random_admissible(rng, 60, margin=5e-3):
         band = named_check(params, "band_geometric")
-        master = named_check(params, "master_inequality")
-        assert band.ok and master.ok
-        assert master.value >= master.bound
+        sol = solve_zero_point(params, solve_zero(params))
+        lhs, rhs, master_ok = master_inequality_check(sol, params)
+        assert band.ok and master_ok
+        assert band.value == sol.WK
+        assert lhs >= rhs
 
 
 def test_gauss_automorphism_basics():
