@@ -19,12 +19,9 @@ __version__ = "0.1.0"
 _HOME = {name: home for home, names in {
     "params": ("AdmissibleInterval", "ScherkParams", "admissible_interval",
                "from_ab", "from_angles", "threshold_b0"),
-    "scalar": ("BarrierChainReport", "ScalarZero", "barrier_chain_check",
-               "solve_zero"),
+    "scalar": ("ScalarZero", "solve_zero"),
     "harmonic": ("DiskPoint", "FourMeasures", "ZeroSolution",
-                 "cross_ratio_residual", "master_inequality_check",
-                 "measures4", "phase_param", "sinU_identity_residual",
-                 "solve_zero_point"),
+                 "master_inequality_check", "measures4", "solve_zero_point"),
     "weierstrass": ("GaussAutomorphism", "NormalizedCurvature",
                     "log_subharmonicity_check", "wk_scalar"),
     "bernstein": ("BernsteinForm", "BiPoly", "prove_identities",

@@ -74,6 +74,7 @@ ROUTE_GAP_BOUND = 1e-12
 
 # The two-sided band pi^2/4 <= W^2|K| <= pi^2/2 on both routes.
 BAND = (math.pi ** 2 / 4.0, math.pi ** 2 / 2.0)
+SLACK = 1e-9   # `check`'s default slack on BAND
 
 CSV_HEADER = ("p,q,A,B,admissible,U,S,margin,"
               "wk_scalar,wk_geometric,route_gap,status")
@@ -592,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="full check for one pair")
     add_pair_flags(p_check)
-    p_check.add_argument("--slack", type=_finite_float(False), default=1e-9)
+    p_check.add_argument("--slack", type=_finite_float(False), default=SLACK)
     p_check.set_defaults(func=cmd_check)
 
     p_zero = sub.add_parser("zero", help="zero-point record for one pair")

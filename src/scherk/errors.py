@@ -22,9 +22,5 @@ class NonConvergence(Exception):
     below 1, alpha rounded to pi, or measures that miss their targets)."""
 
 
-class DegenerateError(Exception):
-    """The requested quantity is undefined at a degenerate parameter."""
-
-
 class CertificateMismatch(Exception):
     """A computed certificate entry differs from the expected exact value."""

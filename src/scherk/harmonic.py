@@ -16,12 +16,15 @@ satisfy the cross-ratio identity
     sin(pi*Omega1) sin(pi*Omega3) / (sin(pi*Omega2) sin(pi*Omega4))
         = tan^2(alpha/2)
 
-for every z.  The distinguished point z0 is the one whose measures realize
-the (U, V, T) data of the scalar zero.  At z0 the geometric route reads
+for every z, as does sin(pi*U) = (1-r^4) sin(alpha) / (|1-w| |e^{2i alpha}-w|)
+with w = z^2; the tests assert both on `_measures`.  The distinguished
+point z0 is the one whose measures realize the (U, V, T) data of the
+scalar zero.  At z0 the geometric route reads
 S_geo = (A+B) sin(pi*U) D0/(1+r^2), with U measured at z0 and
 D0 = 1 + r^2 - 2*sqrt(1-mu^2)*r*cos(t0-delta), where delta is the phase of
-the Gauss-map parameter a; `weierstrass` derives W^2|K| = pi^2 (1+A*B) /
-S_geo^2.  `_master_lhs` is S_geo/(A+B), on floats and on arrays.
+the Gauss-map parameter a (`_phase`); `weierstrass` derives W^2|K| =
+pi^2 (1+A*B) / S_geo^2.  `_master_lhs` is S_geo/(A+B), on floats and on
+arrays.
 
 z0 is found in closed form from the circular level sets of Omega1 and
 Omega2 (see solve_zero_point), and refused only when it lies outside the
@@ -33,13 +36,12 @@ The records are NamedTuples, except DiskPoint, which checks its radius.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import weierstrass
-from .errors import DegenerateError, DomainError, NonConvergence
+from .errors import DomainError, NonConvergence
 from .ops import FLOAT
 from .params import arc_alpha, mu
 from .scalar import ScalarZero, sigma
@@ -82,17 +84,6 @@ class ZeroSolution(NamedTuple):
     residual: float  # max |Omega_j(z) - target_j| over the four arcs
 
 
-@dataclass(frozen=True)
-class PhaseParam:
-    """Gauss-map parameter a with its phase and formula residuals."""
-
-    a: complex
-    delta: float
-    mod_residual: float  # |a| - sqrt((1-mu)/(1+mu))
-    cos_residual: float  # cos(delta-h) + kappa*sqrt(B)/sqrt((1-AB)(A+B))
-    sin_residual: float  # sin(delta-h) + epsilon*sqrt(A)/sqrt((1-AB)(A+B))
-
-
 def _arc(r, t, phi, cos_half, sin_half, ops=FLOAT):
     """Harmonic measure at r e^{it} of the arc (phi - half, phi + half),
     given cos(half) and sin(half).
@@ -133,24 +124,12 @@ def measures4(z: DiskPoint, alpha: float) -> FourMeasures:
     return _measures(z.r, z.t, alpha)
 
 
-def cross_ratio_residual(z: DiskPoint, alpha: float) -> float:
-    """sin(pi O1) sin(pi O3) / (sin(pi O2) sin(pi O4)) - tan^2(alpha/2)."""
-    m = measures4(z, alpha)
-    ratio = (math.sin(math.pi * m.Omega1) * math.sin(math.pi * m.Omega3)
-             / (math.sin(math.pi * m.Omega2) * math.sin(math.pi * m.Omega4)))
-    return ratio - math.tan(0.5 * alpha) ** 2
-
-
-def sinU_identity_residual(z: DiskPoint, alpha: float) -> float:
-    """sin(pi U) - (1-r^4) sin(alpha) / (|1-w| |e^{2i alpha}-w|), w = z^2."""
-    m = measures4(z, alpha)
-    w = cmath.rect(z.r, z.t) ** 2
-    denom = abs(1.0 - w) * abs(cmath.exp(2j * alpha) - w)
-    return math.sin(math.pi * m.U) - (1.0 - z.r ** 4) * math.sin(alpha) / denom
-
-
 def _phase(pair, mu, ops=FLOAT):
-    """a = ar + i ai of the formula in `phase_param`, and delta = arg a."""
+    """a = ar + i ai and delta = arg a of the Gauss-map parameter
+
+        a = (A*epsilon - B*kappa - i*mu*(kappa + epsilon)) / ((1+mu)*(A+B)),
+
+    with |a| = sqrt((1-mu)/(1+mu)), mu = sqrt(AB); a = 0 at A*B = 1."""
     A, B, kappa, epsilon = pair.A, pair.B, pair.kappa, pair.epsilon
     den = (1.0 + mu) * (A + B)
     ar, ai = (A * epsilon - B * kappa) / den, -mu * (kappa + epsilon) / den
@@ -166,31 +145,6 @@ def _d0(mu, r, t, delta, ops=FLOAT):
 def _master_lhs(U, r, D0, ops=FLOAT):
     """sin(pi U) D0 / (1 + r^2) = S_geo/(A+B), U measured at z0."""
     return ops.sin(math.pi * U) * D0 / (1.0 + r * r)
-
-
-def phase_param(params: "ScherkParams") -> PhaseParam:
-    """Gauss-map parameter a and its phase delta = arg(a).
-
-        a = (A*epsilon - B*kappa - i*mu*(kappa + epsilon)) / ((1+mu)*(A+B)),
-
-    with |a| = sqrt((1-mu)/(1+mu)), mu = sqrt(AB).  The residual fields check
-    the closed forms of cos(delta-h), sin(delta-h), h = alpha/2, against a.
-    Undefined at A*B = 1 (a = 0).
-    """
-    A, B, kappa, epsilon = params.A, params.B, params.kappa, params.epsilon
-    if A * B >= 1.0:
-        raise DegenerateError("a = 0 at A*B = 1; the phase is undefined")
-    mu_ab, h = mu(params), arc_alpha(params) / 2.0
-    ar, ai, delta = _phase(params, mu_ab)
-    a = complex(ar, ai)
-    scale = math.sqrt((1.0 - A * B) * (A + B))
-    return PhaseParam(
-        a=a,
-        delta=delta,
-        mod_residual=abs(a) - math.sqrt((1.0 - mu_ab) / (1.0 + mu_ab)),
-        cos_residual=math.cos(delta - h) + kappa * math.sqrt(B) / scale,
-        sin_residual=math.sin(delta - h) + epsilon * math.sqrt(A) / scale,
-    )
 
 
 def _zero_point(alpha, U, V, T, ops=FLOAT):
@@ -227,8 +181,11 @@ def solve_zero_point(params: "ScherkParams", scalar_zero: ScalarZero,
         arg(1 - (1+c) u) = pi*Omega2 + (pi-alpha)/2,
     and z0 = c - 1/u is one 2x2 real solve.  Raises NonConvergence when
     r is not below 1 (NaN included), when alpha rounds to pi, or when the
-    four measures miss their targets by more than tol (or by NaN).
+    four measures miss their targets by more than tol (or by NaN), and
+    ValueError unless 0 < tol < inf.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     A, B = params.A, params.B
     mu_ab, alpha = mu(params), arc_alpha(params)
     if A * B >= 1.0:

@@ -18,17 +18,19 @@ The zero exists and is unique by monotonicity plus the sign change
 G(L) <= 0 <= G(R).  It is found by Newton's method on G with derivative
 pi*S, kept inside the sign bracket by a bisection fallback; from the
 midpoint of [L, R] it takes about five evaluations of G.
+
+The barrier chain behind the sharp bound, u* = P - sigma/(2B(2+AB-A^2))
+at least 1/2 and G(u*) >= 0 when u* < R, is checked by the tests on `g_s`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import NoSignChange, NotAdmissible
 from .ops import FLOAT
-from .params import ScherkParams, from_ab, interval_L, interval_R, pole
+from .params import ScherkParams, interval_L, interval_R, pole
 
 _DEGENERATE_WIDTH = 1e-15   # a narrower interval is solved at its midpoint
 _STEP_ULPS = 4      # a Newton step this many ulps or less ends the iteration
@@ -50,25 +52,6 @@ class ScalarZero(NamedTuple):
     S: float
     residual: float
     steps: int       # evaluations of G after the two at L and R
-
-
-@dataclass(frozen=True)
-class BarrierChainReport:
-    """Residuals and flags of the barrier chain behind the sharp bound."""
-
-    sigma: float                 # sqrt(2*(1+A*B))
-    c_factor: float              # C = 2 + A*B - A^2
-    x_star: float                # sigma / (2*B*C)
-    u_star: float                # P - x_star
-    u_star_ge_half: bool
-    g_at_u_star: Optional[float]     # None when u_star >= R
-    barrier_ok: bool             # G(u_star) >= -slack whenever u_star < R
-    hr_at_root: float            # (A+B)*(1-U) + B*kappa*M + A*epsilon*N
-    hl_at_root: float            # (A+B)*U     + B*kappa*M + A*epsilon*N
-    hr_linear_ok: bool           # hr_at_root >= sigma/2 - slack
-    hl_linear_ok: bool
-    swap_residual: float         # G_{B,A}(1-U) + G_{A,B}(U)
-    root: ScalarZero
 
 
 def g_s(pair, ops=FLOAT):
@@ -117,10 +100,11 @@ def solve_zero(params: ScherkParams, tol: float = 1e-12) -> ScalarZero:
     record's S, M, N and residual all belong to the U it returns.
 
     Raises NotAdmissible for an empty interval and NoSignChange unless
-    G(L) <= tol and G(R) >= -tol (NaN fails both; never silently clamped).
+    G(L) <= tol and G(R) >= -tol (NaN fails both; never silently clamped),
+    and ValueError unless 0 < tol < inf.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if params.A == 1.0 and params.B == 1.0:
         return ScalarZero(0.5, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0)
 
@@ -236,56 +220,3 @@ def solve_zero_block(pairs: ScherkParams, L, R, tol: float):
     _, S, M, N = evaluate(U)
     return U, (np.where(corner, 2.0, S), M, N), ~refused, steps
 
-
-def barrier_chain_check(params: ScherkParams,
-                        tol: float = 1e-12,
-                        slack: float = 1e-12) -> BarrierChainReport:
-    """Verify the barrier chain behind the right linear estimate.
-
-    H_R = B*(2+A*B-A^2)*(P-U) is `bernstein.prove_identities`'s h_r.
-    (i)   U* = P - sigma/(2*B*C) satisfies U* >= 1/2;
-    (ii)  if U* < R then G(U*) >= 0 (the barrier point);
-    (iii) both linear estimates >= sigma/2 at the solved root;
-    (iv)  the swap identity G_{B,A}(1-U) = -G_{A,B}(U).
-    """
-    A, B = params.A, params.B
-    k, e = params.kappa, params.epsilon
-    R = interval_R(A, B, k, e)
-    zero = solve_zero(params, tol)
-    evaluate = g_s(params)
-
-    bound = sigma(params)
-    c_factor = 2.0 + A * B - A * A
-    x_star = bound / (2.0 * B * c_factor)
-    u_star = pole(params) - x_star
-
-    g_at_u_star = None
-    barrier_ok = True
-    if u_star < R:
-        g_at_u_star = evaluate(u_star)[0]
-        barrier_ok = g_at_u_star >= -slack
-
-    def _h(front: float) -> float:
-        return front * (A + B) + B * k * zero.M + A * e * zero.N
-
-    hr_at_root = _h(1.0 - zero.U)
-    hl_at_root = _h(zero.U)
-
-    swapped = from_ab(B, A)
-    swap_residual = g_s(swapped)(1.0 - zero.U)[0] + evaluate(zero.U)[0]
-
-    return BarrierChainReport(
-        sigma=bound,
-        c_factor=c_factor,
-        x_star=x_star,
-        u_star=u_star,
-        u_star_ge_half=u_star >= 0.5 - slack,
-        g_at_u_star=g_at_u_star,
-        barrier_ok=barrier_ok,
-        hr_at_root=hr_at_root,
-        hl_at_root=hl_at_root,
-        hr_linear_ok=hr_at_root >= 0.5 * bound - slack,
-        hl_linear_ok=hl_at_root >= 0.5 * bound - slack,
-        swap_residual=swap_residual,
-        root=zero,
-    )

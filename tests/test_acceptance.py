@@ -8,21 +8,22 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import random_admissible
+from conftest import (barrier_point, cross_ratio_gap, linear_estimates,
+                      on_both_paths, random_admissible)
 from oracles import poisson_arc_measure
 from scherk import cli
 from scherk.bernstein import (CERT_2Z_EXPECTED, CERT_Y_EXPECTED,
                               prove_identities, verify_appendix_certificates)
 from scherk.errors import NoSignChange, NonConvergence
-from scherk.harmonic import (DiskPoint, cross_ratio_residual, measures4,
-                             solve_zero_point)
+from scherk.harmonic import DiskPoint, measures4, solve_zero_point
 from scherk.oddmap import (extremal_sequence, fourier_S1,
                            hall_inequality_check, identity_lift,
                            random_odd_lift)
-from scherk.params import admissible_interval, from_ab
-from scherk.scalar import barrier_chain_check, solve_zero
+from scherk.params import admissible_interval, from_ab, interval_R
+from scherk.scalar import g_s, sigma, solve_zero
 from scherk.weierstrass import (GaussAutomorphism, log_subharmonicity_check,
                                 wk_scalar)
 
@@ -119,12 +120,11 @@ def test_criterion_4_route_equivalence(rng):
 
 
 def test_criterion_5_cross_ratio_and_oracle(rng):
-    worst_cr = 0.0
-    for _ in range(10_000):
-        z = DiskPoint(r=float(rng.uniform(0.0, 0.99)),
-                      t=float(rng.uniform(0.0, 2.0 * math.pi)))
-        alpha = float(rng.uniform(0.05, math.pi - 0.05))
-        worst_cr = max(worst_cr, abs(cross_ratio_residual(z, alpha)))
+    r = rng.uniform(0.0, 0.99, 10_000)
+    t = rng.uniform(0.0, 2.0 * math.pi, 10_000)
+    alpha = rng.uniform(0.05, math.pi - 0.05, 10_000)
+    worst_cr = max(np.abs(gaps).max()
+                   for gaps in on_both_paths(cross_ratio_gap, r, t, alpha))
 
     worst_om = 0.0
     for _ in range(1000):
@@ -138,7 +138,8 @@ def test_criterion_5_cross_ratio_and_oracle(rng):
         for om, (c, s) in zip((m.Omega1, m.Omega2, m.Omega3, m.Omega4), arcs):
             worst_om = max(worst_om, abs(om - poisson_arc_measure(r, t, c, s)))
     ok = worst_cr < 1e-10 and worst_om < 1e-9
-    report(5, ok, f"cross-ratio residual {worst_cr:.2e} on 1e4 samples, "
+    report(5, ok, f"cross-ratio residual {worst_cr:.2e} on 1e4 samples on "
+                  f"ops.FLOAT and ops.ARRAY, "
                   f"oracle gap {worst_om:.2e} on 1e3 samples")
 
 
@@ -153,12 +154,13 @@ def test_criterion_6_barrier_chain():
             params = from_ab(i / n, j / n)
             if not admissible_interval(params).nonempty:
                 continue
-            rep = barrier_chain_check(params)
+            zero, u_star = solve_zero(params), barrier_point(params)
             checked += 1
-            if rep.g_at_u_star is not None:
-                worst_barrier = min(worst_barrier, rep.g_at_u_star)
-            assert rep.u_star_ge_half
-            assert rep.hr_linear_ok and rep.hl_linear_ok
+            if u_star < interval_R(*params[:4]):
+                worst_barrier = min(worst_barrier, g_s(params)(u_star)[0])
+            assert u_star >= 0.5 - 1e-12
+            assert (min(linear_estimates(params, zero))
+                    >= 0.5 * sigma(params) - 1e-12)
     ok = hr_exact and worst_barrier >= -1e-12 and checked > 500
     report(6, ok, f"H_R identity proved exactly; min G(U*) "
                   f"{worst_barrier:.2e} over {checked} admissible pairs")

@@ -1,18 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 
-from conftest import random_admissible
+from conftest import cross_ratio_gap, on_both_paths, random_admissible
 from oracles import poisson_arc_measure
 from scherk import harmonic
 from scherk.cli import ROUTE_GAP_BOUND
-from scherk.errors import DegenerateError, DomainError, NonConvergence
-from scherk.harmonic import (DiskPoint, _arc, cross_ratio_residual,
+from scherk.errors import DomainError, NonConvergence
+from scherk.harmonic import (DiskPoint, _arc, _measures, _phase,
                              master_inequality_check, measures4,
-                             modulus_consistency_residual, phase_param,
-                             sinU_identity_residual, solve_zero_point)
-from scherk.params import (admissible_interval, arc_alpha, from_ab, mu,
-                           threshold_b0)
+                             modulus_consistency_residual, solve_zero_point)
+from scherk.ops import FLOAT
+from scherk.params import (ab_params, admissible_interval, arc_alpha, from_ab,
+                           mu, threshold_b0)
 from scherk.scalar import ScalarZero, g_s, solve_zero
 from scherk.weierstrass import wk_scalar
 
@@ -108,67 +109,75 @@ def test_measures4_rejects_bad_alpha():
 
 
 def test_cross_ratio_trivial_cases():
-    origin = DiskPoint(r=0.0, t=0.0)
-    assert cross_ratio_residual(origin, math.pi / 2) == pytest.approx(
-        0.0, abs=1e-14)
+    # sin^2(pi/4)/sin^2(pi/4) = 1 = tan^2(pi/4), and
     # sin^2(pi/6)/sin^2(pi/3) = 1/3 = tan^2(pi/6)
-    assert cross_ratio_residual(origin, math.pi / 3) == pytest.approx(
-        0.0, abs=1e-14)
+    for alpha in (math.pi / 2, math.pi / 3):
+        assert cross_ratio_gap(0.0, 0.0, alpha) == pytest.approx(0.0,
+                                                                abs=1e-14)
 
 
 def test_cross_ratio_identity_random(rng):
-    assert abs(cross_ratio_residual(DiskPoint(r=0.7, t=2.5), 1.1)) < 1e-10
-    for _ in range(2000):
-        z = DiskPoint(r=float(rng.uniform(0, 0.99)),
-                      t=float(rng.uniform(0, 2 * math.pi)))
-        alpha = float(rng.uniform(0.05, math.pi - 0.05))
-        assert abs(cross_ratio_residual(z, alpha)) < 1e-10
+    assert abs(cross_ratio_gap(0.7, 2.5, 1.1)) < 1e-10
+    r = rng.uniform(0, 0.99, 2000)
+    t = rng.uniform(0, 2 * math.pi, 2000)
+    alpha = rng.uniform(0.05, math.pi - 0.05, 2000)
+    for gaps in on_both_paths(cross_ratio_gap, r, t, alpha):
+        assert np.abs(gaps).max() < 1e-10
+
+
+def _sinU_gap(r, t, alpha, ops=FLOAT):
+    """sin(pi U) - (1-r^4) sin(alpha) / (|1-w| |e^{2i alpha}-w|), w = z^2,
+    with U from `_measures`."""
+    w = r * r * np.exp(2j * t)
+    denom = np.abs(1.0 - w) * np.abs(np.exp(2j * alpha) - w)
+    U = _measures(r, t, alpha, ops).U
+    return np.sin(np.pi * U) - (1.0 - r ** 4) * np.sin(alpha) / denom
 
 
 def test_sinU_identity(rng):
-    origin = DiskPoint(r=0.0, t=0.0)
     for alpha in (0.3, 1.0, 2.0):
-        assert abs(sinU_identity_residual(origin, alpha)) < 1e-14
-    assert abs(sinU_identity_residual(DiskPoint(0.5, 0.3),
-                                      math.pi / 2)) < 1e-10
-    assert abs(sinU_identity_residual(DiskPoint(0.9, 4.0), 0.4)) < 1e-9
-    for _ in range(500):
-        z = DiskPoint(r=float(rng.uniform(0, 0.95)),
-                      t=float(rng.uniform(0, 2 * math.pi)))
-        alpha = float(rng.uniform(0.1, math.pi - 0.1))
-        assert abs(sinU_identity_residual(z, alpha)) < 1e-10
+        assert abs(_sinU_gap(0.0, 0.0, alpha)) < 1e-14
+    assert abs(_sinU_gap(0.5, 0.3, math.pi / 2)) < 1e-10
+    assert abs(_sinU_gap(0.9, 4.0, 0.4)) < 1e-9
+    r = rng.uniform(0, 0.95, 500)
+    t = rng.uniform(0, 2 * math.pi, 500)
+    alpha = rng.uniform(0.1, math.pi - 0.1, 500)
+    for gaps in on_both_paths(_sinU_gap, r, t, alpha):
+        assert np.abs(gaps).max() < 1e-10
 
 
 def test_phase_param_symmetric_is_purely_imaginary():
     params = from_ab(0.8, 0.8)
-    ph = phase_param(params)
-    assert abs(ph.a.real) < 1e-15
-    assert ph.a.imag < 0
-    assert ph.delta == pytest.approx(-math.pi / 2, abs=1e-14)
+    ar, ai, delta = _phase(params, mu(params))
+    assert abs(ar) < 1e-15
+    assert ai < 0
+    assert delta == pytest.approx(-math.pi / 2, abs=1e-14)
     # closed form -i*kappa/(1+A)
-    assert ph.a.imag == pytest.approx(-params.kappa / (1 + params.A),
-                                      abs=1e-15)
+    assert ai == pytest.approx(-params.kappa / (1 + params.A), abs=1e-15)
+
+
+def _phase_gaps(A, B, ops=FLOAT):
+    """|a| - sqrt((1-mu)/(1+mu)), cos(delta-h) + kappa sqrt(B)/scale and
+    sin(delta-h) + epsilon sqrt(A)/scale of `_phase`, h = alpha/2 and
+    scale = sqrt((1-AB)(A+B)), and the Pythagorean gap of delta."""
+    pair = ab_params(A, B, ops)
+    m = mu(pair, ops)
+    ar, ai, delta = _phase(pair, m, ops)
+    h = 0.5 * arc_alpha(pair, ops)
+    scale = np.sqrt((1.0 - A * B) * (A + B))
+    return (np.hypot(ar, ai) - np.sqrt((1.0 - m) / (1.0 + m)),
+            np.cos(delta - h) + pair.kappa * np.sqrt(B) / scale,
+            np.sin(delta - h) + pair.epsilon * np.sqrt(A) / scale,
+            np.cos(delta) ** 2 + np.sin(delta) ** 2 - 1.0)
 
 
 def test_phase_param_modulus_and_residuals(rng):
-    params = from_ab(0.6, 0.95)
-    ph = phase_param(params)
-    assert abs(ph.mod_residual) < 1e-12
-    assert abs(ph.cos_residual) < 1e-12
-    assert abs(ph.sin_residual) < 1e-12
-    for _ in range(1000):
-        a, b = rng.uniform(0.05, 0.999, 2)
-        ph = phase_param(from_ab(float(a), float(b)))
-        assert abs(ph.mod_residual) < 1e-12
-        pyth = math.cos(ph.delta) ** 2 + math.sin(ph.delta) ** 2 - 1.0
-        assert abs(pyth) < 1e-12
-        assert abs(ph.cos_residual) < 1e-11
-        assert abs(ph.sin_residual) < 1e-11
-
-
-def test_phase_param_degenerate():
-    with pytest.raises(DegenerateError):
-        phase_param(from_ab(1.0, 1.0))
+    assert max(map(abs, _phase_gaps(0.6, 0.95)[:3])) < 1e-12
+    a, b = rng.uniform(0.05, 0.999, (2, 1000))
+    for gaps in on_both_paths(_phase_gaps, a, b):
+        modulus, cos_gap, sin_gap, pyth = np.abs(gaps).max(axis=1)
+        assert modulus < 1e-12 and pyth < 1e-12
+        assert cos_gap < 1e-11 and sin_gap < 1e-11
 
 
 def test_zero_point_equality_corner():

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import named_check, random_admissible
+from conftest import (barrier_point, linear_estimates, named_check,
+                      random_admissible)
 from oracles import mp_scalar_root
 from scherk.bernstein import prove_identities
 from scherk.cli import evaluate_pair
 from scherk.errors import NoSignChange, NotAdmissible
+from scherk.harmonic import solve_zero_point
 from scherk.params import (ScherkParams, admissible_interval, from_ab,
-                           threshold_b0)
-from scherk.scalar import (barrier_chain_check, g_s, solve_zero,
-                           solve_zero_block)
+                           interval_R, threshold_b0)
+from scherk.scalar import g_s, sigma, solve_zero, solve_zero_block
 
 
 def test_g_eval_equality_corner():
@@ -131,8 +132,16 @@ def test_solve_zero_degenerate_interval():
 
 
 def test_solve_zero_rejects_nonpositive_tol():
-    with pytest.raises(ValueError):
-        solve_zero(from_ab(0.9, 0.9), tol=0.0)
+    # NaN would fail the sign-change gate as if G(L) > tol, and inf would
+    # switch it off; both are refused before any evaluation.
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            solve_zero(from_ab(0.9, 0.9), tol=tol)
+    params = from_ab(0.7, 0.9)
+    zero = solve_zero(params)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            solve_zero_point(params, zero, tol=tol)
 
 
 def test_a_tiny_tol_refuses_the_edge_branches():
@@ -296,25 +305,28 @@ def test_derivative_inequality_examples():
 
 
 def test_barrier_chain_generic_pair():
-    rep = barrier_chain_check(from_ab(0.6, 0.95))
-    assert rep.u_star_ge_half
-    assert rep.barrier_ok
-    assert rep.hr_linear_ok and rep.hl_linear_ok
-    assert abs(rep.swap_residual) < 1e-12
-    if rep.g_at_u_star is not None:
-        assert rep.g_at_u_star >= -1e-12
+    params = from_ab(0.6, 0.95)
+    zero, evaluate = solve_zero(params), g_s(params)
+    u_star = barrier_point(params)
+    assert u_star >= 0.5 - 1e-12
+    if u_star < interval_R(*params[:4]):
+        assert evaluate(u_star)[0] >= -1e-12
+    assert min(linear_estimates(params, zero)) >= 0.5 * sigma(params) - 1e-12
+    swapped = g_s(from_ab(0.95, 0.6))(1.0 - zero.U)[0]
+    assert abs(swapped + evaluate(zero.U)[0]) < 1e-12
 
 
 def test_barrier_chain_equality_corner():
-    rep = barrier_chain_check(from_ab(1.0, 1.0))
-    assert rep.sigma == 2.0 and rep.c_factor == 2.0
-    assert rep.x_star == 0.5 and rep.u_star == 0.5
-    assert rep.u_star_ge_half and rep.barrier_ok
-    assert rep.hr_linear_ok and rep.hl_linear_ok
+    params = from_ab(1.0, 1.0)
+    assert sigma(params) == 2.0 and barrier_point(params) == 0.5
+    if 0.5 < interval_R(*params[:4]):
+        assert g_s(params)(0.5)[0] >= -1e-12
+    assert min(linear_estimates(params, solve_zero(params))) >= 1.0 - 1e-12
 
 
 def test_hr_identity_exact():
-    # H_R = B*(2+A*B-A^2)*(P-U), behind barrier_chain_check, for all pairs
+    # H_R = B*(2+A*B-A^2)*(P-U), on which the barrier chain's floats in
+    # the two tests above and acceptance criterion 6 rest, for all pairs
     # and all U, proved on rational functions of (A, B).
     assert prove_identities()["h_r"]
 
