@@ -24,10 +24,10 @@ process.
 `--tol` must be finite and > 0, `--slack` finite and >= 0, and `--out`
 must name a file.
 
-numpy is imported only where arrays are made: in `evaluate_block` and
-`_Sweep`, and through `oddmap`, which `odd` binds as the module global
-`oddmap` on its first run.  `certify` imports `bernstein`.  So `check`,
-`zero`, `certify` and `logsub` never load numpy.
+numpy is imported only where arrays are made: in `evaluate_block`,
+`_sweep_blocks` and `cmd_sweep`, and through `oddmap`, which `odd` binds
+as the module global `oddmap` on its first run.  `certify` imports
+`bernstein`.  So `check`, `zero`, `certify` and `logsub` never load numpy.
 
 Exit codes: 0 ok, 1 malformed input, 2 not admissible, 3 solver failure,
 4 verification failure.
@@ -187,11 +187,13 @@ def evaluate_block(pairs: ScherkParams, tol: float = 1e-12) -> BlockRecord:
     the sweep passes its grid blocks whole.  The scalar path's closed
     forms, on ops.ARRAY, and the array twins of its solvers give each
     admissible pair its status and values; DomainError for the first pair
-    with S <= 0 or D0 <= 0.  A lone pair is over ten times faster on the
-    scalar path.
+    with S <= 0 or D0 <= 0, and ValueError unless 0 < tol < inf.  A lone
+    pair is over ten times faster on the scalar path.
     """
     import numpy as np
 
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     status = np.full(pairs.A.size, NOT_ADMISSIBLE, np.int8)
     columns = np.full((6, pairs.A.size), np.nan)
     with np.errstate(all="ignore"):
@@ -313,93 +315,69 @@ def cmd_zero(args) -> int:
     return _STATUS_EXIT[rec.status]
 
 
-class _Sweep:
-    """A sweep's grid x grid pairs, row-major, its CSV rows and its tally.
-
-    Flat position k is the pair of axis steps divmod(k, grid) + 1.  The
-    fields come from the builders of `from_ab` (mode AB) and `from_angles`
-    (mode pq) on ops.ARRAY, so each is the float those constructors give.
-    Axis values are formatted once.  The grid lies inside both
-    constructors' domains.
-    """
-
-    def __init__(self, grid: int, mode: str, tol: float):
-        import numpy as np
-
-        self.grid, self.ab, self.tol = grid, mode == "AB", tol
-        self.counts = np.zeros(len(STATUSES), int)
-        self.wk_min, self.wk_max = math.inf, -math.inf
-        steps = range(1, grid + 1)
-        if self.ab:
-            values = np.array([i / grid for i in steps])      # A and B
-            self.axis = ab_params(values, values, ops.ARRAY)
-            self.p_text, self.a_text = _texts(self.axis.p), _texts(values)
-        else:
-            self.angles = np.array([0.5 * math.pi * i / grid for i in steps])
-            self.p_text = _texts(self.angles)   # p and q - p: axis values
-            self.a_text = _texts(
-                angle_params(self.angles, self.angles, ops.ARRAY).A)
-
-    def _blocks(self):
-        """The flat positions and ScherkParams of each SWEEP_BLOCK pairs."""
-        import numpy as np
-
-        size = self.grid * self.grid
-        for start in range(0, size, SWEEP_BLOCK):
-            flat = np.arange(start, min(start + SWEEP_BLOCK, size))
-            i, j = np.divmod(flat, self.grid)
-            if self.ab:
-                row, col = self.axis.take(i), self.axis.take(j)
-                yield flat, ScherkParams(row.A, col.B, row.kappa, col.epsilon,
-                                         row.p, row.p + col.p)  # q as from_ab
-            else:
-                yield flat, angle_params(self.angles[i],
-                                         self.angles[i] + self.angles[j],
-                                         ops.ARRAY)
-
-    def rows(self):
-        """Each pair's CSV row, in grid order, as soon as it is formatted.
-
-        Each block of SWEEP_BLOCK grid pairs goes whole to `evaluate_block`,
-        which gates it; the block's statuses are tallied.
-        """
-        import numpy as np
-
-        p_text, a_text = self.p_text, self.a_text
-        for flat, pairs in self._blocks():
-            rec = evaluate_block(pairs, self.tol)
-            self.counts += np.bincount(rec.status, minlength=len(STATUSES))
-            ok = rec.wk_scalar[rec.status == OK]
-            if ok.size:
-                self.wk_min = min(self.wk_min, float(ok.min()))
-                self.wk_max = max(self.wk_max, float(ok.max()))
-            i, j = divmod(flat, self.grid)
-            if self.ab:
-                for a, b, q, tail in zip(i.tolist(), j.tolist(),
-                                         pairs.q.tolist(), _lane_tails(rec)):
-                    yield f"{p_text[a]},{q:.17g},{a_text[a]},{a_text[b]}{tail}"
-            else:
-                for a, q, b, tail in zip(i.tolist(), pairs.q.tolist(),
-                                         pairs.B.tolist(), _lane_tails(rec)):
-                    yield f"{p_text[a]},{q:.17g},{a_text[a]},{b:.17g}{tail}"
-
-
 def _texts(values: np.ndarray) -> list[str]:
     return [f"{x:.17g}" for x in values.tolist()]
 
 
+def _sweep_blocks(grid: int, ab: bool, tol: float):
+    """Each SWEEP_BLOCK of a sweep's grid x grid pairs, row-major: its
+    `evaluate_block` record and its CSV rows, formatted as they are read.
+
+    Flat position k is the pair of axis steps divmod(k, grid) + 1.  The
+    fields come from the builders of `from_ab` (`ab`) and `from_angles` on
+    ops.ARRAY, so each is the float those constructors give.  Axis values
+    are formatted once.  The grid lies inside both constructors' domains.
+    """
+    import numpy as np
+
+    steps = range(1, grid + 1)
+    if ab:
+        values = np.array([i / grid for i in steps])      # A and B
+        axis = ab_params(values, values, ops.ARRAY)
+        p_text, a_text = _texts(axis.p), _texts(values)
+    else:
+        angles = np.array([0.5 * math.pi * i / grid for i in steps])
+        p_text = _texts(angles)   # p and q - p: axis values
+        a_text = _texts(angle_params(angles, angles, ops.ARRAY).A)
+    size = grid * grid
+    for start in range(0, size, SWEEP_BLOCK):
+        i, j = np.divmod(np.arange(start, min(start + SWEEP_BLOCK, size)),
+                         grid)
+        if ab:
+            row, col = axis.take(i), axis.take(j)
+            pairs = ScherkParams(row.A, col.B, row.kappa, col.epsilon,
+                                 row.p, row.p + col.p)   # q as from_ab
+            b_text = [a_text[b] for b in j.tolist()]
+        else:
+            pairs = angle_params(angles[i], angles[i] + angles[j], ops.ARRAY)
+            b_text = _texts(pairs.B)
+        rec = evaluate_block(pairs, tol)
+        yield rec, (f"{p_text[a]},{q:.17g},{a_text[a]},{b}{tail}"
+                    for a, q, b, tail in zip(i.tolist(), pairs.q.tolist(),
+                                             b_text, _lane_tails(rec)))
+
+
 def cmd_sweep(args) -> int:
-    sweep = _Sweep(args.grid, args.mode, args.tol)
+    import numpy as np
+
+    counts = np.zeros(len(STATUSES), int)
+    wk_min, wk_max = math.inf, -math.inf
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     try:
         fd, tmp_path = tempfile.mkstemp(dir=out_dir, suffix=".csv.tmp")
         try:
-            # The rows come one at a time: a 64 KiB buffer, not the file
-            # system's block size (often 4 KiB), sets how often they are
-            # written out.
+            # Rows come one at a time: a 64 KiB buffer, not the file
+            # system's block size (often 4 KiB), sets how often they go out.
             with os.fdopen(fd, "w", buffering=1 << 16) as fh:
                 fh.write(CSV_HEADER + "\n")
-                fh.writelines(sweep.rows())
+                for rec, rows in _sweep_blocks(args.grid, args.mode == "AB",
+                                               args.tol):
+                    counts += np.bincount(rec.status, minlength=len(STATUSES))
+                    ok = rec.wk_scalar[rec.status == OK]
+                    if ok.size:
+                        wk_min = min(wk_min, float(ok.min()))
+                        wk_max = max(wk_max, float(ok.max()))
+                    fh.writelines(rows)
             os.replace(tmp_path, args.out)
         except BaseException:
             os.unlink(tmp_path)
@@ -408,11 +386,10 @@ def cmd_sweep(args) -> int:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    counts = sweep.counts
     summary = ", ".join(f"{name}={n}" for name, n in
                         sorted(zip(STATUSES, counts.tolist())) if n)
     if counts[OK]:
-        summary += f"; wk min={sweep.wk_min:.12g} max={sweep.wk_max:.12g}"
+        summary += f"; wk min={wk_min:.12g} max={wk_max:.12g}"
     print(f"sweep {args.grid}x{args.grid} mode={args.mode}: {summary}",
           file=sys.stderr)
     return EXIT_OK

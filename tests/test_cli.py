@@ -1,3 +1,5 @@
+import collections
+import csv
 import dataclasses
 import json
 import math
@@ -316,17 +318,17 @@ def _assert_block_matches_scalar(pairs, rec, params):
 
 
 @pytest.mark.parametrize("grid, mode", [(65, "AB"), (12, "pq")])
-def test_block_evaluator_matches_evaluate_pair_on_grids(grid, mode):
+def test_block_evaluator_matches_evaluate_pair_on_grids(monkeypatch, grid,
+                                                        mode):
     params = _sweep_pairs(grid, mode)
+    calls = _record_solver_calls(monkeypatch)
+    records = [rec for rec, _ in cli._sweep_blocks(grid, mode == "AB", 1e-12)]
+    assert [pairs.A.size for pairs in calls[:-1]] == [cli.SWEEP_BLOCK] * (
+        len(calls) - 1)
     start = 0
-    blocks = list(cli._Sweep(grid, mode, 1e-12)._blocks())
-    assert [pairs.A.size for _, pairs in blocks[:-1]] == [cli.SWEEP_BLOCK] * (
-        len(blocks) - 1)
-    for flat, pairs in blocks:
+    for pairs, rec in zip(calls, records, strict=True):
         stop = start + pairs.A.size
-        assert flat.tolist() == list(range(start, stop))
-        _assert_block_matches_scalar(pairs, cli.evaluate_block(pairs),
-                                     params[start:stop])
+        _assert_block_matches_scalar(pairs, rec, params[start:stop])
         start = stop
     assert start == grid * grid
 
@@ -453,18 +455,35 @@ def _csv_row(rec):
     return ",".join(c if isinstance(c, str) else f"{c:.17g}" for c in cells)
 
 
-@pytest.mark.parametrize("grid, mode, solver_calls", [
-    (90, "AB", 2), (50, "AB", 1), (12, "pq", 1)])
+@pytest.mark.parametrize("grid, mode, block, solver_calls", [
+    (90, "AB", None, 2), (90, "pq", None, 2), (50, "AB", None, 1),
+    (12, "pq", None, 1), (3, "AB", 8, 2), (3, "pq", 8, 2)], ids=[
+    "90-AB-2", "90-pq-2", "50-AB-1", "12-pq-1", "3-AB-block8-2",
+    "3-pq-block8-2"])
 def test_sweep_csv_is_evaluate_pair_row_by_row(tmp_path, capsys, monkeypatch,
-                                               grid, mode, solver_calls):
-    # Grid 90 spans two grid blocks, grid 50 and grid 12 one each.
+                                               grid, mode, block,
+                                               solver_calls):
+    # Grid 90 spans two grid blocks, grid 50 and grid 12 one each.  Grid 3
+    # in blocks of 8 ends on a block of one pair, and its lowest W^2|K|
+    # lies in the first block.
+    if block is not None:
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
     calls = _record_solver_calls(monkeypatch)
     out_file = tmp_path / "s.csv"
-    assert run(capsys, "sweep", "--grid", str(grid), "--mode", mode,
-               "--out", str(out_file))[0] == 0
+    code, _, err = run(capsys, "sweep", "--grid", str(grid), "--mode", mode,
+                       "--out", str(out_file))
+    assert code == 0
     refs = [evaluate_pair(x) for x in _sweep_pairs(grid, mode)]
-    assert out_file.read_text().splitlines() == [CSV_HEADER] + [
-        _csv_row(rec) for rec in refs]
+    lines = out_file.read_text().splitlines()
+    assert lines == [CSV_HEADER] + [_csv_row(rec) for rec in refs]
+    # The summary counts each status and takes the extremes of the ok
+    # rows' wk_scalar over every block.
+    rows = list(csv.DictReader(lines))
+    counts = collections.Counter(row["status"] for row in rows)
+    wk = [float(row["wk_scalar"]) for row in rows if row["status"] == "ok"]
+    tally = ", ".join(f"{name}={n}" for name, n in sorted(counts.items()))
+    assert err == (f"sweep {grid}x{grid} mode={mode}: {tally}; "
+                   f"wk min={min(wk):.12g} max={max(wk):.12g}\n")
     # The solver calls take every grid pair, in grid order, exactly
     # SWEEP_BLOCK in each call but the last.
     assert [(a, b) for pairs in calls

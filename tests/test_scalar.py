@@ -7,11 +7,12 @@ from conftest import (barrier_point, linear_estimates, named_check,
                       random_admissible)
 from oracles import mp_scalar_root
 from scherk.bernstein import prove_identities
-from scherk.cli import evaluate_pair
+from scherk.cli import evaluate_block, evaluate_pair
 from scherk.errors import NoSignChange, NotAdmissible
 from scherk.harmonic import solve_zero_point
-from scherk.params import (ScherkParams, admissible_interval, from_ab,
-                           interval_R, threshold_b0)
+from scherk.ops import ARRAY
+from scherk.params import (ScherkParams, ab_params, admissible_interval,
+                           from_ab, interval_R, threshold_b0)
 from scherk.scalar import g_s, sigma, solve_zero, solve_zero_block
 
 
@@ -133,7 +134,8 @@ def test_solve_zero_degenerate_interval():
 
 def test_solve_zero_rejects_nonpositive_tol():
     # NaN would fail the sign-change gate as if G(L) > tol, and inf would
-    # switch it off; both are refused before any evaluation.
+    # switch it off; both are refused before any evaluation, on the block
+    # path too.
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             solve_zero(from_ab(0.9, 0.9), tol=tol)
@@ -142,6 +144,11 @@ def test_solve_zero_rejects_nonpositive_tol():
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             solve_zero_point(params, zero, tol=tol)
+    block = ab_params(np.array([0.7, 0.95, 1.0]), np.array([0.9, 0.95, 1.0]),
+                      ARRAY)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            evaluate_block(block, tol)
 
 
 def test_a_tiny_tol_refuses_the_edge_branches():
