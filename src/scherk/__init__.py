@@ -22,8 +22,7 @@ _HOME = {name: home for home, names in {
     "scalar": ("ScalarZero", "solve_zero"),
     "harmonic": ("DiskPoint", "FourMeasures", "ZeroSolution",
                  "master_inequality_check", "measures4", "solve_zero_point"),
-    "weierstrass": ("GaussAutomorphism", "NormalizedCurvature",
-                    "log_subharmonicity_check", "wk_scalar"),
+    "weierstrass": ("NormalizedCurvature", "wk_scalar"),
     "bernstein": ("BernsteinForm", "BiPoly", "prove_identities",
                   "to_bernstein", "verify_appendix_certificates"),
     "oddmap": ("OddLift", "autocorrelation", "extremal_sequence",

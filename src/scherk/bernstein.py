@@ -1,5 +1,5 @@
 """Exact bivariate polynomials, Bernstein positivity certificates, and exact
-proofs of the parameter identities (`prove_identities`).
+proofs of the parameter and log-Laplacian identities (`prove_identities`).
 
 All coefficients are int or Fraction, never float; nothing here rounds.
 A polynomial on [0,1]^2 whose Bernstein expansion at some bidegree has
@@ -116,6 +116,12 @@ class BiPoly:
         return out
 
     __radd__, __rmul__ = __add__, __mul__
+
+    def partial(self, var: str) -> "BiPoly":
+        """The partial derivative in `var`, "t" or "v", term by term."""
+        axis = ("t", "v").index(var)
+        return BiPoly({(i - (axis == 0), j - (axis == 1)): c * (i, j)[axis]
+                       for (i, j), c in self.terms.items() if (i, j)[axis]})
 
     def evaluate(self, t, v):
         """Exact on Fraction or BiPoly arguments, float math on floats."""
@@ -296,7 +302,8 @@ def _lift(value) -> RationalFunction:
 
 
 def prove_identities() -> dict[str, bool]:
-    """Whether each identity holds for all (x, y) = (tan(p/2), tan((q-p)/2)).
+    """Whether each identity holds: the parameter identities for all
+    (x, y) = (tan(p/2), tan((q-p)/2)), the log-Laplacian ones for all (t, v).
     A = 2x/(1+x^2) and kappa = (1-x^2)/(1+x^2), and B, epsilon alike in y,
     are rational there, and the Fraction-safe L, R and P of `params` run on
     them unchanged.  lower_band gives S <= 2 sqrt(1+AB) at every U.
@@ -305,6 +312,21 @@ def prove_identities() -> dict[str, bool]:
     B >= B0(A) agree; F1 is symmetric, so by swap R >= 1/2 and L <= R agree
     too.  h_r needs only kappa^2, epsilon^2 and U in {0, 1}, as it is linear
     in U, so it runs in plain (A, B).
+
+    log_wk_laplacian and log_k_laplacian hold for every Weierstrass pair
+    (g, phi) with |g| < 1, wherever g' and phi do not vanish.  There
+    log|g'|^2 and log|phi|^2 are harmonic, and Delta = 4 d dbar; with
+    t = g and v = conj(g) as independent variables the chain rule gives
+    Delta f(g, conj g) = 4|g'|^2 f_tv.  So, from W^2|K| =
+    4|g'|^2/(|phi|^2 (1-|g|^4)^2) and |K| = 4|g'|^2/(|phi|^2 (1+|g|^2)^4),
+
+        Delta log(W^2|K|) = 4|g'|^2 d_t d_v[-2 log(1 - t^2 v^2)]
+                          = 32|g|^2|g'|^2/(1-|g|^4)^2 >= 0,
+        Delta log|K|      = 4|g'|^2 d_t d_v[-4 log(1 + tv)]
+                          = -16|g'|^2/(1+|g|^2)^2 < 0,
+
+    which prove W^2|K| log-subharmonic and |K| log-superharmonic; the
+    residuals are the middle = right steps, in (t, v).
     """
     x, y = RationalFunction(_T), RationalFunction(_V)
     A, kappa = 2 * x / (1 + x * x), (1 - x * x) / (1 + x * x)
@@ -323,6 +345,12 @@ def prove_identities() -> dict[str, bool]:
     h_r = [(a + b) * (1 - U) + b * k2 * (p_ab - U)
            + a * (1 - b * b) * (U + k2 / (a * (a + b)))
            - b * (2 + a * b - a * a) * (p_ab - U) for U in (0, 1)]
+
+    def dtdv_log(h: BiPoly) -> RationalFunction:
+        h_t, h_v = h.partial("t"), h.partial("v")
+        return RationalFunction(h_t.partial("v") * h - h_t * h_v, h * h)
+
+    tv = _T * _V
     residuals = {
         "lower_band": [4 * (1 + A * B) - band * band - gap * gap],
         "swap": [1 - R - params.interval_L(B, A, epsilon, kappa)],
@@ -331,6 +359,10 @@ def prove_identities() -> dict[str, bool]:
         "threshold": [8 * y * (x + y) * (1 + x * y) * (Fraction(1, 2) - L)
                       - f12, d * d * quadratic - 2 * f12],
         "h_r": h_r,
+        "log_wk_laplacian": [-2 * dtdv_log(1 - tv * tv) - RationalFunction(
+            8 * tv, (1 - tv * tv) ** 2)],
+        "log_k_laplacian": [-4 * dtdv_log(1 + tv) + RationalFunction(
+            BiPoly.constant(4), (1 + tv) ** 2)],
     }
     return {name: all(r.vanishes() for r in rs)
             for name, rs in residuals.items()}

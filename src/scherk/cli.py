@@ -7,9 +7,9 @@ Commands
     zero     full zero-point record for one pair; JSON on stdout
     sweep    grid x grid classification over (A, B) or (p, q); CSV file
     certify  rebuild and verify the two positivity certificates; prove
-             the parameter identities exactly (`bernstein.prove_identities`)
+             the parameter and log-Laplacian identities exactly
+             (`bernstein.prove_identities`)
     odd      Monte-Carlo and extremal runs for the first-coefficient bound
-    logsub   finite-difference checks of the two log-Laplacian identities
 
 `check` and `zero` render the `PairRecord` that `evaluate_pair` builds for
 their one pair, through the scalar library path.  A refusal ends the
@@ -27,7 +27,7 @@ must name a file.
 numpy is imported only where arrays are made: in `evaluate_block`,
 `_sweep_blocks` and `cmd_sweep`, and through `oddmap`, which `odd` binds
 as the module global `oddmap` on its first run.  `certify` imports
-`bernstein`.  So `check`, `zero`, `certify` and `logsub` never load numpy.
+`bernstein`.  So `check`, `zero` and `certify` never load numpy.
 
 Exit codes: 0 ok, 1 malformed input, 2 not admissible, 3 solver failure,
 4 verification failure.
@@ -76,6 +76,13 @@ ROUTE_GAP_BOUND = 1e-12
 BAND = (math.pi ** 2 / 4.0, math.pi ** 2 / 2.0)
 SLACK = 1e-9   # `check`'s default slack on BAND
 
+# `odd`'s gates: Hall's pointwise max(J - tau), the antisymmetry residual
+# |C(t) + C(pi/2 - t)| of the autocorrelation, and the largest even-mode
+# energy of an odd lift, each at most its bound.
+HALL_J_BOUND = 1e-10
+ANTISYMMETRY_BOUND = 1e-9
+EVEN_MODE_BOUND = 1e-10
+
 CSV_HEADER = ("p,q,A,B,admissible,U,S,margin,"
               "wk_scalar,wk_geometric,route_gap,status")
 
@@ -87,10 +94,6 @@ OK, NOT_ADMISSIBLE, NO_SIGN_CHANGE, NON_CONVERGENCE = range(len(STATUSES))
 # does not grow with the grid.  4096 is the smallest power of two that
 # takes a grid-50 sweep (2500 pairs) in one call.
 SWEEP_BLOCK = 4096
-
-# `logsub` samples z in [-0.5, 0.5]^2, so |z| <= sqrt(0.5), and the
-# stencil of step h needs |z| < 1 - 4h.
-LOGSUB_Z_MAX = math.hypot(0.5, 0.5)
 
 
 def _emit_json(obj) -> None:
@@ -463,7 +466,7 @@ def cmd_odd(args) -> int:
         rep = oddmap.hall_inequality_check(lift)
         print(f"hall: lhs={rep.lhs:.10f} rhs={rep.rhs:.10f} "
               f"holds={rep.holds} max(J-tau)={rep.max_j_minus_tau:.3e}")
-        ok = ok and rep.holds and rep.max_j_minus_tau <= 1e-10
+        ok = ok and rep.holds and rep.max_j_minus_tau <= HALL_J_BOUND
 
     lift = oddmap.random_odd_lift(args.seed + 1, modes=3, amplitude=0.25)
     c_a, _ = oddmap.autocorrelation(lift, 0.3)
@@ -473,38 +476,8 @@ def cmd_odd(args) -> int:
     even_max = float(spectrum[1::2].max())  # S_2, S_4, ...
     print(f"autocorrelation antisymmetry residual: {anti:.3e}; "
           f"max even-mode energy: {even_max:.3e}")
-    ok = ok and anti <= 1e-9 and even_max <= 1e-10
+    ok = ok and anti <= ANTISYMMETRY_BOUND and even_max <= EVEN_MODE_BOUND
     print("odd-map checks PASS" if ok else "odd-map checks FAIL")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def cmd_logsub(args) -> int:
-    import random
-    rng = random.Random(args.seed)
-    hs = args.h or [1e-3]
-    ok = True
-    for h in hs:
-        max_rel = 0.0
-        max_rel_k = 0.0
-        sign_ok = True
-        for _ in range(args.samples):
-            a = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-            if abs(a) >= 0.7:
-                a *= 0.7 / abs(a)
-            g = weierstrass.GaussAutomorphism(a=a, theta=rng.uniform(0, 2 * math.pi))
-            z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-            chk = weierstrass.log_subharmonicity_check(g, z, h)
-            scale = max(1.0, abs(chk.lap_exact))
-            max_rel = max(max_rel, abs(chk.lap_fd - chk.lap_exact) / scale)
-            scale_k = max(1.0, abs(chk.lapK_exact))
-            max_rel_k = max(max_rel_k,
-                            abs(chk.lapK_fd - chk.lapK_exact) / scale_k)
-            sign_ok = sign_ok and chk.lap_fd >= -1e-6 and chk.lapK_fd <= 1e-6
-        print(f"h={h:g}: max rel err log(W^2|K|)={max_rel:.3e}, "
-              f"log|K|={max_rel_k:.3e}, signs_ok={sign_ok}")
-        ok = ok and sign_ok and max(max_rel, max_rel_k) < max(1e-3, 1e3 * h * h)
-    print("log-subharmonicity checks PASS" if ok else
-          "log-subharmonicity checks FAIL")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -518,17 +491,6 @@ def _finite_float(strict: bool):
                 f"got {text!r}")
         return value
     return finite_float
-
-
-def _logsub_step(text: str) -> float:
-    """argparse type: a step h > 0 with 1 - 4h > LOGSUB_Z_MAX, the rule of
-    `weierstrass.log_subharmonicity_check` at every sample."""
-    h = _finite_float(True)(text)
-    if not LOGSUB_Z_MAX < 1.0 - 4.0 * h:
-        raise argparse.ArgumentTypeError(
-            f"must be < (1 - sqrt(0.5))/4 = {(1.0 - LOGSUB_Z_MAX) / 4.0:.4g}"
-            f", so the stencil stays inside the unit disk, got {text!r}")
-    return h
 
 
 def _out_file(text: str) -> str:
@@ -595,13 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_odd.add_argument("--slack", type=_finite_float(False), default=1e-9)
     p_odd.add_argument("--extremal", action="store_true")
     p_odd.set_defaults(func=cmd_odd)
-
-    p_log = sub.add_parser("logsub", help="log-Laplacian FD checks")
-    p_log.add_argument("--samples", type=_int_at_least(1), default=20)
-    p_log.add_argument("--seed", type=int, default=0)
-    p_log.add_argument("--h", type=_logsub_step, action="append",
-                       default=None)
-    p_log.set_defaults(func=cmd_logsub)
 
     return parser
 

@@ -19,13 +19,14 @@ the scalar zero, so both call `wk_scalar_value`.  S_geo = S only where U is
 the zero's: that agreement is the computational content of the phase
 elimination.
 Both routes land in the band [pi^2/4, pi^2/2] on admissible parameters.
+That W^2|K| is log-subharmonic and |K| log-superharmonic, for every such
+(g, phi), is proved exactly in `bernstein.prove_identities`
+(`log_wk_laplacian`, `log_k_laplacian`).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError
@@ -34,39 +35,10 @@ if TYPE_CHECKING:
     from .params import ScherkParams
 
 
-@dataclass(frozen=True)
-class GaussAutomorphism:
-    """Gauss map g(z) = e^{i theta} (z - a)/(1 - conj(a) z), |a| < 1."""
-
-    a: complex
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if abs(self.a) >= 1.0:
-            raise DomainError(f"require |a| < 1, got |a|={abs(self.a)}")
-
-    def __call__(self, z: complex) -> complex:
-        return cmath.exp(1j * self.theta) * (z - self.a) / (1.0 - self.a.conjugate() * z)
-
-    def deriv(self, z: complex) -> complex:
-        denom = (1.0 - self.a.conjugate() * z) ** 2
-        return cmath.exp(1j * self.theta) * (1.0 - abs(self.a) ** 2) / denom
-
-
 class NormalizedCurvature(NamedTuple):
     """W^2|K| value of `wk_scalar`."""
 
     value: float
-
-
-@dataclass(frozen=True)
-class LaplacianCheck:
-    """Finite-difference vs closed-form Laplacians of the two log quantities."""
-
-    lap_fd: float      # FD Laplacian of log(W^2|K|)
-    lap_exact: float   # 32|g|^2|g'|^2/(1-|g|^4)^2
-    lapK_fd: float     # FD Laplacian of log|K|
-    lapK_exact: float  # -16|g'|^2/(1+|g|^2)^2
 
 
 def wk_scalar_value(pair, S):
@@ -79,46 +51,3 @@ def wk_scalar(params: "ScherkParams", S: float) -> NormalizedCurvature:
     if S <= 0.0:
         raise DomainError(f"require S > 0, got {S}")
     return NormalizedCurvature(wk_scalar_value(params, S))
-
-
-def _log_wk(g: GaussAutomorphism, z: complex) -> float:
-    # phi == 1: the phi term is log-harmonic, so it drops from the Laplacian.
-    gz = abs(g(z))
-    return math.log(4.0) + 2.0 * math.log(abs(g.deriv(z))) \
-        - 2.0 * math.log(1.0 - gz ** 4)
-
-
-def _log_k(g: GaussAutomorphism, z: complex) -> float:
-    gz = abs(g(z))
-    return math.log(4.0) + 2.0 * math.log(abs(g.deriv(z))) \
-        - 4.0 * math.log(1.0 + gz ** 2)
-
-
-def _five_point_lap(f, z: complex, h: float) -> float:
-    return (f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h)
-            - 4.0 * f(z)) / (h * h)
-
-
-def log_subharmonicity_check(g: GaussAutomorphism, z: complex,
-                             h: float) -> LaplacianCheck:
-    """Five-point FD Laplacians of log(W^2|K|) and log|K| vs closed forms.
-
-    With phi == 1 the quantity log(W^2|K|) differs from the general case by
-    a harmonic term, so the Laplacian comparison is unaffected.  Requires
-    the stencil to stay well inside the disk (|z| < 1 - 4h).
-    """
-    if h <= 0.0:
-        raise DomainError(f"require h > 0, got {h}")
-    if abs(z) >= 1.0 - 4.0 * h:
-        raise DomainError(
-            f"stencil too close to the boundary: |z|={abs(z)}, h={h}")
-    gz = abs(g(z))
-    gp = abs(g.deriv(z))
-    lap_exact = 32.0 * gz ** 2 * gp ** 2 / (1.0 - gz ** 4) ** 2
-    lapk_exact = -16.0 * gp ** 2 / (1.0 + gz ** 2) ** 2
-    return LaplacianCheck(
-        lap_fd=_five_point_lap(lambda w: _log_wk(g, w), z, h),
-        lap_exact=lap_exact,
-        lapK_fd=_five_point_lap(lambda w: _log_k(g, w), z, h),
-        lapK_exact=lapk_exact,
-    )

@@ -24,8 +24,7 @@ from scherk.oddmap import (extremal_sequence, fourier_S1,
                            random_odd_lift)
 from scherk.params import admissible_interval, from_ab, interval_R
 from scherk.scalar import g_s, sigma, solve_zero
-from scherk.weierstrass import (GaussAutomorphism, log_subharmonicity_check,
-                                wk_scalar)
+from scherk.weierstrass import wk_scalar
 
 PI2_4 = math.pi ** 2 / 4.0
 PI2_2 = math.pi ** 2 / 2.0
@@ -194,34 +193,23 @@ def test_criterion_7_odd_estimates():
                   f"({elapsed:.1f} s)")
 
 
-def test_criterion_8_log_laplacians(rng):
-    worst = {1e-2: 0.0, 1e-3: 0.0}
-    worst_k = {1e-2: 0.0, 1e-3: 0.0}
-    sign_ok = True
-    cases = []
-    for _ in range(25):
-        a = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        g = GaussAutomorphism(a=a, theta=float(rng.uniform(0, 2 * math.pi)))
-        z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        cases.append((g, z))
-    for h in (1e-2, 1e-3):
-        for g, z in cases:
-            chk = log_subharmonicity_check(g, z, h)
-            scale = max(1.0, abs(chk.lap_exact))
-            worst[h] = max(worst[h], abs(chk.lap_fd - chk.lap_exact) / scale)
-            scale_k = max(1.0, abs(chk.lapK_exact))
-            worst_k[h] = max(worst_k[h],
-                             abs(chk.lapK_fd - chk.lapK_exact) / scale_k)
-            sign_ok = (sign_ok and chk.lap_exact >= 0.0
-                       and chk.lapK_exact <= 0.0 and chk.lap_fd >= -1e-6
-                       and chk.lapK_fd <= 1e-6)
-    ratio = worst[1e-2] / worst[1e-3]
-    ratio_k = worst_k[1e-2] / worst_k[1e-3]
-    ok = (worst[1e-3] < 1e-3 and worst_k[1e-3] < 1e-3 and sign_ok
-          and 30.0 < ratio < 300.0 and 30.0 < ratio_k < 300.0)
-    report(8, ok, f"rel err {worst[1e-3]:.2e} / {worst_k[1e-3]:.2e} at "
-                  f"h=1e-3; order-2 ratios {ratio:.0f}, {ratio_k:.0f}; "
-                  f"opposite signs confirmed")
+def test_criterion_8_log_laplacians():
+    # Delta log(W^2|K|) = 4|g'|^2 * 8tv/(1-t^2v^2)^2 and Delta log|K| =
+    # 4|g'|^2 * -4/(1+tv)^2 at t = g, v = conj(g), proved exactly for all
+    # (t, v).  With tv = |g|^2 in [0, 1) the first right-hand side is
+    # >= 0 (W^2|K| log-subharmonic) and the second < 0 (|K|
+    # log-superharmonic): checked at exact points across [0, 1).
+    proved = prove_identities()
+    laplacians_proved = (proved["log_wk_laplacian"]
+                         and proved["log_k_laplacian"])
+    tvs = [Fraction(k, 64) for k in range(64)] + [1 - Fraction(1, 10 ** 9)]
+    wk_rhs = [8 * tv / (1 - tv * tv) ** 2 for tv in tvs]
+    k_rhs = [-4 / (1 + tv) ** 2 for tv in tvs]
+    signs_ok = (all(r > 0 if tv else r == 0 for r, tv in zip(wk_rhs, tvs))
+                and all(r < 0 for r in k_rhs))
+    report(8, laplacians_proved and signs_ok,
+           f"log_wk_laplacian and log_k_laplacian proved exactly; "
+           f"right-hand signs >= 0 / < 0 at {len(tvs)} exact |g|^2 in [0, 1)")
 
 
 def test_criterion_9_scope_note():

@@ -244,3 +244,32 @@ def test_prove_identities_catches_a_wrong_formula(monkeypatch, name, corrupt,
     monkeypatch.setattr(params, name, corrupt(getattr(params, name)))
     proved = prove_identities()
     assert {key for key, ok in proved.items() if not ok} == fails
+
+
+def test_partial_derivative():
+    t, v = BiPoly.var_t(), BiPoly.var_v()
+    p = 3 * t ** 2 * v - F(1, 2) * t * v ** 3 + 5 * v - 7
+    assert p.partial("t") == 6 * t * v - F(1, 2) * v ** 3
+    assert p.partial("v") == 3 * t ** 2 - F(3, 2) * t * v ** 2 + 5
+    assert p.partial("t").partial("v") == p.partial("v").partial("t")
+    assert exact_and_sparse(p.partial("v"))
+    for zero in (BiPoly.constant(7), BiPoly.constant(0)):
+        assert zero.partial("t") == zero.partial("v") == BiPoly.constant(0)
+    with pytest.raises(ValueError):
+        p.partial("x")
+
+
+TV = BiPoly.var_t() * BiPoly.var_v()
+
+
+@pytest.mark.parametrize("coeff, h, rhs", [
+    (-2, 1 - TV * TV, 8 * TV), (-4, 1 + TV, BiPoly.constant(-4)),
+], ids=["log_wk_laplacian", "log_k_laplacian"])
+def test_log_laplacian_residual_needs_the_exact_constant(coeff, h, rhs):
+    # coeff * d_t d_v log h = coeff (h_tv h - h_t h_v)/h^2 is rhs/h^2, as
+    # prove_identities proves under the test's id; with 15/16 of rhs (30
+    # for 32, -15 for -16 in the Laplacian) the residual does not vanish.
+    h_t, h_v = h.partial("t"), h.partial("v")
+    lhs = coeff * RationalFunction(h_t.partial("v") * h - h_t * h_v, h * h)
+    assert (lhs - RationalFunction(rhs, h * h)).vanishes()
+    assert not (lhs - RationalFunction(F(15, 16) * rhs, h * h)).vanishes()

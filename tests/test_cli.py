@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scherk import cli, params
+from scherk import cli, oddmap, params
 from scherk.cli import CSV_HEADER, ROUTE_GAP_BOUND, evaluate_pair, main
 from oracles import (direct_random_odd_lift, full_grid_fourier_mode,
                      mp_scalar_root)
@@ -250,6 +250,21 @@ def test_band_checks_allow_slack_and_no_more():
         assert band["band_scalar"] and band["band_geometric"]
         band = {c.name: c.ok for c in off.checks(1e-10)}
         assert not band["band_scalar"] and band["band_geometric"]
+
+
+def test_check_default_slack_is_1e_9(capsys, monkeypatch):
+    # At (1, 1) both routes give W^2|K| = 4.934802200544679.  With the
+    # band's top 5e-9 below it, the default slack (1e-9) fails the band
+    # and 1e-8 passes it.
+    wk = 4.934802200544679
+    monkeypatch.setattr(cli, "BAND", (cli.BAND[0], wk - 5e-9))
+    code, out, _ = run(capsys, "check", "--A", "1", "--B", "1")
+    rec = load(out)
+    assert rec["wk_scalar"] == rec["wk_geometric"] == wk
+    assert code == 4 and rec["in_band"] is False
+    code, out, _ = run(capsys, "check", "--A", "1", "--B", "1",
+                       "--slack", "1e-8")
+    assert code == 0 and load(out)["in_band"] is True
 
 
 def _record_solver_calls(monkeypatch, fail_on=None):
@@ -563,9 +578,10 @@ def test_certify(capsys):
     assert code == 0
     assert "20/9" in out and "49/9" in out
     assert "all entries nonnegative" in out
-    assert out.splitlines()[-5:] == [
+    assert out.splitlines()[-7:] == [
         f"identity {name}: proved"
-        for name in ("lower_band", "swap", "p_minus_r", "threshold", "h_r")]
+        for name in ("lower_band", "swap", "p_minus_r", "threshold", "h_r",
+                     "log_wk_laplacian", "log_k_laplacian")]
 
 
 def test_certify_corrupt_negative_control(capsys, corrupt_expected):
@@ -596,7 +612,8 @@ def test_certify_names_a_failed_identity(capsys, monkeypatch):
     assert doc["nonnegative"] is True
     assert doc["identities"] == {"lower_band": True, "swap": False,
                                  "p_minus_r": False, "threshold": True,
-                                 "h_r": True}
+                                 "h_r": True, "log_wk_laplacian": True,
+                                 "log_k_laplacian": True}
 
 
 # `certify` has no option to perturb an entry: any such argv is rejected.
@@ -622,7 +639,8 @@ def test_certify_json(capsys):
     assert doc["two_z"]["coeffs"][2][2] == "49/9"
     assert doc["identities"] == {"lower_band": True, "swap": True,
                                  "p_minus_r": True, "threshold": True,
-                                 "h_r": True}
+                                 "h_r": True, "log_wk_laplacian": True,
+                                 "log_k_laplacian": True}
 
 
 def test_odd_command(capsys):
@@ -716,6 +734,45 @@ def test_certify_golden_output(capsys):
     assert _replay_golden(capsys, "certify.txt") == 2
 
 
+def _odd_verdict(capsys, monkeypatch, name, fake):
+    """Exit code and last line of a short `odd` run, with the oddmap
+    function `name`, which feeds one of its gates, replaced by `fake`."""
+    monkeypatch.setattr(oddmap, name, fake)
+    code, out, _ = run(capsys, "odd", "--trials", "2")
+    return code, out.splitlines()[-1]
+
+
+PASS, FAIL = (0, "odd-map checks PASS"), (4, "odd-map checks FAIL")
+
+
+@pytest.mark.parametrize("gap, verdict", [
+    (1e-10, PASS), (math.nextafter(1e-10, 1.0), FAIL)],
+    ids=["inside", "outside"])
+def test_odd_hall_gate_is_1e_10(capsys, monkeypatch, gap, verdict):
+    report = oddmap.HallReport(lhs=0.0, rhs=1.0, holds=True,
+                               max_j_minus_tau=gap)
+    assert _odd_verdict(capsys, monkeypatch, "hall_inequality_check",
+                        lambda lift: report) == verdict
+
+
+@pytest.mark.parametrize("anti, verdict", [
+    (1e-9, PASS), (math.nextafter(1e-9, 1.0), FAIL)],
+    ids=["inside", "outside"])
+def test_odd_antisymmetry_gate_is_1e_9(capsys, monkeypatch, anti, verdict):
+    # C(0.3) + C(pi/2 - 0.3) = anti/2 + anti/2 = anti, exactly.
+    assert _odd_verdict(capsys, monkeypatch, "autocorrelation",
+                        lambda lift, t: (anti / 2, None)) == verdict
+
+
+@pytest.mark.parametrize("energy, verdict", [
+    (1e-10, PASS), (math.nextafter(1e-10, 1.0), FAIL)],
+    ids=["inside", "outside"])
+def test_odd_even_mode_gate_is_1e_10(capsys, monkeypatch, energy, verdict):
+    # The spectrum starts at S_1, so S_2 = energy is its one even mode.
+    assert _odd_verdict(capsys, monkeypatch, "fourier_spectrum",
+                        lambda lift: np.array([1.0, energy])) == verdict
+
+
 def test_odd_rejects_zero_trials(capsys):
     code, out, err = run(capsys, "odd", "--trials", "0")
     assert code == 1 and out == ""
@@ -731,32 +788,13 @@ def test_odd_rejects_a_negative_seed(capsys, seed):
     assert out == ""
 
 
-def test_logsub_command(capsys):
-    code, out, _ = run(capsys, "logsub", "--samples", "5", "--seed", "3",
-                       "--h", "1e-2", "--h", "1e-3", "--h", "0.07")
-    assert code == 0
-    assert "h=0.07:" in out and "PASS" in out
-
-
-def test_logsub_rejects_zero_samples(capsys):
-    code, out, err = run(capsys, "logsub", "--samples", "0")
-    assert code == 1 and out == ""
-    assert ("scherk logsub: error: argument --samples: must be an integer "
-            ">= 1") in err and "Traceback" not in err
-
-
-# A step must also keep the stencil inside the disk: h < 0.0732.
-@pytest.mark.parametrize("h", ["nan", "inf", "0", "-1e-3", "0.1", "0.0733"])
-def test_logsub_rejects_a_bad_step(capsys, h):
-    code, out, err = run(capsys, "logsub", "--samples", "2", "--h=0.01",
-                         f"--h={h}")
-    assert code == 1
-    assert "error: argument --h: " in err and "Traceback" not in err
-    assert out == ""
-
-
 def test_unknown_flag_is_input_error(capsys):
     assert run(capsys, "check", "--nope", "1")[0] == 1
+    # So is any command but the five the parser offers.
+    code, out, err = run(capsys, "laplacian")
+    assert code == 1 and out == ""
+    assert "{check,zero,sweep,certify,odd}" in err
+    assert "invalid choice" in err and "laplacian" in err
 
 
 def test_one_parser_serves_successive_calls(tmp_path, capsys, monkeypatch):
@@ -819,8 +857,7 @@ def test_numpy_loads_only_with_the_array_commands(tmp_path):
     # and write what they do in a fresh one.
     scalar = [["check", "--A", "0.7", "--B", "0.9"],
               ["zero", "--A", "0.5", "--B", "0.9"],
-              ["certify"], ["logsub", "--samples", "3"],
-              readme_library_code()]
+              ["certify"], readme_library_code()]
     arrays = [["sweep", "--grid", "12", "--out", "ab.csv"],
               ["sweep", "--grid", "12", "--mode", "pq", "--out", "pq.csv"],
               ["odd", "--trials", "20", "--extremal"]]
@@ -828,7 +865,7 @@ def test_numpy_loads_only_with_the_array_commands(tmp_path):
     together.mkdir()
     fresh.mkdir()
     steps = _run_steps(scalar + arrays, together)
-    assert [code for code, *_ in steps] == [0, 2, 0, 0, None, 0, 0, 0]
+    assert [code for code, *_ in steps] == [0, 2, 0, None, 0, 0, 0]
     assert [loaded for *_, loaded in steps] == [[]] * len(scalar) + [
         ["numpy"], ["numpy"], ["numpy", "scherk.oddmap"]]
     alone = [_run_steps([argv], fresh)[0] for argv in arrays]

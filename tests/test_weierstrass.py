@@ -11,8 +11,7 @@ from scherk.harmonic import (master_inequality_check, solve_zero_point,
                              solve_zero_point_block)
 from scherk.params import ScherkParams, from_ab
 from scherk.scalar import solve_zero
-from scherk.weierstrass import (GaussAutomorphism, log_subharmonicity_check,
-                                wk_scalar)
+from scherk.weierstrass import wk_scalar
 
 
 def test_wk_scalar_values():
@@ -99,59 +98,3 @@ def test_geometric_upper_band_is_the_master_inequality(rng):
         assert band.value == sol.WK
         assert lhs >= rhs
 
-
-def test_gauss_automorphism_basics():
-    g = GaussAutomorphism(a=0.3 + 0.1j, theta=0.7)
-    assert abs(g(0.3 + 0.1j)) < 1e-15
-    # Blaschke factor: unimodular on the circle.
-    z = complex(math.cos(1.1), math.sin(1.1))
-    assert abs(abs(g(z)) - 1.0) < 1e-12
-    with pytest.raises(DomainError):
-        GaussAutomorphism(a=1.0 + 0j)
-
-
-def test_log_subharmonicity_identity_map():
-    g = GaussAutomorphism(a=0j)
-    chk = log_subharmonicity_check(g, 0j, 1e-3)
-    assert chk.lap_exact == 0.0
-    assert abs(chk.lap_fd) < 1e-4
-
-    chk = log_subharmonicity_check(g, 0.5 + 0j, 1e-3)
-    # 32*0.25/(1-0.0625)^2 = 2048/225
-    assert chk.lap_exact == pytest.approx(2048.0 / 225.0, abs=1e-12)
-    assert chk.lap_fd == pytest.approx(chk.lap_exact, rel=1e-4)
-
-
-def test_log_subharmonicity_order_two():
-    g = GaussAutomorphism(a=0j)
-    z = 0.5 + 0j
-    exact = log_subharmonicity_check(g, z, 1e-3).lap_exact
-    e1 = abs(log_subharmonicity_check(g, z, 1e-2).lap_fd - exact)
-    e2 = abs(log_subharmonicity_check(g, z, 0.5e-2).lap_fd - exact)
-    assert e1 / e2 == pytest.approx(4.0, rel=0.2)
-
-
-def test_log_subharmonicity_automorphism():
-    g = GaussAutomorphism(a=0.3 + 0j)
-    chk = log_subharmonicity_check(g, 0.2 + 0.1j, 1e-3)
-    assert chk.lap_fd == pytest.approx(chk.lap_exact, rel=1e-4)
-    assert chk.lapK_fd == pytest.approx(chk.lapK_exact, rel=1e-4)
-    assert chk.lap_exact >= 0.0 and chk.lapK_exact <= 0.0
-
-
-def test_log_subharmonicity_signs_random(rng):
-    for _ in range(50):
-        a = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        g = GaussAutomorphism(a=a, theta=float(rng.uniform(0, 2 * math.pi)))
-        z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        chk = log_subharmonicity_check(g, z, 1e-3)
-        assert chk.lap_fd >= -1e-6
-        assert chk.lapK_fd <= 1e-6
-
-
-def test_log_subharmonicity_domain_guard():
-    g = GaussAutomorphism(a=0j)
-    with pytest.raises(DomainError):
-        log_subharmonicity_check(g, 0.999 + 0j, 1e-3)
-    with pytest.raises(DomainError):
-        log_subharmonicity_check(g, 0j, 0.0)
